@@ -101,14 +101,6 @@ fn main() {
         let analog_int8 = bench(&format!("gemm_engine/{size}/analog_int8"), || {
             int8_backend.matmul(black_box(&a), black_box(&b))
         });
-        // The product-LUT gather route, forced on: bit-identical to the
-        // P-DAC f64 pipeline, streaming byte codes. Recorded for the
-        // memory-bound comparison; not expected to win at compute-bound
-        // cube shapes, so it carries no gated ratio.
-        let lut_backend = AnalogGemm::new(driver.clone(), "pdac8lut").with_product_lut_floor(0);
-        let analog_int8_lut = bench(&format!("gemm_engine/{size}/analog_int8_lut"), || {
-            lut_backend.matmul(black_box(&a), black_box(&b))
-        });
 
         let fast_over_naive = exact_naive.mean_ns / exact_fast.mean_ns.max(1.0);
         let analog_over_seed = analog_seed.mean_ns / analog_cached.mean_ns.max(1.0);
@@ -136,7 +128,6 @@ fn main() {
             &analog_lut,
             &analog_cached,
             &analog_int8,
-            &analog_int8_lut,
         ] {
             records.push(record(size, r));
         }

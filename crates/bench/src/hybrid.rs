@@ -42,24 +42,20 @@ pub fn pareto(samples: usize) -> Vec<DesignPoint> {
     ] {
         let pm = PowerModel::new(arch.clone(), tech.clone(), kind);
         let saving = power_saving(&baseline, &pm, 8);
-        let sqnr = match kind {
+        let backend = match kind {
             DriverKind::ElectricalDac => {
-                let backend = AnalogGemm::new(ElectricalDac::new(8).expect("valid"), name);
-                fidelity_study(&model, &ExactGemm, &backend, samples).mean_sqnr_db
+                AnalogGemm::new(ElectricalDac::new(8).expect("valid"), name)
             }
-            DriverKind::Hybrid => {
-                let backend = AsymmetricGemm::new(
-                    PDac::with_optimal_approx(8).expect("valid"),
-                    ElectricalDac::new(8).expect("valid"),
-                    name,
-                );
-                fidelity_study(&model, &ExactGemm, &backend, samples).mean_sqnr_db
-            }
+            DriverKind::Hybrid => AsymmetricGemm::new(
+                PDac::with_optimal_approx(8).expect("valid"),
+                ElectricalDac::new(8).expect("valid"),
+                name,
+            ),
             DriverKind::PhotonicDac => {
-                let backend = AnalogGemm::new(PDac::with_optimal_approx(8).expect("valid"), name);
-                fidelity_study(&model, &ExactGemm, &backend, samples).mean_sqnr_db
+                AnalogGemm::new(PDac::with_optimal_approx(8).expect("valid"), name)
             }
         };
+        let sqnr = fidelity_study(&model, &ExactGemm, &backend, samples).mean_sqnr_db;
         points.push(DesignPoint {
             name: name.to_string(),
             power_saving: saving,

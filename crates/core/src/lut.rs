@@ -88,48 +88,6 @@ impl ConverterLut {
     }
 }
 
-/// Fills `table` with every code-pair product of two scaled drive paths:
-/// `table[a_index | b_index] = fl(fl(scale_a · A[ca]) · fl(scale_b · B[cb]))`
-/// where `a_index = (ca + max_a) << 8` and `b_index = cb + max_b`.
-///
-/// Each entry is built exactly the way the f64 analog pipeline builds the
-/// per-term product — dequantize each side (`fl(scale · lut[code])`, the
-/// `QuantizedMat::dequantize_with` arithmetic), then one rounded multiply
-/// — so gathering these entries in ascending-`k` order
-/// (`pdac_math::gemm_i8::gemm_product_lut`) reproduces the f64 pipeline
-/// **bit for bit** for any driver, linear or not.
-///
-/// The table is reused as scratch across calls (per-row activation scales
-/// rebuild it); entries outside the biased code range stay zero and are
-/// never indexed by valid codes.
-///
-/// # Panics
-///
-/// Panics unless both LUTs are at most 8-bit (biased codes must fit the
-/// 256-slot grid).
-pub fn fill_product_table(
-    lut_a: &ConverterLut,
-    scale_a: f64,
-    lut_b: &ConverterLut,
-    scale_b: f64,
-    table: &mut Vec<f64>,
-) {
-    assert!(
-        lut_a.bits() <= 8 && lut_b.bits() <= 8,
-        "product table requires byte-size codes"
-    );
-    table.clear();
-    table.resize(pdac_math::gemm_i8::PRODUCT_LUT_LEN, 0.0);
-    let vb: Vec<f64> = lut_b.table().iter().map(|&v| scale_b * v).collect();
-    for (ia, &ta) in lut_a.table().iter().enumerate() {
-        let va = scale_a * ta;
-        let row = &mut table[ia << 8..(ia << 8) + vb.len()];
-        for (cell, &b) in row.iter_mut().zip(&vb) {
-            *cell = va * b;
-        }
-    }
-}
-
 impl MzmDriver for ConverterLut {
     fn bits(&self) -> u8 {
         self.bits
@@ -221,44 +179,6 @@ mod tests {
             assert!(!pdac.is_code_linear(), "pdac bits={bits}");
             assert!(!edac.is_code_linear(), "edac bits={bits}");
             assert!(ideal.is_code_linear(), "ideal bits={bits}");
-        }
-    }
-
-    /// Exhaustive 256×256 product-table vs scalar drive-path bit-identity:
-    /// every representable code pair, both P-DAC approximation orders and
-    /// the e-DAC baseline, with non-trivial per-side scales.
-    #[test]
-    fn product_table_matches_scalar_products_for_every_code_pair() {
-        let drivers: Vec<(&str, Box<dyn MzmDriver>)> = vec![
-            (
-                "pdac-optimal",
-                Box::new(PDac::with_optimal_approx(8).unwrap()),
-            ),
-            (
-                "pdac-first-order",
-                Box::new(PDac::with_first_order_approx(8).unwrap()),
-            ),
-            ("edac", Box::new(ElectricalDac::new(8).unwrap())),
-            ("ideal", Box::new(crate::ideal::IdealDac::new(8).unwrap())),
-        ];
-        let (scale_a, scale_b) = (0.831_f64, 1.734_f64);
-        let mut table = Vec::new();
-        for (name, driver) in drivers {
-            let lut = ConverterLut::new(driver.as_ref());
-            super::fill_product_table(&lut, scale_a, &lut, scale_b, &mut table);
-            let m = lut.max_code();
-            for ca in -m..=m {
-                let va = scale_a * driver.convert(ca);
-                for cb in -m..=m {
-                    let want = va * (scale_b * driver.convert(cb));
-                    let idx = (((ca + m) as usize) << 8) | ((cb + m) as usize);
-                    assert!(
-                        table[idx].to_bits() == want.to_bits(),
-                        "{name} ca={ca} cb={cb}: {} vs {want}",
-                        table[idx]
-                    );
-                }
-            }
         }
     }
 

@@ -21,16 +21,9 @@
 //!   A portable micro-kernel over the *same* layout serves every other
 //!   CPU; runtime feature detection picks the implementation per process.
 //!
-//! For drivers that are **not** code-linear (the P-DAC's approximated
-//! arccos, the e-DAC's voltage-grid snap) the product of two dequantized
-//! amplitudes is still a pure function of the two codes. The
-//! [`gemm_product_lut`] kernel gathers precomputed per-pair products
-//! `table[a_idx | b_idx]` (a 256×256 f64 table built by the core crate
-//! from the driver LUTs with per-call scales folded in) and accumulates
-//! them in ascending-`k` order with one accumulator per cell — **exactly**
-//! the per-term values and reduction order of the f64 pipeline, so its
-//! output is bit-identical to quantize→dequantize→`Mat::matmul` for every
-//! driver, while reading 8× less operand memory (byte codes, not f64).
+//! Drivers that are **not** code-linear (the P-DAC's approximated arccos,
+//! the e-DAC's voltage-grid snap) keep the f64 pipeline: their modeled
+//! conversion error is exactly what the integer domain would erase.
 //!
 //! Overflow: `i32` accumulation of byte-size products is exact while
 //! `k · 127² < 2³¹`, i.e. `k ≤` [`MAX_K_I8`] ≈ 133 k — far beyond any
@@ -50,9 +43,6 @@ const NR: usize = NR_I8;
 /// Largest contraction dimension for which `i32` accumulation of
 /// byte-size code products (`|code| ≤ 127`) cannot overflow.
 pub const MAX_K_I8: usize = (i32::MAX as usize) / (127 * 127);
-
-/// Column-tile width of the product-LUT gather kernel.
-const LUT_JT: usize = 8;
 
 /// Whether the AVX-512 VNNI micro-kernel is available on this CPU.
 /// Cached per process; both implementations are bit-identical, so this
@@ -307,21 +297,6 @@ impl SendPtrI32 {
 unsafe impl Send for SendPtrI32 {}
 unsafe impl Sync for SendPtrI32 {}
 
-/// Same contract for the product-LUT f64 output.
-#[derive(Clone, Copy)]
-struct SendPtrF64(*mut f64);
-
-impl SendPtrF64 {
-    #[inline]
-    fn get(self) -> *mut f64 {
-        self.0
-    }
-}
-
-// SAFETY: as for `SendPtrI32`.
-unsafe impl Send for SendPtrF64 {}
-unsafe impl Sync for SendPtrF64 {}
-
 /// Computes the exact `m × n` integer code product of row-major `a`
 /// (`m × k`) and prepacked `b` into `out` (fully overwritten):
 /// `out[r][c] = Σ_k a[r][k] · b[k][c]` in `i32`, using up to `threads`
@@ -491,110 +466,6 @@ pub fn gemm_i8_grouped(
     });
 }
 
-/// Length the product table passed to [`gemm_product_lut`] must have:
-/// `a` indices are pre-shifted byte codes (`(code + bias) << 8`), `b`
-/// indices plain biased bytes, so the table is a dense 256×256 grid.
-pub const PRODUCT_LUT_LEN: usize = 1 << 16;
-
-/// One output row chunk of the product-LUT gather, ascending-`k` per cell
-/// with a single accumulator — the f64 pipeline's exact reduction.
-#[inline]
-fn lut_row_chunk(
-    a_row: &[u16],
-    b_idx: &[u8],
-    k: usize,
-    n: usize,
-    c0: usize,
-    table: &[f64],
-    out_chunk: &mut [f64],
-) {
-    let mut c = 0;
-    while c < out_chunk.len() {
-        let w = LUT_JT.min(out_chunk.len() - c);
-        let mut acc = [0.0f64; LUT_JT];
-        for (kk, &ai) in a_row.iter().enumerate().take(k) {
-            let ai = ai as usize;
-            let b_seg = &b_idx[kk * n + c0 + c..kk * n + c0 + c + w];
-            for (cell, &bv) in acc.iter_mut().zip(b_seg) {
-                *cell += table[ai | bv as usize];
-            }
-        }
-        out_chunk[c..c + w].copy_from_slice(&acc[..w]);
-        c += w;
-    }
-}
-
-/// Accumulates precomputed code-pair products: `out[r][c] = Σ_k
-/// table[a_idx[r][k] | b_idx[k][c]]`, each cell one ascending-`k` f64
-/// reduction from `0.0` — term values **and** reduction order match the
-/// f64 pipeline exactly (each table entry is the rounded product of the
-/// two dequantized amplitudes), so the result is bit-identical to
-/// dequantizing both operands and running [`crate::gemm::gemm`], for any
-/// driver and any thread count.
-///
-/// `a_idx` is `m × k` of pre-shifted biased codes (`(code+bias) << 8`);
-/// `b_idx` is `k × n` of biased codes; `table` is the dense
-/// [`PRODUCT_LUT_LEN`] grid.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the given dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_product_lut(
-    a_idx: &[u16],
-    b_idx: &[u8],
-    m: usize,
-    k: usize,
-    n: usize,
-    table: &[f64],
-    out: &mut [f64],
-    threads: usize,
-) {
-    assert_eq!(a_idx.len(), m * k, "lhs length");
-    assert_eq!(b_idx.len(), k * n, "rhs length");
-    assert_eq!(out.len(), m * n, "output length");
-    assert_eq!(table.len(), PRODUCT_LUT_LEN, "product table length");
-    let macs = m * k * n;
-    let threads = if macs >= PAR_MIN_MACS { threads } else { 1 };
-    if m == 1 {
-        let threads = threads.clamp(1, n);
-        if threads == 1 {
-            lut_row_chunk(a_idx, b_idx, k, n, 0, table, out);
-            return;
-        }
-        let chunk = n.div_ceil(threads);
-        let tasks = n.div_ceil(chunk);
-        let out_ptr = SendPtrF64(out.as_mut_ptr());
-        WorkerPool::global().run(tasks, &move |t| {
-            let c0 = t * chunk;
-            let width = chunk.min(n - c0);
-            // SAFETY: column chunks are disjoint per task index.
-            let out_chunk = unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(c0), width) };
-            lut_row_chunk(a_idx, b_idx, k, n, c0, table, out_chunk);
-        });
-        return;
-    }
-    let threads = threads.clamp(1, m);
-    if threads == 1 {
-        for (a_row, out_row) in a_idx.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            lut_row_chunk(a_row, b_idx, k, n, 0, table, out_row);
-        }
-        return;
-    }
-    let rows_per = m.div_ceil(threads);
-    let tasks = m.div_ceil(rows_per);
-    let out_ptr = SendPtrF64(out.as_mut_ptr());
-    WorkerPool::global().run(tasks, &move |t| {
-        let r0 = t * rows_per;
-        let rows = rows_per.min(m - r0);
-        for r in r0..r0 + rows {
-            // SAFETY: output rows are disjoint per task index.
-            let out_row = unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r * n), n) };
-            lut_row_chunk(&a_idx[r * k..(r + 1) * k], b_idx, k, n, 0, table, out_row);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,45 +613,5 @@ mod tests {
         const { assert!(MAX_K_I8 > 100_000) };
         assert!((MAX_K_I8 as i64) * 127 * 127 <= i32::MAX as i64);
         assert!(((MAX_K_I8 + 1) as i64) * 127 * 127 > i32::MAX as i64);
-    }
-
-    #[test]
-    fn product_lut_matches_scalar_gather_for_all_threads() {
-        // Synthetic table: any dense 256×256 grid exercises the indexing.
-        let mut table = vec![0.0f64; PRODUCT_LUT_LEN];
-        let mut rng = SplitMix64::seed_from_u64(0x9DAC);
-        for v in table.iter_mut() {
-            *v = rng.gen_range_f64(-1.0, 1.0);
-        }
-        for &(m, k, n) in &[
-            (1, 5, 3),
-            (1, 128, 640),
-            (4, 17, 29),
-            (13, 64, 80),
-            (65, 64, 129),
-        ] {
-            let mut rng = SplitMix64::seed_from_u64(7000 + (m * k * n) as u64);
-            let a_idx: Vec<u16> = (0..m * k)
-                .map(|_| ((rng.gen_range_f64(0.0, 255.0) as u16) & 0xFF) << 8)
-                .collect();
-            let b_idx: Vec<u8> = (0..k * n)
-                .map(|_| rng.gen_range_f64(0.0, 255.0) as u8)
-                .collect();
-            let mut want = vec![0.0f64; m * n];
-            for r in 0..m {
-                for c in 0..n {
-                    let mut acc = 0.0;
-                    for kk in 0..k {
-                        acc += table[(a_idx[r * k + kk] as usize) | b_idx[kk * n + c] as usize];
-                    }
-                    want[r * n + c] = acc;
-                }
-            }
-            for threads in [1, 2, 7] {
-                let mut got = vec![f64::NAN; m * n];
-                gemm_product_lut(&a_idx, &b_idx, m, k, n, &table, &mut got, threads);
-                assert_eq!(got, want, "m={m} k={k} n={n} threads={threads}");
-            }
-        }
     }
 }

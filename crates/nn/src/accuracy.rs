@@ -14,6 +14,7 @@ use crate::gemm::{AnalogGemm, ExactGemm};
 use crate::inference::TransformerModel;
 use pdac_core::converter::MzmDriver;
 use pdac_core::edac::ElectricalDac;
+use pdac_core::lut::ConverterLut;
 use pdac_core::pdac::PDac;
 
 /// One point of the accuracy curve.
@@ -77,18 +78,6 @@ impl ConverterKind {
     }
 }
 
-/// Boxed-driver adapter so heterogeneous converters share one GEMM type.
-struct BoxedDriver(Box<dyn MzmDriver>);
-
-impl MzmDriver for BoxedDriver {
-    fn bits(&self) -> u8 {
-        self.0.bits()
-    }
-    fn convert(&self, code: i32) -> f64 {
-        self.0.convert(code)
-    }
-}
-
 /// Teacher-task accuracy of one converter at one precision: fraction of
 /// `samples` seeded inputs whose argmax class matches the exact model.
 ///
@@ -102,7 +91,7 @@ pub fn teacher_accuracy(
     samples: usize,
 ) -> f64 {
     assert!(samples > 0, "need at least one sample");
-    let backend = AnalogGemm::new(BoxedDriver(kind.build(bits)), kind.label());
+    let backend = AnalogGemm::new(ConverterLut::new(kind.build(bits).as_ref()), kind.label());
     let mut agree = 0usize;
     for i in 0..samples {
         let input = model.random_input(5000 + i as u64);

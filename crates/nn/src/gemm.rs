@@ -1,29 +1,30 @@
 //! Pluggable GEMM backends.
 //!
-//! The accelerator's matrix multiplies can run in three fidelity regimes:
+//! The accelerator's matrix multiplies can run in two fidelity regimes:
 //!
 //! * [`ExactGemm`] — full-precision `f64` reference,
-//! * [`AnalogGemm`] — operands quantized and pushed through an
-//!   [`MzmDriver`] (P-DAC or electrical DAC) before the dot product.
-//!   The photonic DDot itself computes the dot product exactly (see
-//!   `pdac-photonics`), so the analog error is entirely in the operand
-//!   modulation — exactly the paper's error model.
+//! * [`AnalogGemm`] — operands quantized and pushed through converter
+//!   drive paths (P-DAC, electrical DAC, or one of each via
+//!   [`AsymmetricGemm::new`]) before the dot product. The photonic DDot
+//!   itself computes the dot product exactly (see `pdac-photonics`), so
+//!   the analog error is entirely in the operand modulation — exactly the
+//!   paper's error model.
 //!
 //! The [`GemmBackend`] trait lets the same transformer forward pass run in
 //! any regime; the fidelity study diffs their outputs.
 
-use crate::prepared::{PreparedOperand, WeightCache};
+use crate::prepared::WeightCache;
 use crate::quant::{self, GroupQuantizedMat, QuantizedMat, RowQuantizedMat};
 use pdac_core::converter::MzmDriver;
-use pdac_core::lut::{fill_product_table, ConverterLut};
+use pdac_core::lut::ConverterLut;
 use pdac_math::gemm::{default_threads, PackedB};
 use pdac_math::gemm_i8::{self, PackedBi8};
 use pdac_math::Mat;
 use std::cell::RefCell;
 
-/// Reusable scratch for the integer and product-LUT routes (activation
-/// codes, integer accumulators, the per-call product table), so the
-/// decode hot path allocates nothing after warm-up.
+/// Reusable scratch for the integer route (operand codes, their scales,
+/// integer accumulators), so the decode hot path allocates nothing after
+/// warm-up.
 #[derive(Debug, Default)]
 struct IntScratch {
     a_codes: Vec<i16>,
@@ -31,183 +32,30 @@ struct IntScratch {
     b_codes: Vec<i16>,
     b_scales: Vec<f64>,
     acc: Vec<i32>,
-    a_idx: Vec<u16>,
-    table: Vec<f64>,
-}
-
-/// The dequantize-at-the-end contract shared by every integer-route
-/// variant: with `acc = Σ ca·cb` exact in `i32`, row `r` of the output is
-/// `fl(f_r · acc)` where `f_r = fl(fl(s_a_r / m) · fl(s_b / m))` and `m`
-/// is the max code — two scale roundings and one final multiply per
-/// element, applied **once**, after the exact integer contraction
-/// (DESIGN.md §16).
-#[inline]
-fn dequantize_acc(acc: &[i32], n: usize, factor: impl Fn(usize) -> f64, out: &mut [f64]) {
-    for (r, (out_row, acc_row)) in out.chunks_exact_mut(n).zip(acc.chunks_exact(n)).enumerate() {
-        let f = factor(r);
-        for (o, &v) in out_row.iter_mut().zip(acc_row) {
-            *o = f * v as f64;
-        }
-    }
-}
-
-/// Integer route, cached-weight form: quantize activations to codes
-/// (per-tensor or per-row scales), run the exact `i32` kernel against
-/// the weight's memoized code panels, dequantize once at the end.
-fn int8_matmul_cached(
-    a: &Mat,
-    bq: &PreparedOperand,
-    bits: u8,
-    per_row: bool,
-    sc: &mut IntScratch,
-    out: &mut Mat,
-) {
-    let (m, k) = a.shape();
-    let n = bq.converted().cols();
-    assert_eq!(k, bq.converted().rows(), "inner dimensions must agree");
-    if per_row {
-        quant::quantize_blocks_i16(a, 1, bits, &mut sc.a_codes, &mut sc.a_scales);
-    } else {
-        let s = quant::quantize_tensor_i16(a.as_slice(), bits, &mut sc.a_codes);
-        sc.a_scales.clear();
-        sc.a_scales.push(s);
-    }
-    sc.acc.clear();
-    sc.acc.resize(m * n, 0);
-    gemm_i8::gemm_i8_prepacked(
-        &sc.a_codes,
-        bq.packed_codes(),
-        m,
-        &mut sc.acc,
-        default_threads(),
-    );
-    let mc = ((1i32 << (bits - 1)) - 1) as f64;
-    let db = bq.code_scale() / mc;
-    out.resize(m, n);
-    let scales = &sc.a_scales;
-    dequantize_acc(
-        &sc.acc,
-        n,
-        |r| (scales[if per_row { r } else { 0 }] / mc) * db,
-        out.as_mut_slice(),
-    );
-}
-
-/// Integer route, transient form: both operands quantize fresh
-/// (per-tensor scales, exactly what the cache would have produced), the
-/// right side packs per call — a `k·n` i16 write pass, cheaper than the
-/// `k·n` f64 convert pass it replaces.
-fn int8_matmul_transient(a: &Mat, b: &Mat, bits: u8, sc: &mut IntScratch, out: &mut Mat) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(k, b.rows(), "inner dimensions must agree");
-    let s_a = quant::quantize_tensor_i16(a.as_slice(), bits, &mut sc.a_codes);
-    let s_b = quant::quantize_tensor_i16(b.as_slice(), bits, &mut sc.b_codes);
-    let packed = PackedBi8::pack(&sc.b_codes, k, n);
-    sc.acc.clear();
-    sc.acc.resize(m * n, 0);
-    gemm_i8::gemm_i8_prepacked(&sc.a_codes, &packed, m, &mut sc.acc, default_threads());
-    let mc = ((1i32 << (bits - 1)) - 1) as f64;
-    let f = (s_a / mc) * (s_b / mc);
-    out.resize(m, n);
-    dequantize_acc(&sc.acc, n, |_| f, out.as_mut_slice());
-}
-
-/// Integer route, grouped form: per-row activation scales, per-block
-/// stacked-operand scales (the solo transient rule applied block by
-/// block), one grouped integer kernel dispatch.
-fn int8_matmul_grouped(a: &Mat, b: &Mat, bits: u8, sc: &mut IntScratch, out: &mut Mat) {
-    let (g, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(b.rows(), g * k, "stacked operand row count");
-    quant::quantize_blocks_i16(a, 1, bits, &mut sc.a_codes, &mut sc.a_scales);
-    quant::quantize_blocks_i16(b, k, bits, &mut sc.b_codes, &mut sc.b_scales);
-    sc.acc.clear();
-    sc.acc.resize(g * n, 0);
-    gemm_i8::gemm_i8_grouped(
-        &sc.a_codes,
-        &sc.b_codes,
-        g,
-        k,
-        n,
-        &mut sc.acc,
-        default_threads(),
-    );
-    let mc = ((1i32 << (bits - 1)) - 1) as f64;
-    out.resize(g, n);
-    let (a_scales, b_scales) = (&sc.a_scales, &sc.b_scales);
-    dequantize_acc(
-        &sc.acc,
-        n,
-        |r| (a_scales[r] / mc) * (b_scales[r] / mc),
-        out.as_mut_slice(),
-    );
-}
-
-/// Product-LUT route, cached-weight form: gather precomputed code-pair
-/// products (per-call scales folded into the table) in the f64 path's
-/// exact per-cell reduction order — bit-identical to
-/// quantize→LUT-dequantize→matmul for **any** driver, while streaming
-/// byte codes instead of f64 amplitudes. Per-row scales rebuild the
-/// table per row (the table is scale-dependent); the route is gated on
-/// operand size precisely because of that rebuild cost.
-fn lut_matmul_cached(
-    a: &Mat,
-    bq: &PreparedOperand,
-    lut_a: &ConverterLut,
-    lut_b: &ConverterLut,
-    per_row: bool,
-    sc: &mut IntScratch,
-    out: &mut Mat,
-) {
-    let (m, k) = a.shape();
-    let n = bq.converted().cols();
-    assert_eq!(k, bq.converted().rows(), "inner dimensions must agree");
-    let bits = lut_a.bits();
-    if per_row {
-        quant::quantize_blocks_i16(a, 1, bits, &mut sc.a_codes, &mut sc.a_scales);
-    } else {
-        let s = quant::quantize_tensor_i16(a.as_slice(), bits, &mut sc.a_codes);
-        sc.a_scales.clear();
-        sc.a_scales.push(s);
-    }
-    let mc = lut_a.max_code() as i16;
-    sc.a_idx.clear();
-    sc.a_idx
-        .extend(sc.a_codes.iter().map(|&c| ((c + mc) as u16) << 8));
-    let b_idx = bq.biased_codes();
-    let threads = default_threads();
-    out.resize(m, n);
-    if per_row {
-        for r in 0..m {
-            fill_product_table(lut_a, sc.a_scales[r], lut_b, bq.code_scale(), &mut sc.table);
-            gemm_i8::gemm_product_lut(
-                &sc.a_idx[r * k..(r + 1) * k],
-                b_idx,
-                1,
-                k,
-                n,
-                &sc.table,
-                out.row_slice_mut(r),
-                threads,
-            );
-        }
-    } else {
-        fill_product_table(lut_a, sc.a_scales[0], lut_b, bq.code_scale(), &mut sc.table);
-        gemm_i8::gemm_product_lut(
-            &sc.a_idx,
-            b_idx,
-            m,
-            k,
-            n,
-            &sc.table,
-            out.as_mut_slice(),
-            threads,
-        );
-    }
 }
 
 /// A matrix-multiply backend.
+///
+/// # Row-identity contract
+///
+/// Batched decode and grouped attention rest on two stacked forms
+/// reproducing their solo twins **bit for bit**, row by row:
+///
+/// * **batch ≡ solo** — the rows of `a` belong to independent sequences,
+///   and row `r` of [`Self::matmul_batch_into`] (and of
+///   [`Self::matmul_batch_packed_into`]) equals [`Self::matmul`] of the
+///   1×k matrix holding row `r` alone;
+/// * **grouped ≡ solo transient** — row `g` of
+///   [`Self::matmul_grouped_transient_into`] equals
+///   [`Self::matmul_transient_into`] of row `g` of `a` against block `g`
+///   of the stacked `b`.
+///
+/// The default methods keep the contract by construction (they run the
+/// solo form per row and stack the results). Overrides must keep it too:
+/// [`ExactGemm`] because every tuned kernel reduces each output cell in
+/// the same ascending-`k` order whatever the row count, [`AnalogGemm`]
+/// because it scales activations per row and stacked operands per block,
+/// exactly as the solo path scales each of them per tensor.
 pub trait GemmBackend {
     /// Computes `a · b`.
     ///
@@ -229,12 +77,7 @@ pub trait GemmBackend {
     }
 
     /// Batched decode matmul: the rows of `a` belong to **independent
-    /// sequences**, and row `r` of the result must be bit-identical to
-    /// `self.matmul(a_row_r, b)` of the 1×k matrix holding row `r`
-    /// alone. The default guarantees that by construction (it performs
-    /// the per-row products and stacks them); backends override it with
-    /// faster paths that preserve the row identity — see
-    /// [`AnalogGemm`]'s per-row quantization.
+    /// sequences**; batch ≡ solo under the trait's row-identity contract.
     ///
     /// # Panics
     ///
@@ -267,7 +110,7 @@ pub trait GemmBackend {
     /// a pack of the unconverted values is useless to them).
     /// [`ExactGemm`] overrides it: the pack skips the per-call
     /// `B`-panel-packing pass that otherwise dominates small batched
-    /// GEMMs. Same row-identity contract as [`Self::matmul_batch_into`].
+    /// GEMMs. Batch ≡ solo, as for [`Self::matmul_batch_into`].
     ///
     /// # Panics
     ///
@@ -286,14 +129,10 @@ pub trait GemmBackend {
     /// Grouped transient matmul for batched attention: `a` holds one
     /// query-like row per grouped sequence (`G × k`), `b` stacks each
     /// sequence's **own** ephemeral right operand (`G` contiguous
-    /// `k × n` blocks, so `b` is `(G·k) × n`), and row `g` of `out`
-    /// (`G × n`) must be bit-identical to
-    /// [`Self::matmul_transient_into`] of `a`'s row `g` against block
-    /// `g` alone. The default guarantees that by construction (per-row
-    /// delegation); backends override it to run all `G` products in one
-    /// kernel dispatch / conversion pass — see
-    /// [`crate::quant::GroupQuantizedMat`] for how analog backends keep
-    /// per-block quantization scales identical to the solo path.
+    /// `k × n` blocks, so `b` is `(G·k) × n`), and `out` is `G × n`.
+    /// Grouped ≡ solo transient under the trait's row-identity contract;
+    /// backends override the per-row default to run all `G` products in
+    /// one kernel dispatch / conversion pass.
     ///
     /// # Panics
     ///
@@ -403,98 +242,110 @@ impl GemmBackend for ExactGemm {
     }
 }
 
-/// Analog GEMM through a converter drive path: quantize both operands
-/// per-tensor, dequantize through the driver (injecting its conversion
-/// error), then multiply exactly (the DDot identity).
+/// The operand form of one analog call — how `a` is scaled and where `b`
+/// comes from — one per analog entry point of [`GemmBackend`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    /// `matmul`: `a` per tensor, `b` from the weight cache.
+    Solo,
+    /// `matmul_transient`: `a` and `b` per tensor, `b` quantized fresh.
+    Transient,
+    /// `matmul_batch`: `a` per row, `b` from the weight cache.
+    Batch,
+    /// `matmul_grouped_transient`: `a` per row, `b` per stacked block.
+    Grouped,
+}
+
+impl Form {
+    /// Whether `a`'s rows are independent sequences with a scale each.
+    fn per_row(self) -> bool {
+        matches!(self, Form::Batch | Form::Grouped)
+    }
+
+    /// The telemetry span and the [`crate::tap`] op name.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Form::Solo => ("nn.gemm.analog", "matmul"),
+            Form::Transient => ("nn.gemm.analog", "transient"),
+            Form::Batch => ("nn.gemm.analog_batch", "batch"),
+            Form::Grouped => ("nn.gemm.analog_grouped", "grouped"),
+        }
+    }
+}
+
+/// Analog GEMM through converter drive paths: quantize both operands,
+/// dequantize every code through its path's [`ConverterLut`] (injecting
+/// the converter's error), then multiply exactly (the DDot identity).
 ///
-/// The driver is tabulated once into a [`ConverterLut`] at construction,
-/// so per-call conversion is an array read rather than a full drive-path
-/// evaluation, and the right-hand (weight-like) operand is memoized in a
-/// [`WeightCache`] so repeated multiplies against the same weights —
-/// every decode step of generative inference — skip quantize+convert
-/// entirely. Both shortcuts are bit-identical to the direct path.
+/// The activation operand (`a`) and the weight-like operand (`b`) each
+/// have a table. [`Self::new`] tabulates one driver for both paths;
+/// [`AsymmetricGemm::new`] tabulates one driver per path — the hybrid
+/// design with P-DAC activations and electrical weights. Per-call
+/// conversion is then an array read rather than a drive-path evaluation,
+/// and `b` of cached calls is memoized in a [`WeightCache`], so repeated
+/// multiplies against the same weights — every decode step of generative
+/// inference — skip quantize+convert entirely. Both shortcuts are
+/// bit-identical to the direct path.
 ///
-/// Two further routes exist below the f64 pipeline (DESIGN.md §16):
-///
-/// * **Integer route** — when the drive path is exactly code-linear
-///   ([`ConverterLut::is_code_linear`], i.e. the ideal digital
-///   reference, `pdac_core::IdealDac`) at ≤ 8 bits, the dequantized
-///   product factors into `scale_a·scale_b/m² · Σ ca·cb` and every
-///   multiply runs in the exact byte-size integer engine
-///   (`pdac_math::gemm_i8`) with one dequantize at the end. Taken
-///   automatically; physical drivers never qualify, so their modeled
-///   conversion error is untouched.
-/// * **Product-LUT route** — for *any* ≤ 8-bit driver, the per-term
-///   product `fl(fl(s_a·A[ca])·fl(s_b·B[cb]))` is a function of the two
-///   codes alone, so a 64 Ki-entry table gathered in ascending-`k`
-///   order reproduces the f64 pipeline bit for bit while streaming byte
-///   codes instead of f64 amplitudes. Opt-in via
-///   [`Self::with_product_lut_floor`] because it only wins on
-///   memory-bound shapes.
+/// **Integer route** — when both tables are exactly code-linear
+/// ([`ConverterLut::is_code_linear`], i.e. the ideal digital reference,
+/// `pdac_core::IdealDac`) at ≤ 8 bits, the dequantized product factors
+/// into `s_a·s_b/m² · Σ ca·cb` and every multiply runs in the exact
+/// byte-size integer engine (`pdac_math::gemm_i8`) with one dequantize at
+/// the end (DESIGN.md §16). Physical drivers never qualify, so their
+/// modeled conversion error is untouched.
 #[derive(Debug)]
-pub struct AnalogGemm<D> {
-    driver: D,
-    lut: ConverterLut,
+pub struct AnalogGemm {
+    lut_a: ConverterLut,
+    lut_b: ConverterLut,
     cache: WeightCache,
     name: String,
     code_linear: bool,
-    product_lut_floor: usize,
     scratch: RefCell<IntScratch>,
 }
 
-impl<D: Clone> Clone for AnalogGemm<D> {
+impl Clone for AnalogGemm {
     /// Clones share the cache contents but start with fresh (empty,
     /// re-growable) integer-route scratch.
     fn clone(&self) -> Self {
         Self {
-            driver: self.driver.clone(),
-            lut: self.lut.clone(),
+            lut_a: self.lut_a.clone(),
+            lut_b: self.lut_b.clone(),
             cache: self.cache.clone(),
             name: self.name.clone(),
             code_linear: self.code_linear,
-            product_lut_floor: self.product_lut_floor,
             scratch: RefCell::new(IntScratch::default()),
         }
     }
 }
 
-impl<D: MzmDriver> AnalogGemm<D> {
-    /// Wraps a driver.
-    pub fn new(driver: D, name: impl Into<String>) -> Self {
+impl AnalogGemm {
+    /// Tabulates `driver` once and uses the table for both operands.
+    pub fn new(driver: impl MzmDriver, name: impl Into<String>) -> Self {
         let lut = ConverterLut::new(&driver);
-        let code_linear = lut.is_code_linear();
+        Self::with_luts(lut.clone(), lut, name)
+    }
+
+    /// Builds the backend from an activation-path and a weight-path table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tables' bit widths differ.
+    fn with_luts(lut_a: ConverterLut, lut_b: ConverterLut, name: impl Into<String>) -> Self {
+        assert_eq!(
+            lut_a.bits(),
+            lut_b.bits(),
+            "both operand paths must share a bit width"
+        );
+        let code_linear = lut_a.is_code_linear() && lut_b.is_code_linear();
         Self {
-            driver,
-            lut,
+            lut_a,
+            lut_b,
             cache: WeightCache::default(),
             name: name.into(),
             code_linear,
-            product_lut_floor: usize::MAX,
             scratch: RefCell::new(IntScratch::default()),
         }
-    }
-
-    /// Opts cached-weight multiplies into the product-LUT gather route
-    /// whenever the right operand holds at least `floor_bytes` of `f64`
-    /// data (`k·n·8`). The route is bit-identical to the default f64
-    /// pipeline for every driver (see `pdac_core::lut::fill_product_table`),
-    /// so the floor trades nothing but speed: below it the tuned f64
-    /// kernels win on compute-bound shapes, above it streaming byte codes
-    /// wins on memory-bound ones. `0` forces the route everywhere (the
-    /// conformance suite does this); the default `usize::MAX` disables it.
-    pub fn with_product_lut_floor(mut self, floor_bytes: usize) -> Self {
-        self.product_lut_floor = floor_bytes;
-        self
-    }
-
-    /// The wrapped driver.
-    pub fn driver(&self) -> &D {
-        &self.driver
-    }
-
-    /// The driver's dense code → amplitude table.
-    pub fn lut(&self) -> &ConverterLut {
-        &self.lut
     }
 
     /// The weight-conversion cache (for hit/miss inspection).
@@ -506,19 +357,122 @@ impl<D: MzmDriver> AnalogGemm<D> {
     /// Deliberately a function of shape only (never of operand values),
     /// so batched/grouped calls route identically to their solo twins.
     fn use_int8(&self, k: usize) -> bool {
-        self.code_linear && self.lut.bits() <= 8 && k <= gemm_i8::MAX_K_I8
+        self.code_linear && self.lut_a.bits() <= 8 && k <= gemm_i8::MAX_K_I8
     }
 
-    /// Whether the product-LUT route serves a `k×n` right operand.
-    fn use_product_lut(&self, k: usize, n: usize) -> bool {
-        self.lut.bits() <= 8
-            && k.checked_mul(n)
-                .and_then(|cells| cells.checked_mul(std::mem::size_of::<f64>()))
-                .is_some_and(|bytes| bytes >= self.product_lut_floor)
+    /// Every analog entry point: one span, the MAC and route counters,
+    /// the shape-only route choice, and the drift tap on the finished
+    /// output.
+    fn run(&self, form: Form, a: &Mat, b: &Mat, out: &mut Mat) {
+        let (span, op) = form.names();
+        let _span = pdac_telemetry::span(span);
+        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
+        if self.use_int8(a.cols()) {
+            pdac_telemetry::counter_add("nn.gemm.int8", 1);
+            self.int8_route(form, a, b, out);
+        } else {
+            self.f64_route(form, a, b, out);
+        }
+        crate::tap::observe(&self.name, op, a, b, out);
+    }
+
+    /// The f64 pipeline: dequantize `a` through the activation table and
+    /// `b` through the weight table, then one exact f64 GEMM. The
+    /// cache-free forms apply exactly the quantize→dequantize transform
+    /// `WeightCache::get_or_prepare` memoizes, so skipping the cache for
+    /// dead-after-this-call operands cannot change a bit.
+    fn f64_route(&self, form: Form, a: &Mat, b: &Mat, out: &mut Mat) {
+        let bits = self.lut_a.bits();
+        let aq = if form.per_row() {
+            RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a)
+        } else {
+            QuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a)
+        };
+        let shapes = match form {
+            Form::Solo => {
+                let bq = self.cache.get_or_prepare(b, &self.lut_b);
+                aq.matmul_into(bq.converted(), out)
+            }
+            Form::Batch => {
+                let bq = self.cache.get_or_prepare(b, &self.lut_b);
+                aq.matmul_prepacked_into(bq.packed(), out)
+            }
+            Form::Transient => {
+                let bq = QuantizedMat::quantize(b, bits).dequantize_with(&self.lut_b);
+                aq.matmul_into(&bq, out)
+            }
+            Form::Grouped => {
+                let bq =
+                    GroupQuantizedMat::quantize(b, a.cols(), bits).dequantize_with(&self.lut_b);
+                aq.matmul_grouped_into(&bq, out)
+            }
+        };
+        shapes.expect("operand shapes must agree");
+    }
+
+    /// The integer route: quantize both operands to codes with the f64
+    /// pipeline's scales (the cached form reuses the weight's memoized
+    /// code panels, the transient form packs per call, the grouped form
+    /// runs the grouped kernel), contract exactly in `i32`, and
+    /// dequantize once at the end: row `r` of the output is
+    /// `fl(f_r · acc)` with `f_r = fl(fl(s_a/m) · fl(s_b/m))`, `m` the
+    /// max code and `s_a`, `s_b` the scales that row was quantized with
+    /// (DESIGN.md §16).
+    fn int8_route(&self, form: Form, a: &Mat, b: &Mat, out: &mut Mat) {
+        let (m, k) = a.shape();
+        let n = b.cols();
+        let bits = self.lut_a.bits();
+        let threads = default_threads();
+        let sc = &mut *self.scratch.borrow_mut();
+        if form.per_row() {
+            quant::quantize_blocks_i16(a, 1, bits, &mut sc.a_codes, &mut sc.a_scales);
+        } else {
+            let s = quant::quantize_tensor_i16(a.as_slice(), bits, &mut sc.a_codes);
+            sc.a_scales.clear();
+            sc.a_scales.push(s);
+        }
+        sc.acc.clear();
+        sc.acc.resize(m * n, 0);
+        sc.b_scales.clear();
+        match form {
+            Form::Solo | Form::Batch => {
+                let bq = self.cache.get_or_prepare(b, &self.lut_b);
+                assert_eq!(k, b.rows(), "inner dimensions must agree");
+                gemm_i8::gemm_i8_prepacked(&sc.a_codes, bq.packed_codes(), m, &mut sc.acc, threads);
+                sc.b_scales.push(bq.code_scale());
+            }
+            Form::Transient => {
+                assert_eq!(k, b.rows(), "inner dimensions must agree");
+                let s = quant::quantize_tensor_i16(b.as_slice(), bits, &mut sc.b_codes);
+                let packed = PackedBi8::pack(&sc.b_codes, k, n);
+                gemm_i8::gemm_i8_prepacked(&sc.a_codes, &packed, m, &mut sc.acc, threads);
+                sc.b_scales.push(s);
+            }
+            Form::Grouped => {
+                assert_eq!(b.rows(), m * k, "stacked operand row count");
+                quant::quantize_blocks_i16(b, k, bits, &mut sc.b_codes, &mut sc.b_scales);
+                gemm_i8::gemm_i8_grouped(&sc.a_codes, &sc.b_codes, m, k, n, &mut sc.acc, threads);
+            }
+        }
+        let mc = ((1i32 << (bits - 1)) - 1) as f64;
+        // A per-tensor scale list holds one entry; per-row and per-block
+        // lists hold one per output row.
+        let scale = |scales: &[f64], r: usize| scales[r.min(scales.len() - 1)] / mc;
+        out.resize(m, n);
+        let rows = out
+            .as_mut_slice()
+            .chunks_exact_mut(n)
+            .zip(sc.acc.chunks_exact(n));
+        for (r, (out_row, acc_row)) in rows.enumerate() {
+            let f = scale(&sc.a_scales, r) * scale(&sc.b_scales, r);
+            for (o, &v) in out_row.iter_mut().zip(acc_row) {
+                *o = f * v as f64;
+            }
+        }
     }
 }
 
-impl<D: MzmDriver> GemmBackend for AnalogGemm<D> {
+impl GemmBackend for AnalogGemm {
     fn matmul(&self, a: &Mat, b: &Mat) -> Mat {
         let mut out = Mat::zeros(1, 1);
         self.matmul_into(a, b, &mut out);
@@ -526,134 +480,27 @@ impl<D: MzmDriver> GemmBackend for AnalogGemm<D> {
     }
 
     fn matmul_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.analog");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            int8_matmul_cached(
-                a,
-                &bq,
-                self.lut.bits(),
-                false,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else if self.use_product_lut(a.cols(), b.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.product_lut", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            lut_matmul_cached(
-                a,
-                &bq,
-                &self.lut,
-                &self.lut,
-                false,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else {
-            let bits = self.lut.bits();
-            let aq = QuantizedMat::quantize(a, bits).dequantize_with(&self.lut);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            aq.matmul_into(bq.converted(), out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "matmul", a, b, out);
+        self.run(Form::Solo, a, b, out);
     }
 
-    /// Transient analog form: both operands quantize and convert fresh,
-    /// bypassing the weight cache entirely. `WeightCache::get_or_prepare`
-    /// applies exactly this quantize→LUT-dequantize transform before
-    /// memoizing, so skipping the cache cannot change a single bit — it
-    /// only avoids fingerprinting + inserting an operand that is dead
-    /// after this call. Code-linear drivers take the integer route
-    /// (per-call `B` code packing, same dequantize-at-end contract as the
-    /// cached path); transients never use the product LUT — rebuilding a
-    /// 64 Ki-entry table for a dead-after-this-call operand loses.
+    /// Cache-free: both operands quantize and convert fresh, so an
+    /// operand that is dead after this call never enters the cache.
     fn matmul_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.analog");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            int8_matmul_transient(a, b, self.lut.bits(), &mut self.scratch.borrow_mut(), out);
-        } else {
-            let bits = self.lut.bits();
-            let aq = QuantizedMat::quantize(a, bits).dequantize_with(&self.lut);
-            let bq = QuantizedMat::quantize(b, bits).dequantize_with(&self.lut);
-            aq.matmul_into(&bq, out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "transient", a, b, out);
+        self.run(Form::Transient, a, b, out);
     }
 
-    /// Batched analog form: each sequence row gets its own quantization
-    /// scale ([`RowQuantizedMat`]) — exactly the per-tensor rule the
-    /// single-sequence path applies to its 1×k activation — and the
-    /// whole converted stack multiplies the cached weight conversion in
-    /// one prepacked GEMM. Row-identical to per-row [`Self::matmul`]
-    /// calls; the weight converts (and packs) once per distinct matrix
-    /// instead of once per sequence. The integer and product-LUT routes
-    /// apply per-row scales to the same kernels as the solo path, so the
-    /// row identity survives routing (the route predicate depends on
-    /// shape alone).
+    /// Per-row activation scales ([`RowQuantizedMat`]) against the
+    /// cached, prepacked weight conversion: the weight converts and packs
+    /// once per distinct matrix instead of once per sequence.
     fn matmul_batch_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.analog_batch");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            int8_matmul_cached(
-                a,
-                &bq,
-                self.lut.bits(),
-                true,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else if self.use_product_lut(a.cols(), b.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.product_lut", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            lut_matmul_cached(
-                a,
-                &bq,
-                &self.lut,
-                &self.lut,
-                true,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else {
-            let bits = self.lut.bits();
-            let aq = RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            aq.matmul_prepacked_into(bq.packed(), out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "batch", a, b, out);
+        self.run(Form::Batch, a, b, out);
     }
 
-    /// Grouped analog form: per-row activation scales
-    /// ([`RowQuantizedMat`]) and per-block operand scales
-    /// ([`GroupQuantizedMat`], one block per sequence) reproduce exactly
-    /// the per-tensor quantization the solo transient path applies to
-    /// each 1×k query and k×n gathered operand — then all `G` products
-    /// run in one exact grouped kernel. Cache-free like
-    /// [`Self::matmul_transient_into`], and like it, code-linear drivers
-    /// run the grouped integer kernel instead.
+    /// Per-row activation scales and per-block operand scales
+    /// ([`GroupQuantizedMat`], one block per sequence), then one exact
+    /// grouped kernel. Cache-free like [`Self::matmul_transient_into`].
     fn matmul_grouped_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.analog_grouped");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            int8_matmul_grouped(a, b, self.lut.bits(), &mut self.scratch.borrow_mut(), out);
-        } else {
-            let bits = self.lut.bits();
-            let aq = RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut);
-            let bq = GroupQuantizedMat::quantize(b, a.cols(), bits).dequantize_with(&self.lut);
-            aq.matmul_grouped_into(&bq, out)
-                .expect("stacked operand rows must equal G·k");
-        }
-        crate::tap::observe(&self.name, "grouped", a, b, out);
+        self.run(Form::Grouped, a, b, out);
     }
 
     fn name(&self) -> &str {
@@ -661,238 +508,31 @@ impl<D: MzmDriver> GemmBackend for AnalogGemm<D> {
     }
 }
 
-/// Asymmetric analog GEMM: different drive paths for the two operands —
-/// the hybrid design where dynamic activations (`a`) ride the P-DAC and
-/// weight-like operands (`b`) keep the exact electrical path.
-///
-/// Carries the same sub-f64 routes as [`AnalogGemm`]: the integer route
-/// engages only when **both** drive paths are exactly code-linear, the
-/// product-LUT route ([`Self::with_product_lut_floor`]) works for any
-/// ≤ 8-bit driver pair because the table holds per-pair products of the
-/// two scaled tables.
+/// The hybrid design's constructor: different drive paths for the two
+/// operands — dynamic activations (`a`) ride the P-DAC while weight-like
+/// operands (`b`) keep the exact electrical path. It builds an
+/// [`AnalogGemm`] with one table per path; the type has no values.
 #[derive(Debug)]
-pub struct AsymmetricGemm<Da, Db> {
-    driver_a: Da,
-    driver_b: Db,
-    lut_a: ConverterLut,
-    lut_b: ConverterLut,
-    cache: WeightCache,
-    name: String,
-    code_linear: bool,
-    product_lut_floor: usize,
-    scratch: RefCell<IntScratch>,
-}
+pub enum AsymmetricGemm {}
 
-impl<Da: Clone, Db: Clone> Clone for AsymmetricGemm<Da, Db> {
-    /// Clones share the cache contents but start with fresh (empty,
-    /// re-growable) integer-route scratch.
-    fn clone(&self) -> Self {
-        Self {
-            driver_a: self.driver_a.clone(),
-            driver_b: self.driver_b.clone(),
-            lut_a: self.lut_a.clone(),
-            lut_b: self.lut_b.clone(),
-            cache: self.cache.clone(),
-            name: self.name.clone(),
-            code_linear: self.code_linear,
-            product_lut_floor: self.product_lut_floor,
-            scratch: RefCell::new(IntScratch::default()),
-        }
-    }
-}
-
-impl<Da: MzmDriver, Db: MzmDriver> AsymmetricGemm<Da, Db> {
-    /// Wraps the two drivers.
+impl AsymmetricGemm {
+    /// Tabulates `driver_a` for the activation path and `driver_b` for
+    /// the weight path.
     ///
     /// # Panics
     ///
     /// Panics if the drivers' bit widths differ.
-    pub fn new(driver_a: Da, driver_b: Db, name: impl Into<String>) -> Self {
-        assert_eq!(
-            driver_a.bits(),
-            driver_b.bits(),
-            "both operand paths must share a bit width"
-        );
-        let lut_a = ConverterLut::new(&driver_a);
-        let lut_b = ConverterLut::new(&driver_b);
-        let code_linear = lut_a.is_code_linear() && lut_b.is_code_linear();
-        Self {
-            driver_a,
-            driver_b,
-            lut_a,
-            lut_b,
-            cache: WeightCache::default(),
-            name: name.into(),
-            code_linear,
-            product_lut_floor: usize::MAX,
-            scratch: RefCell::new(IntScratch::default()),
-        }
-    }
-
-    /// Opts cached-weight multiplies into the product-LUT gather route;
-    /// same contract as [`AnalogGemm::with_product_lut_floor`].
-    pub fn with_product_lut_floor(mut self, floor_bytes: usize) -> Self {
-        self.product_lut_floor = floor_bytes;
-        self
-    }
-
-    /// The activation-path driver.
-    pub fn driver_a(&self) -> &Da {
-        &self.driver_a
-    }
-
-    /// The weight-path driver.
-    pub fn driver_b(&self) -> &Db {
-        &self.driver_b
-    }
-
-    /// The weight-conversion cache (for hit/miss inspection).
-    pub fn cache(&self) -> &WeightCache {
-        &self.cache
-    }
-
-    /// Shape-only integer-route predicate; requires both drive paths
-    /// code-linear (see [`AnalogGemm::use_int8`]).
-    fn use_int8(&self, k: usize) -> bool {
-        self.code_linear && self.lut_a.bits() <= 8 && k <= gemm_i8::MAX_K_I8
-    }
-
-    /// Shape-only product-LUT predicate (see
-    /// [`AnalogGemm::use_product_lut`]).
-    fn use_product_lut(&self, k: usize, n: usize) -> bool {
-        self.lut_a.bits() <= 8
-            && k.checked_mul(n)
-                .and_then(|cells| cells.checked_mul(std::mem::size_of::<f64>()))
-                .is_some_and(|bytes| bytes >= self.product_lut_floor)
-    }
-}
-
-impl<Da: MzmDriver, Db: MzmDriver> GemmBackend for AsymmetricGemm<Da, Db> {
-    fn matmul(&self, a: &Mat, b: &Mat) -> Mat {
-        let mut out = Mat::zeros(1, 1);
-        self.matmul_into(a, b, &mut out);
-        out
-    }
-
-    fn matmul_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.asymmetric");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            int8_matmul_cached(
-                a,
-                &bq,
-                self.lut_a.bits(),
-                false,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else if self.use_product_lut(a.cols(), b.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.product_lut", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            lut_matmul_cached(
-                a,
-                &bq,
-                &self.lut_a,
-                &self.lut_b,
-                false,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else {
-            let bits = self.lut_a.bits();
-            let aq = QuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            aq.matmul_into(bq.converted(), out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "matmul", a, b, out);
-    }
-
-    /// Transient hybrid form: cache-free twin of the cached path —
-    /// activations through the `a` drive path, the ephemeral right-hand
-    /// operand through the `b` (weight) drive path, exactly as
-    /// `get_or_prepare` would have converted it.
-    fn matmul_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.asymmetric");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            int8_matmul_transient(a, b, self.lut_a.bits(), &mut self.scratch.borrow_mut(), out);
-        } else {
-            let bits = self.lut_a.bits();
-            let aq = QuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a);
-            let bq = QuantizedMat::quantize(b, bits).dequantize_with(&self.lut_b);
-            aq.matmul_into(&bq, out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "transient", a, b, out);
-    }
-
-    /// Batched hybrid form: per-row activation quantization on the
-    /// P-DAC path, cached+prepacked weight conversion on the electrical
-    /// path — same row identity as [`AnalogGemm::matmul_batch_into`],
-    /// including across the integer/product-LUT routes (shape-only
-    /// predicates, per-row scales into the same kernels).
-    fn matmul_batch_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.asymmetric_batch");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            int8_matmul_cached(
-                a,
-                &bq,
-                self.lut_a.bits(),
-                true,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else if self.use_product_lut(a.cols(), b.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.product_lut", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            lut_matmul_cached(
-                a,
-                &bq,
-                &self.lut_a,
-                &self.lut_b,
-                true,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else {
-            let bits = self.lut_a.bits();
-            let aq = RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            aq.matmul_prepacked_into(bq.packed(), out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "batch", a, b, out);
-    }
-
-    /// Grouped hybrid form: per-row activations through the `a` drive
-    /// path, per-block stacked operands through the `b` (weight) drive
-    /// path — block scales match the solo transient path exactly (see
-    /// [`AnalogGemm::matmul_grouped_transient_into`]).
-    fn matmul_grouped_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.asymmetric_grouped");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            int8_matmul_grouped(a, b, self.lut_a.bits(), &mut self.scratch.borrow_mut(), out);
-        } else {
-            let bits = self.lut_a.bits();
-            let aq = RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a);
-            let bq = GroupQuantizedMat::quantize(b, a.cols(), bits).dequantize_with(&self.lut_b);
-            aq.matmul_grouped_into(&bq, out)
-                .expect("stacked operand rows must equal G·k");
-        }
-        crate::tap::observe(&self.name, "grouped", a, b, out);
-    }
-
-    fn name(&self) -> &str {
-        &self.name
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(
+        driver_a: impl MzmDriver,
+        driver_b: impl MzmDriver,
+        name: impl Into<String>,
+    ) -> AnalogGemm {
+        AnalogGemm::with_luts(
+            ConverterLut::new(&driver_a),
+            ConverterLut::new(&driver_b),
+            name,
+        )
     }
 }
 
@@ -900,6 +540,7 @@ impl<Da: MzmDriver, Db: MzmDriver> GemmBackend for AsymmetricGemm<Da, Db> {
 mod tests {
     use super::*;
     use pdac_core::edac::ElectricalDac;
+    use pdac_core::ideal::IdealDac;
     use pdac_core::pdac::PDac;
     use pdac_math::rng::SplitMix64;
     use pdac_math::stats::cosine_similarity;
@@ -907,6 +548,14 @@ mod tests {
     fn random_mat(rows: usize, cols: usize, seed: u64) -> Mat {
         let mut rng = SplitMix64::seed_from_u64(seed);
         Mat::from_fn(rows, cols, |_, _| rng.gen_range_f64(-1.0, 1.0))
+    }
+
+    fn hybrid8(name: &str) -> AnalogGemm {
+        AsymmetricGemm::new(
+            PDac::with_optimal_approx(8).unwrap(),
+            ElectricalDac::new(8).unwrap(),
+            name,
+        )
     }
 
     #[test]
@@ -962,11 +611,7 @@ mod tests {
         let exact = ExactGemm.matmul(&a, &b);
         let full_pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pp");
         let full_edac = AnalogGemm::new(ElectricalDac::new(8).unwrap(), "ee");
-        let hybrid = AsymmetricGemm::new(
-            PDac::with_optimal_approx(8).unwrap(),
-            ElectricalDac::new(8).unwrap(),
-            "hybrid",
-        );
+        let hybrid = hybrid8("hybrid");
         let dp = full_pdac.matmul(&a, &b).distance(&exact);
         let de = full_edac.matmul(&a, &b).distance(&exact);
         let dh = hybrid.matmul(&a, &b).distance(&exact);
@@ -982,6 +627,45 @@ mod tests {
             ElectricalDac::new(4).unwrap(),
             "bad",
         );
+    }
+
+    /// One drive path is the diagonal case of two: `AnalogGemm::new(d)`
+    /// and `AsymmetricGemm::new(d, d)` must agree bit for bit on every
+    /// analog entry point, on the f64 route (P-DAC) and on the integer
+    /// route (ideal driver).
+    #[test]
+    fn one_path_is_the_diagonal_of_two() {
+        type Entry = fn(&AnalogGemm, &Mat, &Mat, &mut Mat);
+        fn check(driver: impl MzmDriver + Clone) {
+            let one = AnalogGemm::new(driver.clone(), "one");
+            let two = AsymmetricGemm::new(driver.clone(), driver, "two");
+            let solo = (random_mat(4, 12, 221), random_mat(12, 6, 222));
+            let grouped = (random_mat(3, 8, 223), random_mat(3 * 8, 5, 224));
+            let entries: [(&str, Entry, &(Mat, Mat)); 4] = [
+                ("matmul_into", |g, a, b, o| g.matmul_into(a, b, o), &solo),
+                (
+                    "transient",
+                    |g, a, b, o| g.matmul_transient_into(a, b, o),
+                    &solo,
+                ),
+                ("batch", |g, a, b, o| g.matmul_batch_into(a, b, o), &solo),
+                (
+                    "grouped",
+                    |g, a, b, o| g.matmul_grouped_transient_into(a, b, o),
+                    &grouped,
+                ),
+            ];
+            let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (mut x, mut y) = (Mat::zeros(1, 1), Mat::zeros(1, 1));
+            for (entry, call, (a, b)) in entries {
+                call(&one, a, b, &mut x);
+                call(&two, a, b, &mut y);
+                assert_eq!(x.shape(), y.shape(), "{entry}");
+                assert_eq!(bits(&x), bits(&y), "{entry}");
+            }
+        }
+        check(PDac::with_optimal_approx(8).unwrap());
+        check(IdealDac::new(8).unwrap());
     }
 
     #[test]
@@ -1073,12 +757,7 @@ mod tests {
         let b = random_mat(16, 8, 64);
         let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
         assert_batch_rows_match(&pdac, &a, &b);
-        let hybrid = AsymmetricGemm::new(
-            PDac::with_optimal_approx(8).unwrap(),
-            ElectricalDac::new(8).unwrap(),
-            "hy",
-        );
-        assert_batch_rows_match(&hybrid, &a, &b);
+        assert_batch_rows_match(&hybrid8("hy"), &a, &b);
     }
 
     #[test]
@@ -1086,8 +765,9 @@ mod tests {
         let a = random_mat(4, 12, 65);
         let b = random_mat(12, 6, 66);
         let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
+        let hybrid = hybrid8("hy");
         let mut out = Mat::zeros(1, 1);
-        for backend in [&ExactGemm as &dyn GemmBackend, &pdac] {
+        for backend in [&ExactGemm as &dyn GemmBackend, &pdac, &hybrid] {
             backend.matmul_into(&a, &b, &mut out);
             assert_eq!(out, backend.matmul(&a, &b), "{}", backend.name());
         }
@@ -1098,11 +778,7 @@ mod tests {
         let a = random_mat(3, 14, 81);
         let b = random_mat(14, 9, 82);
         let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
-        let hybrid = AsymmetricGemm::new(
-            PDac::with_optimal_approx(8).unwrap(),
-            ElectricalDac::new(8).unwrap(),
-            "hy",
-        );
+        let hybrid = hybrid8("hy");
         let mut out = Mat::zeros(1, 1);
         for backend in [&ExactGemm as &dyn GemmBackend, &pdac, &hybrid] {
             backend.matmul_transient_into(&a, &b, &mut out);
@@ -1153,11 +829,7 @@ mod tests {
             }
         }
         let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
-        let hybrid = AsymmetricGemm::new(
-            PDac::with_optimal_approx(8).unwrap(),
-            ElectricalDac::new(8).unwrap(),
-            "hy",
-        );
+        let hybrid = hybrid8("hy");
         for backend in [&ExactGemm as &dyn GemmBackend, &pdac, &hybrid] {
             assert_grouped_rows_match(backend, &a, &b);
         }
@@ -1171,9 +843,10 @@ mod tests {
         let a = random_mat(1, 10, 103);
         let b = random_mat(10, 7, 104);
         let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
+        let hybrid = hybrid8("hy");
         let mut grouped = Mat::zeros(1, 1);
         let mut solo = Mat::zeros(1, 1);
-        for backend in [&ExactGemm as &dyn GemmBackend, &pdac] {
+        for backend in [&ExactGemm as &dyn GemmBackend, &pdac, &hybrid] {
             backend.matmul_grouped_transient_into(&a, &b, &mut grouped);
             backend.matmul_transient_into(&a, &b, &mut solo);
             assert_eq!(grouped, solo, "{}", backend.name());
@@ -1216,11 +889,14 @@ mod tests {
         let b = random_mat(12, 5, 110);
         let packed = pdac_math::gemm::PackedB::pack(b.as_slice(), 12, 5);
         let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
+        let hybrid = hybrid8("hy");
         let mut plain = Mat::zeros(1, 1);
         let mut via_pack = Mat::zeros(1, 1);
-        pdac.matmul_batch_into(&a, &b, &mut plain);
-        pdac.matmul_batch_packed_into(&a, &b, &|| &packed, &mut via_pack);
-        assert_eq!(via_pack, plain);
+        for backend in [&pdac as &dyn GemmBackend, &hybrid] {
+            backend.matmul_batch_into(&a, &b, &mut plain);
+            backend.matmul_batch_packed_into(&a, &b, &|| &packed, &mut via_pack);
+            assert_eq!(via_pack, plain, "{}", backend.name());
+        }
     }
 
     #[test]
@@ -1236,8 +912,6 @@ mod tests {
         assert_eq!(analog.cache().hits(), 4);
     }
 
-    use pdac_core::ideal::IdealDac;
-
     /// The ideal (code-linear) driver must take the integer route, and
     /// its output must be **exactly** `fl(f · Σ ca·cb)` with
     /// `f = fl(fl(s_a/m)·fl(s_b/m))` — the dequantize-at-the-end
@@ -1246,8 +920,9 @@ mod tests {
     fn ideal_integer_route_matches_integer_reference_bitwise() {
         let a = random_mat(7, 33, 201);
         let b = random_mat(33, 11, 202);
-        let ideal = AnalogGemm::new(IdealDac::new(8).unwrap(), "ideal8");
-        assert!(ideal.lut().is_code_linear());
+        let driver = IdealDac::new(8).unwrap();
+        assert!(ConverterLut::new(&driver).is_code_linear());
+        let ideal = AnalogGemm::new(driver, "ideal8");
         let got = ideal.matmul(&a, &b);
         let qa = QuantizedMat::quantize(&a, 8);
         let qb = QuantizedMat::quantize(&b, 8);
@@ -1316,72 +991,5 @@ mod tests {
             AsymmetricGemm::new(IdealDac::new(8).unwrap(), IdealDac::new(8).unwrap(), "ii");
         assert_batch_rows_match(&hybrid, &a, &b);
         assert_grouped_rows_match(&hybrid, &ga, &gb);
-    }
-
-    /// Forcing the product-LUT route (floor 0) must not change a single
-    /// bit relative to the default f64 pipeline, for physical drivers and
-    /// the hybrid pair alike — the route's whole premise.
-    #[test]
-    fn product_lut_route_is_bit_identical_to_default_path() {
-        let a = random_mat(5, 24, 211);
-        let b = random_mat(24, 10, 212);
-        let cases: Vec<(Box<dyn GemmBackend>, Box<dyn GemmBackend>)> = vec![
-            (
-                Box::new(AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8")),
-                Box::new(
-                    AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8lut")
-                        .with_product_lut_floor(0),
-                ),
-            ),
-            (
-                Box::new(AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8")),
-                Box::new(
-                    AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8lut")
-                        .with_product_lut_floor(0),
-                ),
-            ),
-            (
-                Box::new(AsymmetricGemm::new(
-                    PDac::with_optimal_approx(8).unwrap(),
-                    ElectricalDac::new(8).unwrap(),
-                    "hy",
-                )),
-                Box::new(
-                    AsymmetricGemm::new(
-                        PDac::with_optimal_approx(8).unwrap(),
-                        ElectricalDac::new(8).unwrap(),
-                        "hylut",
-                    )
-                    .with_product_lut_floor(0),
-                ),
-            ),
-        ];
-        let mut plain = Mat::zeros(1, 1);
-        let mut routed = Mat::zeros(1, 1);
-        for (default, forced) in &cases {
-            assert_eq!(
-                forced.matmul(&a, &b),
-                default.matmul(&a, &b),
-                "{}",
-                forced.name()
-            );
-            default.matmul_batch_into(&a, &b, &mut plain);
-            forced.matmul_batch_into(&a, &b, &mut routed);
-            assert_eq!(routed, plain, "{} batch", forced.name());
-        }
-    }
-
-    /// The forced product-LUT route must also satisfy the batch row
-    /// identity on its own terms (per-row tables vs the solo path).
-    #[test]
-    fn product_lut_route_batch_rows_match_single_rows() {
-        let mut a = random_mat(4, 16, 213);
-        for v in a.row_slice_mut(0) {
-            *v *= 7.0;
-        }
-        let b = random_mat(16, 8, 214);
-        let forced = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8lut")
-            .with_product_lut_floor(0);
-        assert_batch_rows_match(&forced, &a, &b);
     }
 }

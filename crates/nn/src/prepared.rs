@@ -106,7 +106,6 @@ pub struct PreparedOperand {
     scale: f64,
     packed: OnceCell<PackedB>,
     packed_codes: OnceCell<PackedBi8>,
-    biased_codes: OnceCell<Vec<u8>>,
 }
 
 impl PartialEq for PreparedOperand {
@@ -134,7 +133,6 @@ impl PreparedOperand {
             scale,
             packed: OnceCell::new(),
             packed_codes: OnceCell::new(),
-            biased_codes: OnceCell::new(),
         }
     }
 
@@ -160,23 +158,6 @@ impl PreparedOperand {
         self.packed_codes.get_or_init(|| {
             pdac_telemetry::counter_add("nn.gemm.weight_cache.packed_i8", 1);
             PackedBi8::pack(&self.codes, self.converted.rows(), self.converted.cols())
-        })
-    }
-
-    /// The quantized codes biased to `0..=2·max_code` (`code + max_code`
-    /// per element, row-major), built on first use — the weight-side
-    /// index stream of the product-LUT route
-    /// (`pdac_math::gemm_i8::gemm_product_lut`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operand was prepared at more than 8 bits (biased
-    /// codes must fit a byte).
-    pub fn biased_codes(&self) -> &[u8] {
-        self.biased_codes.get_or_init(|| {
-            assert!(self.bits <= 8, "biased codes require byte-size codes");
-            let bias = (1i16 << (self.bits - 1)) - 1;
-            self.codes.iter().map(|&c| (c + bias) as u8).collect()
         })
     }
 
@@ -404,11 +385,6 @@ mod tests {
         assert_eq!(prepared.code_scale(), q.scale());
         let as32: Vec<i32> = prepared.codes().iter().map(|&c| c as i32).collect();
         assert_eq!(as32, q.codes());
-        // Biased codes shift every code by max_code into 0..=254.
-        let biased = prepared.biased_codes();
-        for (&b, &c) in biased.iter().zip(prepared.codes()) {
-            assert_eq!(b as i16, c + 127);
-        }
         // Packed code panels are memoized like the f64 panels.
         let first = prepared.packed_codes() as *const _;
         assert!(std::ptr::eq(prepared.packed_codes(), first));

@@ -243,27 +243,37 @@ fn pool_kernel_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     ]
 }
 
+/// The backends every decode-equivalence family runs: exact, the 8-bit
+/// P-DAC, and the hybrid pair (P-DAC activations, electrical weights).
+/// Each family seeds its own RNG per backend, so adding a backend never
+/// shifts another backend's operands.
+fn decode_backends() -> Vec<(&'static str, Box<dyn GemmBackend>)> {
+    let pdac = || PDac::with_optimal_approx(8).expect("valid bits");
+    vec![
+        ("exact", Box::new(ExactGemm)),
+        ("pdac", Box::new(AnalogGemm::new(pdac(), "pdac8"))),
+        (
+            "hybrid",
+            Box::new(AsymmetricGemm::new(
+                pdac(),
+                ElectricalDac::new(8).expect("valid bits"),
+                "hybrid8",
+            )),
+        ),
+    ]
+}
+
 /// Batched decode vs sequential decode: every row of every
 /// `decode_batch` step must be bit-identical to feeding that sequence
-/// through `decode_step` alone — for the exact and the cached analog
-/// backend (per-row activation quantization + prepacked weights).
+/// through `decode_step` alone — for each of [`decode_backends`] (the
+/// analog ones quantize activations per row against prepacked weights).
 fn batched_decode_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
     let hidden = model.config().hidden;
     let s = 3usize;
     let steps = cfg.decode_steps.clamp(2, 4);
-    let backends: Vec<(&str, Box<dyn GemmBackend>)> = vec![
-        ("exact", Box::new(ExactGemm)),
-        (
-            "pdac",
-            Box::new(AnalogGemm::new(
-                PDac::with_optimal_approx(8).expect("valid bits"),
-                "pdac8",
-            )),
-        ),
-    ];
     let mut checks = Vec::new();
-    for (label, backend) in backends {
+    for (label, backend) in decode_backends() {
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0xBA7C4);
         let mut batch = BatchedKvCache::new(&model, s);
         let mut solo: Vec<_> = (0..s).map(|_| model.new_cache()).collect();
@@ -295,7 +305,7 @@ fn batched_decode_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 /// subsequent step decodes against three slot-groups at once — one of
 /// them holding two sequences — and each `decode_batch_with` row must
 /// still be bit-identical to feeding that sequence through
-/// `decode_step` alone, for the exact and the analog backend.
+/// `decode_step` alone, for each of [`decode_backends`].
 ///
 /// [`batched_decode_checks`] starts every cache empty, so all
 /// sequences share one slot-group; this check pins the gather /
@@ -307,18 +317,8 @@ fn grouped_attention_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let warm = [2usize, 0, 1, 2];
     let s = warm.len();
     let steps = cfg.decode_steps.clamp(2, 4);
-    let backends: Vec<(&str, Box<dyn GemmBackend>)> = vec![
-        ("exact", Box::new(ExactGemm)),
-        (
-            "pdac",
-            Box::new(AnalogGemm::new(
-                PDac::with_optimal_approx(8).expect("valid bits"),
-                "pdac8",
-            )),
-        ),
-    ];
     let mut checks = Vec::new();
-    for (label, backend) in backends {
+    for (label, backend) in decode_backends() {
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x6A0B5);
         let mut batched: Vec<KvCache> = (0..s).map(|_| model.new_cache()).collect();
         let mut solo: Vec<KvCache> = (0..s).map(|_| model.new_cache()).collect();
@@ -370,8 +370,8 @@ fn grouped_attention_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 /// The paged KV cache vs the flat caches: the same ragged decode
 /// workload run through `decode_paged_with` (page-table indirection,
 /// block 2 so every sequence spans multiple pages) and through solo
-/// `decode_step` must produce bit-identical rows — for the exact and
-/// the cached analog backend. Plus two paged-only properties: a
+/// `decode_step` must produce bit-identical rows — for each of
+/// [`decode_backends`]. Plus two paged-only properties: a
 /// prefix-shared continuation matches the unshared run bit-for-bit, and
 /// copy-on-write divergence never mutates the forked-from sequence's
 /// pages.
@@ -382,18 +382,8 @@ fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let s = warm.len();
     let steps = cfg.decode_steps.clamp(2, 4);
     let block = 2usize;
-    let backends: Vec<(&str, Box<dyn GemmBackend>)> = vec![
-        ("exact", Box::new(ExactGemm)),
-        (
-            "pdac",
-            Box::new(AnalogGemm::new(
-                PDac::with_optimal_approx(8).expect("valid bits"),
-                "pdac8",
-            )),
-        ),
-    ];
     let mut checks = Vec::new();
-    for (label, backend) in backends {
+    for (label, backend) in decode_backends() {
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x9A6ED);
         let mut paged = PagedKvCache::new(&model, s, PagedConfig::new(block));
         let mut solo: Vec<KvCache> = (0..s).map(|_| model.new_cache()).collect();
@@ -818,9 +808,10 @@ fn direct_analog_gemm(a: &Mat, b: &Mat, driver_a: &dyn MzmDriver, driver_b: &dyn
 
 /// Runs one cached backend over every shape twice (second pass answers
 /// from the weight cache) and bit-compares against the direct pipeline.
-fn cached_backend_checks<D: MzmDriver>(
+fn cached_backend_checks(
     label: &str,
-    backend: &AnalogGemm<D>,
+    driver: &dyn MzmDriver,
+    backend: &AnalogGemm,
     cfg: &ConformanceConfig,
     rng: &mut SplitMix64,
 ) -> Vec<CheckResult> {
@@ -828,7 +819,7 @@ fn cached_backend_checks<D: MzmDriver>(
     for &(m, k, n) in &cfg.gemm_shapes {
         let a = random_mat(m, k, rng);
         let b = random_mat(k, n, rng);
-        let golden = direct_analog_gemm(&a, &b, backend.driver(), backend.driver());
+        let golden = direct_analog_gemm(&a, &b, driver, driver);
         diffs += differing_bits(&backend.matmul(&a, &b), &golden);
         diffs += differing_bits(&backend.matmul(&a, &b), &golden);
     }
@@ -866,9 +857,15 @@ fn cached_gemm_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let edac = ElectricalDac::new(bits).expect("valid bits");
 
     let pdac_backend = AnalogGemm::new(pdac.clone(), "pdac8");
-    let mut checks = cached_backend_checks("pdac", &pdac_backend, cfg, &mut rng);
+    let mut checks = cached_backend_checks("pdac", &pdac, &pdac_backend, cfg, &mut rng);
     let edac_backend = AnalogGemm::new(edac, "edac8");
-    checks.extend(cached_backend_checks("edac", &edac_backend, cfg, &mut rng));
+    checks.extend(cached_backend_checks(
+        "edac",
+        &edac,
+        &edac_backend,
+        cfg,
+        &mut rng,
+    ));
 
     // Hybrid path: P-DAC activations, electrical weights.
     let hybrid = AsymmetricGemm::new(pdac.clone(), edac, "hybrid");
@@ -1103,15 +1100,8 @@ fn fault_gemm_check(cfg: &ConformanceConfig) -> CheckResult {
     )
 }
 
-/// Integer-domain routing conformance (DESIGN.md §16).
+/// Integer-domain routing conformance (DESIGN.md §16), one row each:
 ///
-/// Three guarantees, one row each:
-///
-/// * `gemm.int8.{pdac,edac,hybrid}.vs_f64_path` — forcing the
-///   product-LUT gather route (floor 0) must reproduce the default f64
-///   pipeline **bit for bit** for the physical drivers: the 64 Ki-entry
-///   table holds exactly the per-term products the f64 path computes,
-///   gathered in the same ascending-`k` order.
 /// * `gemm.int8.ideal.vs_integer_reference` — the code-linear ideal
 ///   driver's automatic integer route must equal a hand-rolled exact
 ///   `i32` triple loop with the dequantize-at-the-end factor, bitwise.
@@ -1120,66 +1110,8 @@ fn fault_gemm_check(cfg: &ConformanceConfig) -> CheckResult {
 ///   exact accumulation + one final multiply), so it carries a tight
 ///   documented tolerance instead of bit identity.
 fn int8_route_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
-    /// A named (default f64 route, forced product-LUT route) backend pair.
-    type RoutedPair = (&'static str, Box<dyn GemmBackend>, Box<dyn GemmBackend>);
     let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x18_D0);
     let mut checks = Vec::new();
-    let pairs: Vec<RoutedPair> = vec![
-        (
-            "pdac",
-            Box::new(AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8")),
-            Box::new(
-                AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8lut")
-                    .with_product_lut_floor(0),
-            ),
-        ),
-        (
-            "edac",
-            Box::new(AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8")),
-            Box::new(
-                AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8lut").with_product_lut_floor(0),
-            ),
-        ),
-        (
-            "hybrid",
-            Box::new(AsymmetricGemm::new(
-                PDac::with_optimal_approx(8).unwrap(),
-                ElectricalDac::new(8).unwrap(),
-                "hy",
-            )),
-            Box::new(
-                AsymmetricGemm::new(
-                    PDac::with_optimal_approx(8).unwrap(),
-                    ElectricalDac::new(8).unwrap(),
-                    "hylut",
-                )
-                .with_product_lut_floor(0),
-            ),
-        ),
-    ];
-    for (name, plain, forced) in &pairs {
-        let mut diffs = 0usize;
-        let mut cells = 0usize;
-        let mut batch = Mat::zeros(1, 1);
-        let mut batch_forced = Mat::zeros(1, 1);
-        for &(m, k, n) in &cfg.gemm_shapes {
-            let a = random_mat(m, k, &mut rng);
-            let b = random_mat(k, n, &mut rng);
-            diffs += differing_bits(&forced.matmul(&a, &b), &plain.matmul(&a, &b));
-            plain.matmul_batch_into(&a, &b, &mut batch);
-            forced.matmul_batch_into(&a, &b, &mut batch_forced);
-            diffs += differing_bits(&batch_forced, &batch);
-            cells += 2 * m * n;
-        }
-        checks.push(bit_identity_check(
-            &format!("gemm.int8.{name}.vs_f64_path"),
-            diffs,
-            format!(
-                "forced product-LUT route vs default f64 pipeline, solo + batched, {} shapes / {cells} cells",
-                cfg.gemm_shapes.len()
-            ),
-        ));
-    }
     let ideal_driver = IdealDac::new(8).unwrap();
     let ideal = AnalogGemm::new(ideal_driver, "ideal8");
     let mut ref_diffs = 0usize;

@@ -277,9 +277,9 @@ static HYBRID_CLASS: ClassNames = ClassNames {
     alert: "health.alert.hybrid",
 };
 
-/// Maps a live backend name onto its drift class. `AsymmetricGemm`
-/// instances (mixed converter pair) land in `hybrid` unless the name
-/// says otherwise.
+/// Maps a live backend name onto its drift class. Backends built by
+/// `AsymmetricGemm::new` (mixed converter pair) land in `hybrid` unless
+/// the name says otherwise.
 fn classify(backend: &str) -> &'static ClassNames {
     if backend.contains("edac") || backend.contains("electrical") {
         &EDAC_CLASS

@@ -26,6 +26,9 @@ echo "==> feature matrix (workspace without default features; gated tests compil
 cargo build --release --workspace --no-default-features
 cargo test -q --workspace --all-features --no-run
 
+echo "==> serve-bench check (the standalone benchmark package still builds against the crates)"
+bash benchmark/check.sh
+
 echo "==> GEMM thread determinism (PDAC_THREADS=1 vs 8)"
 PDAC_THREADS=1 cargo test -q -p pdac-math --test thread_determinism
 PDAC_THREADS=8 cargo test -q -p pdac-math --test thread_determinism
