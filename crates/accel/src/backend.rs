@@ -197,13 +197,13 @@ mod tests {
         // must fall back to the trait's default per-row forms and stay
         // bit-identical to sequential `decode_step` calls even when every
         // product runs through the functional accelerator simulator.
-        use pdac_nn::BatchedKvCache;
+        use pdac_nn::{PagedConfig, PagedKvCache};
 
         let backend = AccelBackend::new(small_config(DriverChoice::PhotonicDac)).unwrap();
         let model = TransformerModel::random(TransformerConfig::tiny(), 4, 11);
         let hidden = model.config().hidden;
         let s = 3;
-        let mut batch = BatchedKvCache::new(&model, s);
+        let mut batch = PagedKvCache::new(&model, s, PagedConfig::new(2));
         let mut singles: Vec<_> = (0..s).map(|_| model.new_cache()).collect();
         let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(77);
         for _step in 0..3 {

@@ -19,7 +19,8 @@ use std::time::Instant;
 use pdac_core::pdac::PDac;
 use pdac_math::Mat;
 use pdac_nn::{
-    AnalogGemm, BatchedKvCache, ExactGemm, GemmBackend, TransformerConfig, TransformerModel,
+    AnalogGemm, ExactGemm, GemmBackend, PagedConfig, PagedKvCache, TransformerConfig,
+    TransformerModel,
 };
 use pdac_serve::feedback_embedding;
 use pdac_telemetry::Json;
@@ -55,7 +56,7 @@ fn run_batched(
     gen: usize,
 ) -> f64 {
     let s = prompt[0].rows();
-    let mut batch = BatchedKvCache::new(model, s);
+    let mut batch = PagedKvCache::new(model, s, PagedConfig::default());
     let start = Instant::now();
     let mut last = model.decode_batch(&prompt[0], &mut batch, backend);
     for tok in &prompt[1..] {

@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use pdac_math::Mat;
-use pdac_nn::{BatchedKvCache, ExactGemm, TransformerConfig, TransformerModel};
+use pdac_nn::{ExactGemm, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel};
 use pdac_power::meter::EnergyMeter;
 use pdac_power::model::{DriverKind, PowerModel};
 use pdac_power::{ArchConfig, EnergyModel, TechParams};
@@ -64,7 +64,7 @@ fn energy_model(driver: DriverKind) -> EnergyModel {
 fn run(model: &TransformerModel, prompt: &[Mat], gen: usize) -> f64 {
     let s = prompt[0].rows();
     let hidden = model.config().hidden;
-    let mut batch = BatchedKvCache::new(model, s);
+    let mut batch = PagedKvCache::new(model, s, PagedConfig::default());
     let start = Instant::now();
     let mut last = model.decode_batch(&prompt[0], &mut batch, &ExactGemm);
     for tok in &prompt[1..] {

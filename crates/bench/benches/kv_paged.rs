@@ -1,24 +1,26 @@
-//! Paged vs flat KV cache: memory footprint and throughput of a
-//! shared-prefix decode batch.
+//! Prefix sharing on the paged KV cache: memory footprint and
+//! throughput of a shared-prefix decode batch, with and without reuse.
 //!
 //! The workload is the serving shape that paging exists for: `BATCH`
 //! sequences whose prompts share a long common prefix (75% by default).
-//! The flat side decodes every sequence's full prompt through
-//! `BatchedKvCache`; the paged side computes the shared prefix **once**,
-//! publishes it, and maps it into every slot via `lookup_prefix`, then
-//! decodes only the divergent tails. Both sides must produce
-//! bit-identical final hidden states — asserted every rep.
+//! Both sides decode through the same `PagedKvCache` shape. The
+//! unshared side decodes every sequence's full prompt and never calls
+//! `publish_prefix` / `lookup_prefix`; the paged side computes the
+//! shared prefix **once**, publishes it, and maps it into every slot
+//! via `lookup_prefix`, then decodes only the divergent tails. Both
+//! sides must produce bit-identical final hidden states — asserted
+//! every rep.
 //!
 //! Emits `BENCH_kv.json` (override with `PDAC_BENCH_OUT`) with two
 //! gated ratios per backend:
 //!
-//! * `flat_bytes_over_paged_bytes` — flat KV bytes over paged backing
-//!   bytes (page granularity, shared pages counted once). ≥ 2× at the
-//!   default 75%-shared shape, i.e. the paged cache fits in ≤ 0.5× the
-//!   flat footprint.
-//! * `paged_tps_over_flat` — end-to-end decode throughput ratio at
+//! * `unshared_bytes_over_paged_bytes` — backing bytes of the unshared
+//!   cache over the prefix-sharing one (page granularity, shared pages
+//!   counted once). ≥ 2× at the default 75%-shared shape, i.e. sharing
+//!   fits in ≤ 0.5× the unshared footprint.
+//! * `paged_tps_over_unshared` — end-to-end decode throughput ratio at
 //!   equal serving work. Prefix reuse skips recompute, so this should
-//!   sit ≥ 1; the default-config floor is 0.95 (within 5% of flat).
+//!   sit ≥ 1; the default-config floor is 0.95 (within 5% of unshared).
 //!
 //! Knobs: `PDAC_BENCH_KV_HIDDEN` / `_LAYERS` / `_HEADS` (default
 //! 64/2/4), `_BATCH` (8), `_PROMPT` / `_SHARED` (32/24), `_TOKENS`
@@ -31,8 +33,8 @@ use pdac_core::pdac::PDac;
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
 use pdac_nn::{
-    prefix_block_hashes, AnalogGemm, BatchedKvCache, DecodeScratch, ExactGemm, GemmBackend,
-    PagedConfig, PagedKvCache, TransformerConfig, TransformerModel,
+    prefix_block_hashes, AnalogGemm, DecodeScratch, ExactGemm, GemmBackend, PagedConfig,
+    PagedKvCache, TransformerConfig, TransformerModel,
 };
 use pdac_serve::feedback_embedding;
 use pdac_telemetry::Json;
@@ -71,18 +73,17 @@ fn feedback_batch(last: &Mat) -> Mat {
     Mat::from_rows(s, hidden, data).expect("feedback batch")
 }
 
-/// Full-prompt decode through the flat batched cache; returns elapsed
-/// seconds, the final hidden rows, and the flat KV byte footprint.
-fn run_flat(
+/// Full-prompt decode through the paged cache without prefix reuse;
+/// returns elapsed seconds, the final hidden rows, and the backing bytes.
+fn run_unshared(
     model: &TransformerModel,
     backend: &dyn GemmBackend,
     prompt: &[Mat],
     gen: usize,
+    block: usize,
 ) -> (f64, Mat, usize) {
     let s = prompt[0].rows();
-    let hidden = model.config().hidden;
-    let layers = model.config().layers;
-    let mut cache = BatchedKvCache::new(model, s);
+    let mut cache = PagedKvCache::new(model, s, PagedConfig::new(block));
     let start = Instant::now();
     let mut last = model.decode_batch(&prompt[0], &mut cache, backend);
     for tok in &prompt[1..] {
@@ -93,9 +94,7 @@ fn run_flat(
         last = model.decode_batch(&next, &mut cache, backend);
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let rows: usize = (0..s).map(|sq| cache.seq(sq).len()).sum();
-    let flat_bytes = rows * layers * 2 * hidden * 8;
-    (elapsed, last, flat_bytes)
+    (elapsed, last, cache.allocator().backing_bytes())
 }
 
 /// The same workload through the paged cache with prefix sharing: slot 0
@@ -125,7 +124,7 @@ fn run_paged(
     // Shared prefix: computed once on slot 0, published, remapped.
     for tok in &prompt[..shared] {
         let one = Mat::from_fn(1, hidden, |_, c| tok.row_slice(0)[c]);
-        model.decode_paged_with(&one, &mut cache, &[0], backend, &mut scratch, &mut got);
+        model.decode_batch_with(&one, &mut cache, &[0], backend, &mut scratch, &mut got);
     }
     cache.publish_prefix(0, &hashes);
     cache.reset_slot(0);
@@ -136,11 +135,11 @@ fn run_paged(
     // Divergent tails + generation, batched across all slots.
     let mut last = Mat::zeros(s, hidden);
     for tok in &prompt[shared..] {
-        last = model.decode_batch_paged(tok, &mut cache, backend);
+        last = model.decode_batch(tok, &mut cache, backend);
     }
     for _ in 0..gen {
         let next = feedback_batch(&last);
-        last = model.decode_batch_paged(&next, &mut cache, backend);
+        last = model.decode_batch(&next, &mut cache, backend);
     }
     let elapsed = start.elapsed().as_secs_f64();
     let paged_bytes = cache.allocator().backing_bytes();
@@ -198,55 +197,58 @@ fn main() {
         // tokens of completed sequence state.
         let served_tokens = (batch * (prompt_len + gen)) as f64;
         // Warm pass primes the weight caches out of the timed region.
-        let _ = run_flat(&model, backend.as_ref(), &prompt, 1.min(gen));
+        let _ = run_unshared(&model, backend.as_ref(), &prompt, 1.min(gen), block);
         let _ = run_paged(&model, backend.as_ref(), &prompt, shared, 1.min(gen), block);
-        let mut flat_s = f64::INFINITY;
+        let mut unshared_s = f64::INFINITY;
         let mut paged_s = f64::INFINITY;
-        let mut flat_bytes = 0usize;
+        let mut unshared_bytes = 0usize;
         let mut paged_bytes = 0usize;
         for rep in 0..reps {
             let (run_a, run_b);
             if rep % 2 == 0 {
-                run_a = run_flat(&model, backend.as_ref(), &prompt, gen);
+                run_a = run_unshared(&model, backend.as_ref(), &prompt, gen, block);
                 run_b = run_paged(&model, backend.as_ref(), &prompt, shared, gen, block);
             } else {
                 run_b = run_paged(&model, backend.as_ref(), &prompt, shared, gen, block);
-                run_a = run_flat(&model, backend.as_ref(), &prompt, gen);
+                run_a = run_unshared(&model, backend.as_ref(), &prompt, gen, block);
             }
-            let (fs, flat_last, fb) = run_a;
+            let (us, unshared_last, ub) = run_a;
             let (ps, paged_last, pb) = run_b;
-            // Paging must be pure data movement: the shared-prefix run
+            // Sharing must be pure data movement: the shared-prefix run
             // ends on the same bits as the recompute-everything run.
-            let diffs = flat_last
+            let diffs = unshared_last
                 .as_slice()
                 .iter()
                 .zip(paged_last.as_slice())
                 .filter(|(x, y)| x.to_bits() != y.to_bits())
                 .count();
-            assert_eq!(diffs, 0, "kv_paged/{label}: paged run diverged from flat");
-            flat_s = flat_s.min(fs);
+            assert_eq!(
+                diffs, 0,
+                "kv_paged/{label}: shared run diverged from unshared"
+            );
+            unshared_s = unshared_s.min(us);
             paged_s = paged_s.min(ps);
-            flat_bytes = fb;
+            unshared_bytes = ub;
             paged_bytes = pb;
         }
-        let flat_tps = served_tokens / flat_s.max(1e-12);
+        let unshared_tps = served_tokens / unshared_s.max(1e-12);
         let paged_tps = served_tokens / paged_s.max(1e-12);
-        let tps_ratio = paged_tps / flat_tps.max(1e-12);
-        let bytes_ratio = flat_bytes as f64 / (paged_bytes as f64).max(1.0);
+        let tps_ratio = paged_tps / unshared_tps.max(1e-12);
+        let bytes_ratio = unshared_bytes as f64 / (paged_bytes as f64).max(1.0);
         println!(
-            "kv_paged/{label}: flat {flat_tps:>9.1} tok/s / {flat_bytes} B, \
+            "kv_paged/{label}: unshared {unshared_tps:>9.1} tok/s / {unshared_bytes} B, \
              paged {paged_tps:>9.1} tok/s / {paged_bytes} B, \
              bytes ratio {bytes_ratio:.2}x, tps ratio {tps_ratio:.2}x"
         );
         if default_run {
             assert!(
                 bytes_ratio >= 2.0,
-                "kv_paged/{label}: paged cache used more than 0.5x the flat \
+                "kv_paged/{label}: shared cache used more than 0.5x the unshared \
                  bytes ({bytes_ratio:.2}x reduction, floor 2x)"
             );
             assert!(
                 tps_ratio >= 0.95,
-                "kv_paged/{label}: paged throughput {tps_ratio:.2}x of flat, \
+                "kv_paged/{label}: shared throughput {tps_ratio:.2}x of unshared, \
                  below the 0.95x floor"
             );
         }
@@ -257,17 +259,20 @@ fn main() {
             ("prompt".into(), Json::Int(prompt_len as u64)),
             ("shared".into(), Json::Int(shared as u64)),
             ("block".into(), Json::Int(block as u64)),
-            ("flat_s".into(), Json::Num(flat_s)),
+            ("unshared_s".into(), Json::Num(unshared_s)),
             ("paged_s".into(), Json::Num(paged_s)),
             // Num, not Int: byte footprints are measurements — keeping
             // them out of the record identity lets allocation-pattern
             // changes gate on the ratio instead of "missing record".
-            ("flat_bytes".into(), Json::Num(flat_bytes as f64)),
+            ("unshared_bytes".into(), Json::Num(unshared_bytes as f64)),
             ("paged_bytes".into(), Json::Num(paged_bytes as f64)),
-            ("flat_tokens_per_s".into(), Json::Num(flat_tps)),
+            ("unshared_tokens_per_s".into(), Json::Num(unshared_tps)),
             ("paged_tokens_per_s".into(), Json::Num(paged_tps)),
-            ("flat_bytes_over_paged_bytes".into(), Json::Num(bytes_ratio)),
-            ("paged_tps_over_flat".into(), Json::Num(tps_ratio)),
+            (
+                "unshared_bytes_over_paged_bytes".into(),
+                Json::Num(bytes_ratio),
+            ),
+            ("paged_tps_over_unshared".into(), Json::Num(tps_ratio)),
         ]));
     }
 

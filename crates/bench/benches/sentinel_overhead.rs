@@ -25,7 +25,9 @@
 use std::time::Instant;
 
 use pdac_math::Mat;
-use pdac_nn::{AnalogGemm, BatchedKvCache, GemmBackend, TransformerConfig, TransformerModel};
+use pdac_nn::{
+    AnalogGemm, GemmBackend, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel,
+};
 use pdac_serve::feedback_embedding;
 use pdac_telemetry::Json;
 use pdac_verify::sentinel::{Sentinel, SentinelConfig, SentinelHandle};
@@ -78,7 +80,7 @@ impl Mode {
 fn run(model: &TransformerModel, backend: &dyn GemmBackend, prompt: &[Mat], gen: usize) -> f64 {
     let s = prompt[0].rows();
     let hidden = model.config().hidden;
-    let mut batch = BatchedKvCache::new(model, s);
+    let mut batch = PagedKvCache::new(model, s, PagedConfig::default());
     let start = Instant::now();
     let mut last = model.decode_batch(&prompt[0], &mut batch, backend);
     for tok in &prompt[1..] {

@@ -24,6 +24,12 @@
 //! The `nn.decode.attention.group_size` histogram records one sample per
 //! slot-group per step. See DESIGN.md §14.
 //!
+//! **One storage layout.** Batched decoding reads and appends K/V rows
+//! through a [`PagedKvCache`]'s page tables ([`crate::paged`]); solo
+//! [`TransformerModel::decode_step`] keeps one flat [`KvCache`] — the
+//! reference every batch ≡ solo check compares against. Both run through
+//! the same core, which sees either storage only as K/V row gathers.
+//!
 //! **Bit-identity contract:** row `s` of [`TransformerModel::decode_batch`]
 //! is bit-identical to feeding that sequence's token through
 //! [`TransformerModel::decode_step`] alone. This holds because the GEMM
@@ -44,7 +50,7 @@ use pdac_power::OpClass;
 /// Reusable per-step buffers for the decode hot path.
 ///
 /// Create once (per serving thread) and pass to
-/// [`TransformerModel::decode_batch`] /
+/// [`TransformerModel::decode_batch_with`] /
 /// [`TransformerModel::decode_step_with`] on every step; all matrices
 /// are resized in place, so after the first step at a given batch shape
 /// the engine allocates nothing per token. The number of steps that
@@ -120,58 +126,47 @@ impl DecodeScratch {
 }
 
 /// The K/V rows a decode step reads and appends, behind one indirection:
-/// either the flat per-sequence [`KvCache`] vectors or a
-/// [`PagedKvCache`]'s page tables. The decode core is written against
-/// this enum only, so both layouts run the *same* arithmetic in the same
-/// order — the gathers below are pure data movement, which is what keeps
-/// the paged path inside the bit-identity contract.
-pub(crate) enum KvRows<'a, 'c> {
-    /// Disjoint per-sequence caches (the original layout).
-    Flat(&'a mut [&'c mut KvCache]),
+/// a [`PagedKvCache`]'s page tables for batched decoding, or one flat
+/// [`KvCache`] for solo [`TransformerModel::decode_step`] — the
+/// reference every batch ≡ solo and paged ≡ reference check compares
+/// against. The decode core is written against this enum only, so both
+/// run the *same* arithmetic in the same order — the gathers below are
+/// pure data movement, which is what keeps the paged path inside the
+/// bit-identity contract.
+pub(crate) enum KvRows<'a> {
     /// Page-table indirection: batch row `i` decodes slot `slots[i]` of
     /// the paged cache.
     Paged {
         cache: &'a mut PagedKvCache,
         slots: &'a [usize],
     },
+    /// One sequence's flat cache (the solo reference).
+    Solo(&'a mut KvCache),
 }
 
-impl KvRows<'_, '_> {
+impl KvRows<'_> {
     /// Number of sequences in this batch.
     fn seqs(&self) -> usize {
         match self {
-            KvRows::Flat(caches) => caches.len(),
             KvRows::Paged { slots, .. } => slots.len(),
+            KvRows::Solo(_) => 1,
         }
     }
 
-    /// Validates every sequence against the model's layer count (and,
-    /// in debug builds, flat caches against per-layer length skew —
-    /// the guard behind the documented [`BatchedKvCache::seq_mut`]
-    /// contract).
+    /// Validates the cache against the model's layer count.
     fn assert_layers(&self, model_layers: usize) {
-        match self {
-            KvRows::Flat(caches) => {
-                for cache in caches.iter() {
-                    assert_eq!(cache.layers.len(), model_layers, "cache layer mismatch");
-                    debug_assert!(
-                        cache.layers.iter().all(|l| l.len() == cache.len()),
-                        "ragged per-layer KV lengths: caches mutated via seq_mut \
-                         must keep every layer at the same length"
-                    );
-                }
-            }
-            KvRows::Paged { cache, .. } => {
-                assert_eq!(cache.layer_count(), model_layers, "cache layer mismatch");
-            }
-        }
+        let layers = match self {
+            KvRows::Paged { cache, .. } => cache.layer_count(),
+            KvRows::Solo(cache) => cache.layers.len(),
+        };
+        assert_eq!(layers, model_layers, "cache layer mismatch");
     }
 
     /// Cached tokens for batch row `i`.
     fn len(&self, i: usize) -> usize {
         match self {
-            KvRows::Flat(caches) => caches[i].len(),
             KvRows::Paged { cache, slots } => cache.seq_len(slots[i]),
+            KvRows::Solo(cache) => cache.len(),
         }
     }
 
@@ -184,8 +179,8 @@ impl KvRows<'_, '_> {
     /// Appends this step's K/V row for batch row `i` at layer `li`.
     fn push_row(&mut self, li: usize, i: usize, k: &[f64], v: &[f64]) {
         match self {
-            KvRows::Flat(caches) => caches[i].layers[li].push_row(k, v),
             KvRows::Paged { cache, slots } => cache.push_row(slots[i], li, k, v),
+            KvRows::Solo(cache) => cache.layers[li].push_row(k, v),
         }
     }
 
@@ -194,14 +189,14 @@ impl KvRows<'_, '_> {
     /// element order for both layouts.
     fn gather_kt(&self, li: usize, i: usize, c0: usize, dh: usize, l: usize, out: &mut [f64]) {
         match self {
-            KvRows::Flat(caches) => {
-                for (t, key) in caches[i].layers[li].k.iter().enumerate() {
+            KvRows::Paged { cache, slots } => cache.gather_kt(slots[i], li, c0, dh, l, out),
+            KvRows::Solo(cache) => {
+                for (t, key) in cache.layers[li].k.iter().enumerate() {
                     for (r, &kv) in key[c0..c0 + dh].iter().enumerate() {
                         out[r * l + t] = kv;
                     }
                 }
             }
-            KvRows::Paged { cache, slots } => cache.gather_kt(slots[i], li, c0, dh, l, out),
         }
     }
 
@@ -209,12 +204,12 @@ impl KvRows<'_, '_> {
     /// `out[t * dh..(t + 1) * dh] = V[t][c0..c0 + dh]`.
     fn gather_v(&self, li: usize, i: usize, c0: usize, dh: usize, out: &mut [f64]) {
         match self {
-            KvRows::Flat(caches) => {
-                for (t, val) in caches[i].layers[li].v.iter().enumerate() {
+            KvRows::Paged { cache, slots } => cache.gather_v(slots[i], li, c0, dh, out),
+            KvRows::Solo(cache) => {
+                for (t, val) in cache.layers[li].v.iter().enumerate() {
                     out[t * dh..(t + 1) * dh].copy_from_slice(&val[c0..c0 + dh]);
                 }
             }
-            KvRows::Paged { cache, slots } => cache.gather_v(slots[i], li, c0, dh, out),
         }
     }
 }
@@ -225,7 +220,7 @@ impl KvRows<'_, '_> {
 pub(crate) fn decode_rows(
     model: &TransformerModel,
     tokens: &Mat,
-    kv: &mut KvRows<'_, '_>,
+    kv: &mut KvRows<'_>,
     backend: &dyn GemmBackend,
     scratch: &mut DecodeScratch,
     out: &mut Mat,
@@ -397,15 +392,10 @@ pub(crate) fn decode_rows(
 /// (converted once into the weight cache), so their one-time streaming
 /// is model-load cost, not serving cost. KV paging changes where the
 /// gathered rows *live* (and how many fit), not how many stream through
-/// the converters per step — so both layouts record identical activity.
+/// the converters per step — so a paged batch row and its solo replay
+/// record identical activity.
 /// See DESIGN.md §13 and §15.
-fn record_step_energy(
-    model: &TransformerModel,
-    kv: &KvRows<'_, '_>,
-    s: usize,
-    d: usize,
-    ff: usize,
-) {
+fn record_step_energy(model: &TransformerModel, kv: &KvRows<'_>, s: usize, d: usize, ff: usize) {
     if !pdac_power::meter::is_active() || model.layers.is_empty() {
         return;
     }
@@ -432,129 +422,37 @@ fn record_step_energy(
     pdac_power::meter::record(OpClass::Other, 0, 0, elementwise);
 }
 
-/// Per-sequence KV caches plus the shared scratch for a fixed-capacity
-/// decode batch.
-///
-/// # Examples
-///
-/// ```
-/// use pdac_math::Mat;
-/// use pdac_nn::{BatchedKvCache, ExactGemm, TransformerConfig, TransformerModel};
-///
-/// let model = TransformerModel::random(TransformerConfig::tiny(), 4, 42);
-/// let mut batch = BatchedKvCache::new(&model, 3);
-/// let tokens = Mat::from_fn(3, model.config().hidden, |r, c| {
-///     ((r * 31 + c) as f64).sin() * 0.1
-/// });
-/// let hidden = model.decode_batch(&tokens, &mut batch, &ExactGemm);
-/// assert_eq!(hidden.shape(), (3, model.config().hidden));
-/// assert_eq!(batch.seq(0).len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct BatchedKvCache {
-    caches: Vec<KvCache>,
-    scratch: DecodeScratch,
-}
-
-impl BatchedKvCache {
-    /// `batch` empty per-sequence caches for `model`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    pub fn new(model: &TransformerModel, batch: usize) -> Self {
-        assert!(batch > 0, "batch must be nonzero");
-        Self {
-            caches: (0..batch).map(|_| model.new_cache()).collect(),
-            scratch: DecodeScratch::new(),
-        }
-    }
-
-    /// Number of sequence slots.
-    pub fn batch(&self) -> usize {
-        self.caches.len()
-    }
-
-    /// Sequence `i`'s cache.
-    pub fn seq(&self, i: usize) -> &KvCache {
-        &self.caches[i]
-    }
-
-    /// Sequence `i`'s cache, mutably (e.g. to reset a retired slot).
-    ///
-    /// Mutating a cache between steps is safe with respect to the
-    /// shared [`DecodeScratch`]: the scratch holds no per-sequence
-    /// state — slot grouping is recomputed from the cache lengths at
-    /// the start of every step — so replacing the cache with a fresh
-    /// one ([`Self::reset_seq`] does exactly this) or swapping two
-    /// slots' caches decodes correctly on the next
-    /// [`TransformerModel::decode_batch`]. Two misuses are checked
-    /// there instead of silently corrupting attention: substituting a
-    /// cache built for a different model panics ("cache layer
-    /// mismatch"), and leaving the per-layer K/V vectors at *unequal*
-    /// lengths (manual surgery on `KvCache` internals) trips a debug
-    /// assertion.
-    pub fn seq_mut(&mut self, i: usize) -> &mut KvCache {
-        &mut self.caches[i]
-    }
-
-    /// Replaces sequence `i`'s cache with a fresh empty one.
-    pub fn reset_seq(&mut self, i: usize, model: &TransformerModel) {
-        self.caches[i] = model.new_cache();
-    }
-
-    /// The shared decode scratch (for reuse diagnostics).
-    pub fn scratch(&self) -> &DecodeScratch {
-        &self.scratch
-    }
-}
-
 impl TransformerModel {
-    /// Advances `cache.batch()` sequences by one token each: row `s` of
-    /// `tokens` is the current token embedding of sequence `s`.
+    /// Advances every slot of `cache` by one token: row `s` of `tokens`
+    /// is the current token embedding of slot `s`.
     ///
     /// Returns the `S × hidden` final hidden states; row `s` is
-    /// **bit-identical** to calling [`Self::decode_step`] with that row
-    /// against sequence `s`'s cache alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens.cols() != hidden`, `tokens.rows()` differs
-    /// from the batch size, or any cache has the wrong layer count.
-    pub fn decode_batch(
-        &self,
-        tokens: &Mat,
-        cache: &mut BatchedKvCache,
-        backend: &dyn GemmBackend,
-    ) -> Mat {
-        let mut out = Mat::zeros(1, 1);
-        let BatchedKvCache { caches, scratch } = cache;
-        let mut refs: Vec<&mut KvCache> = caches.iter_mut().collect();
-        let _span = pdac_telemetry::span("nn.inference.decode_batch");
-        pdac_telemetry::counter_add("nn.inference.decoded_tokens", tokens.rows() as u64);
-        decode_rows(
-            self,
-            tokens,
-            &mut KvRows::Flat(&mut refs),
-            backend,
-            scratch,
-            &mut out,
-        );
-        out
-    }
-
-    /// [`Self::decode_batch`] against a [`PagedKvCache`]: row `s` of
-    /// `tokens` advances slot `s`. Row `s` of the result is
     /// **bit-identical** to decoding that slot's token history through
-    /// [`Self::decode_step`] solo — page-table indirection (including
+    /// [`Self::decode_step`] alone — page-table indirection (including
     /// prefix-shared and copy-on-write pages) is pure data movement.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pdac_math::Mat;
+    /// use pdac_nn::{ExactGemm, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel};
+    ///
+    /// let model = TransformerModel::random(TransformerConfig::tiny(), 4, 42);
+    /// let mut cache = PagedKvCache::new(&model, 3, PagedConfig::default());
+    /// let tokens = Mat::from_fn(3, model.config().hidden, |r, c| {
+    ///     ((r * 31 + c) as f64).sin() * 0.1
+    /// });
+    /// let hidden = model.decode_batch(&tokens, &mut cache, &ExactGemm);
+    /// assert_eq!(hidden.shape(), (3, model.config().hidden));
+    /// assert_eq!(cache.seq_len(0), 1);
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if `tokens.rows()` differs from the cache's slot count,
     /// `tokens.cols() != hidden`, or the cache's layer count differs
     /// from the model's.
-    pub fn decode_batch_paged(
+    pub fn decode_batch(
         &self,
         tokens: &Mat,
         cache: &mut PagedKvCache,
@@ -564,16 +462,21 @@ impl TransformerModel {
         let slots: Vec<usize> = (0..cache.slots()).collect();
         let mut scratch = cache.take_scratch();
         let mut out = Mat::zeros(1, 1);
-        self.decode_paged_with(tokens, cache, &slots, backend, &mut scratch, &mut out);
+        self.decode_batch_with(tokens, cache, &slots, backend, &mut scratch, &mut out);
         cache.put_scratch(scratch);
         out
     }
 
-    /// [`Self::decode_batch_paged`] over an arbitrary subset of slots
-    /// (row `i` of `tokens` advances `slots[i]`), writing into a
-    /// caller-owned output — the form the continuous-batching scheduler
-    /// uses when some slots are empty or retired.
-    pub fn decode_paged_with(
+    /// [`Self::decode_batch`] over an arbitrary subset of slots (row `i`
+    /// of `tokens` advances `slots[i]`), writing into a caller-owned
+    /// output — the form the continuous-batching scheduler uses when
+    /// some slots are empty or retired.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens.rows() != slots.len()`, `tokens.cols() !=
+    /// hidden`, or the cache's layer count differs from the model's.
+    pub fn decode_batch_with(
         &self,
         tokens: &Mat,
         cache: &mut PagedKvCache,
@@ -586,7 +489,7 @@ impl TransformerModel {
             slots
                 .iter()
                 .all(|&a| slots.iter().filter(|&&b| b == a).count() == 1),
-            "duplicate slot in paged decode batch"
+            "duplicate slot in decode batch"
         );
         let _span = pdac_telemetry::span("nn.inference.decode_batch");
         pdac_telemetry::counter_add("nn.inference.decoded_tokens", tokens.rows() as u64);
@@ -594,30 +497,6 @@ impl TransformerModel {
             self,
             tokens,
             &mut KvRows::Paged { cache, slots },
-            backend,
-            scratch,
-            out,
-        );
-    }
-
-    /// [`Self::decode_batch`] over an arbitrary (possibly ragged)
-    /// set of per-sequence caches, writing into a caller-owned output —
-    /// the form the continuous-batching scheduler uses after retiring
-    /// sequences mid-run.
-    pub fn decode_batch_with(
-        &self,
-        tokens: &Mat,
-        caches: &mut [&mut KvCache],
-        backend: &dyn GemmBackend,
-        scratch: &mut DecodeScratch,
-        out: &mut Mat,
-    ) {
-        let _span = pdac_telemetry::span("nn.inference.decode_batch");
-        pdac_telemetry::counter_add("nn.inference.decoded_tokens", tokens.rows() as u64);
-        decode_rows(
-            self,
-            tokens,
-            &mut KvRows::Flat(caches),
             backend,
             scratch,
             out,
@@ -641,7 +520,7 @@ impl TransformerModel {
         decode_rows(
             self,
             &tokens,
-            &mut KvRows::Flat(&mut [cache]),
+            &mut KvRows::Solo(cache),
             backend,
             scratch,
             &mut out,
@@ -655,6 +534,7 @@ mod tests {
     use super::*;
     use crate::config::TransformerConfig;
     use crate::gemm::{AnalogGemm, AsymmetricGemm, ExactGemm};
+    use crate::paged::PagedConfig;
     use pdac_core::edac::ElectricalDac;
     use pdac_core::pdac::PDac;
 
@@ -669,9 +549,14 @@ mod tests {
         })
     }
 
+    /// Block 2, so a few steps already cross page boundaries.
+    fn paged(m: &TransformerModel, s: usize) -> PagedKvCache {
+        PagedKvCache::new(m, s, PagedConfig::new(2))
+    }
+
     fn assert_batch_matches_sequential(backend: &dyn GemmBackend, steps: usize, s: usize) {
         let m = tiny_model();
-        let mut batch = BatchedKvCache::new(&m, s);
+        let mut batch = paged(&m, s);
         let mut solo: Vec<KvCache> = (0..s).map(|_| m.new_cache()).collect();
         for t in 0..steps {
             let tokens = token_rows(&m, s, 40 + t as u64);
@@ -729,40 +614,40 @@ mod tests {
     #[test]
     fn batched_cache_tracks_per_sequence_lengths() {
         let m = tiny_model();
-        let mut batch = BatchedKvCache::new(&m, 2);
+        let mut batch = paged(&m, 2);
         let tokens = token_rows(&m, 2, 9);
         let _ = m.decode_batch(&tokens, &mut batch, &ExactGemm);
         let _ = m.decode_batch(&tokens, &mut batch, &ExactGemm);
-        assert_eq!(batch.seq(0).len(), 2);
-        assert_eq!(batch.seq(1).len(), 2);
-        batch.reset_seq(1, &m);
-        assert!(batch.seq(1).is_empty());
-        assert_eq!(batch.seq(0).len(), 2);
+        assert_eq!(batch.seq_len(0), 2);
+        assert_eq!(batch.seq_len(1), 2);
+        batch.reset_slot(1);
+        assert_eq!(batch.seq_len(1), 0);
+        assert_eq!(batch.seq_len(0), 2);
         assert!(batch.scratch().reuses() >= 1);
     }
 
     #[test]
-    fn ragged_caches_decode_via_decode_batch_with() {
-        // Sequences at different positions (continuous batching after a
+    fn ragged_slots_decode_via_decode_batch_with() {
+        // Slots at different positions (continuous batching after a
         // retirement) still match their sequential counterparts.
         let m = tiny_model();
         let backend = ExactGemm;
-        let mut a = m.new_cache();
-        let mut b = m.new_cache();
+        let mut batch = paged(&m, 2);
         let mut a_ref = m.new_cache();
         let mut b_ref = m.new_cache();
-        let warm = token_rows(&m, 1, 3);
-        // Advance `a` two tokens ahead before batching the pair.
-        let _ = m.decode_step(&warm.row(0), &mut a, &backend);
-        let _ = m.decode_step(&warm.row(0), &mut a, &backend);
-        let _ = m.decode_step(&warm.row(0), &mut a_ref, &backend);
-        let _ = m.decode_step(&warm.row(0), &mut a_ref, &backend);
-        let tokens = token_rows(&m, 2, 5);
         let mut scratch = DecodeScratch::new();
         let mut out = Mat::zeros(1, 1);
+        let warm = token_rows(&m, 1, 3);
+        // Advance slot 0 two tokens ahead before batching the pair.
+        for _ in 0..2 {
+            m.decode_batch_with(&warm, &mut batch, &[0], &backend, &mut scratch, &mut out);
+            let _ = m.decode_step(&warm.row(0), &mut a_ref, &backend);
+        }
+        let tokens = token_rows(&m, 2, 5);
         m.decode_batch_with(
             &tokens,
-            &mut [&mut a, &mut b],
+            &mut batch,
+            &[0, 1],
             &backend,
             &mut scratch,
             &mut out,
@@ -771,15 +656,15 @@ mod tests {
         let wb = m.decode_step(&tokens.row(1), &mut b_ref, &backend);
         assert_eq!(out.row(0), wa);
         assert_eq!(out.row(1), wb);
-        assert_eq!(a.len(), 3);
-        assert_eq!(b.len(), 1);
+        assert_eq!(batch.seq_len(0), 3);
+        assert_eq!(batch.seq_len(1), 1);
     }
 
     #[test]
     #[should_panic(expected = "batch size mismatch")]
     fn wrong_batch_size_rejected() {
         let m = tiny_model();
-        let mut batch = BatchedKvCache::new(&m, 2);
+        let mut batch = paged(&m, 2);
         let tokens = token_rows(&m, 3, 1);
         m.decode_batch(&tokens, &mut batch, &ExactGemm);
     }
@@ -788,7 +673,7 @@ mod tests {
     #[should_panic(expected = "hidden dim mismatch")]
     fn wrong_hidden_dim_rejected() {
         let m = tiny_model();
-        let mut batch = BatchedKvCache::new(&m, 2);
+        let mut batch = paged(&m, 2);
         let tokens = Mat::zeros(2, 7);
         m.decode_batch(&tokens, &mut batch, &ExactGemm);
     }

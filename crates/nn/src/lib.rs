@@ -25,17 +25,17 @@
 //! * [`inference`] — a functional encoder forward pass with seeded random
 //!   weights, used to validate the paper's claim that LLM inference
 //!   tolerates the P-DAC's bounded analog error;
-//! * [`batch`] — the batched decode engine: [`batch::BatchedKvCache`] +
-//!   [`TransformerModel::decode_batch`] advance S sequences per step
+//! * [`batch`] — the batched decode engine:
+//!   [`TransformerModel::decode_batch`] advances S sequences per step
 //!   through one stacked activation matrix (weights stream through the
 //!   converters once per step, attention stays per-sequence), row-for-row
-//!   bit-identical to S independent `decode_step` calls;
-//! * [`paged`] — the paged KV cache: fixed-size token blocks behind
-//!   per-slot page tables with refcounts + copy-on-write, hash-consed
-//!   prefix sharing, and an LRU-evicting byte budget
-//!   (`PDAC_KV_BUDGET_BYTES`) — a drop-in for [`batch::BatchedKvCache`]
-//!   via [`TransformerModel::decode_batch_paged`], preserving the same
-//!   bit-identity contract.
+//!   bit-identical to S independent `decode_step` calls over flat
+//!   [`KvCache`]s — the solo reference;
+//! * [`paged`] — the one batched KV layout: fixed-size token blocks
+//!   behind per-slot page tables with refcounts + copy-on-write,
+//!   hash-consed prefix sharing, and an LRU-evicting byte budget
+//!   (`PDAC_KV_BUDGET_BYTES`) — the [`PagedKvCache`] every batched
+//!   decode reads and appends through.
 //!
 //! # Examples
 //!
@@ -60,7 +60,7 @@ pub mod quant;
 pub mod tap;
 pub mod workload;
 
-pub use batch::{BatchedKvCache, DecodeScratch};
+pub use batch::DecodeScratch;
 pub use config::TransformerConfig;
 pub use gemm::{AnalogGemm, AsymmetricGemm, ExactGemm, GemmBackend};
 pub use inference::{KvCache, TransformerModel};

@@ -1,7 +1,7 @@
 //! Paged KV cache: block allocation, prefix sharing and a byte budget.
 //!
-//! [`crate::batch::BatchedKvCache`] stores each sequence's K/V rows in
-//! disjoint, unbounded `Vec`s, so serving capacity is capped by the
+//! [`PagedKvCache`] is the one storage layout batched decoding uses.
+//! Per-sequence contiguous K/V rows would cap serving capacity at the
 //! *sum of worst-case* context lengths — memory, not compute, limits
 //! concurrency ("Scaling Up Silicon Photonic-based Accelerators"
 //! identifies memory movement as the dominant non-photonic cost). This
@@ -26,10 +26,11 @@
 //!   an evicted prefix is simply recomputed on its next use.
 //!
 //! The decode engine reads K/V through the page-table indirection
-//! (`gather_kt` / `gather_v` mirror the flat gathers element for
-//! element), so the row-r ≡ solo-`decode_step` **bit-identity
-//! invariant** of [`crate::batch`] holds unchanged — the `pdac-verify`
-//! rows `decode.kv.paged_vs_flat.*` and
+//! (`gather_kt` / `gather_v` produce, element for element, the gathers
+//! solo `decode_step` makes from its flat [`crate::KvCache`]), so the
+//! row-r ≡ solo-`decode_step` **bit-identity invariant** of
+//! [`crate::batch`] holds — the `pdac-verify` rows
+//! `decode.kv.paged_vs_decode_step.*` and
 //! `decode.kv.shared_prefix_vs_unshared` pin it.
 //!
 //! Telemetry: gauges `serve.kv.pages` / `serve.kv.bytes` (live mapped
@@ -99,19 +100,37 @@ impl PagedConfig {
 
     /// Reads `PDAC_KV_BLOCK_TOKENS` (default 16) and
     /// `PDAC_KV_BUDGET_BYTES` (default unbounded) from the environment.
-    pub fn from_env() -> Self {
-        let block_tokens = std::env::var("PDAC_KV_BLOCK_TOKENS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&b: &usize| b > 0)
-            .unwrap_or(16);
-        let budget_bytes = std::env::var("PDAC_KV_BUDGET_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        Self {
-            block_tokens,
-            budget_bytes,
+    /// A set block size must be a positive integer and a set budget a
+    /// plain byte count; anything else is an error naming the variable
+    /// and the bad value, never a silent default.
+    pub fn from_env() -> Result<Self, String> {
+        let var = |name: &str| match std::env::var(name) {
+            Ok(value) => Ok(Some(value)),
+            Err(std::env::VarError::NotPresent) => Ok(None),
+            Err(std::env::VarError::NotUnicode(raw)) => Err(format!("{name}={raw:?} is not UTF-8")),
+        };
+        Self::parse(
+            var("PDAC_KV_BLOCK_TOKENS")?.as_deref(),
+            var("PDAC_KV_BUDGET_BYTES")?.as_deref(),
+        )
+    }
+
+    /// [`Self::from_env`] on the raw values (`None` = unset), so the
+    /// rules are testable without touching the process environment.
+    fn parse(block_tokens: Option<&str>, budget_bytes: Option<&str>) -> Result<Self, String> {
+        let mut config = Self::default();
+        if let Some(raw) = block_tokens {
+            config.block_tokens = raw.parse().ok().filter(|&b: &usize| b > 0).ok_or_else(|| {
+                format!("PDAC_KV_BLOCK_TOKENS={raw:?} is not a positive token count")
+            })?;
         }
+        if let Some(raw) = budget_bytes {
+            let bytes = raw
+                .parse()
+                .map_err(|_| format!("PDAC_KV_BUDGET_BYTES={raw:?} is not a byte count"))?;
+            config.budget_bytes = Some(bytes);
+        }
+        Ok(config)
     }
 }
 
@@ -357,11 +376,9 @@ pub struct KvStats {
 }
 
 /// A paged, prefix-shared, budget-capped KV cache for a fixed number of
-/// sequence slots — the drop-in alternative to
-/// [`crate::batch::BatchedKvCache`] for
-/// [`TransformerModel::decode_batch_paged`] /
-/// [`TransformerModel::decode_paged_with`] and the paged
-/// `pdac-serve::TokenServer` mode.
+/// sequence slots — the storage behind
+/// [`TransformerModel::decode_batch`] /
+/// [`TransformerModel::decode_batch_with`] and `pdac-serve::TokenServer`.
 ///
 /// # Examples
 ///
@@ -374,7 +391,7 @@ pub struct KvStats {
 /// let tokens = Mat::from_fn(2, model.config().hidden, |r, c| {
 ///     ((r * 31 + c) as f64).sin() * 0.1
 /// });
-/// let hidden = model.decode_batch_paged(&tokens, &mut cache, &ExactGemm);
+/// let hidden = model.decode_batch(&tokens, &mut cache, &ExactGemm);
 /// assert_eq!(hidden.shape(), (2, model.config().hidden));
 /// assert_eq!(cache.seq_len(0), 1);
 /// assert_eq!(cache.stats().live_pages, 2 * model.config().layers);
@@ -625,8 +642,8 @@ impl PagedKvCache {
 
     /// Transposed K gather for the grouped attention kernel: writes
     /// `out[r * l + t] = K[t][c0 + r]` for every cached token `t` and
-    /// head column `r < dh` — element-for-element the flat engine's
-    /// gather, just through the page table.
+    /// head column `r < dh` — element-for-element the solo
+    /// `decode_step` gather, just through the page table.
     pub(crate) fn gather_kt(
         &self,
         slot: usize,
@@ -875,6 +892,35 @@ mod tests {
     fn row(width: usize, seed: u64) -> Vec<f64> {
         let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(seed);
         (0..width).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect()
+    }
+
+    #[test]
+    fn config_parse_accepts_unset_and_plain_numbers() {
+        assert_eq!(PagedConfig::parse(None, None), Ok(PagedConfig::default()));
+        assert_eq!(
+            PagedConfig::parse(Some("8"), Some("1048576")),
+            Ok(PagedConfig::new(8).with_budget_bytes(1_048_576))
+        );
+        assert_eq!(
+            PagedConfig::parse(None, Some("0")),
+            Ok(PagedConfig::default().with_budget_bytes(0))
+        );
+    }
+
+    #[test]
+    fn config_parse_names_the_variable_and_the_bad_value() {
+        for (block, budget, var, value) in [
+            (None, Some("1MiB"), "PDAC_KV_BUDGET_BYTES", "\"1MiB\""),
+            (None, Some("-5"), "PDAC_KV_BUDGET_BYTES", "\"-5\""),
+            (None, Some(""), "PDAC_KV_BUDGET_BYTES", "\"\""),
+            (Some("0"), None, "PDAC_KV_BLOCK_TOKENS", "\"0\""),
+            (Some("16k"), None, "PDAC_KV_BLOCK_TOKENS", "\"16k\""),
+            (Some("4"), Some("1e6"), "PDAC_KV_BUDGET_BYTES", "\"1e6\""),
+        ] {
+            let err = PagedConfig::parse(block, budget).expect_err("malformed input accepted");
+            assert!(err.contains(var), "{err}");
+            assert!(err.contains(value), "{err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,14 @@
 //! Edge-case coverage for the KV caches and the batched decode engine.
+//!
+//! Batched decoding runs on slot subsets of one [`PagedKvCache`]; every
+//! batched row is checked against solo `decode_step` over a flat
+//! [`KvCache`], the reference.
 
 use pdac_math::Mat;
-use pdac_nn::{BatchedKvCache, DecodeScratch, ExactGemm, TransformerConfig, TransformerModel};
+use pdac_nn::{
+    prefix_block_hashes, DecodeScratch, ExactGemm, KvCache, PagedConfig, PagedKvCache,
+    TransformerConfig, TransformerModel,
+};
 
 fn tiny() -> TransformerModel {
     TransformerModel::random(TransformerConfig::tiny(), 4, 11)
@@ -12,6 +19,12 @@ fn tokens_for(model: &TransformerModel, rows: usize, seed: u64) -> Mat {
     Mat::from_fn(rows, model.config().hidden, |_, _| {
         rng.gen_range_f64(-1.0, 1.0)
     })
+}
+
+/// `slots` empty sequences at block 2, so a few tokens already span
+/// several pages.
+fn paged(model: &TransformerModel, slots: usize) -> PagedKvCache {
+    PagedKvCache::new(model, slots, PagedConfig::new(2))
 }
 
 #[test]
@@ -50,7 +63,7 @@ fn empty_prompt_first_token_attends_to_itself() {
 #[test]
 fn batched_empty_start_matches_sequential() {
     let m = tiny();
-    let mut batch = BatchedKvCache::new(&m, 4);
+    let mut batch = paged(&m, 4);
     let toks = tokens_for(&m, 4, 9);
     let got = m.decode_batch(&toks, &mut batch, &ExactGemm);
     for s in 0..4 {
@@ -60,34 +73,69 @@ fn batched_empty_start_matches_sequential() {
     }
 }
 
+/// Warms slot `i` of `cache` (and a mirror in `solos[i]`) by `depths[i]`
+/// single-slot steps so a subsequent batch starts at exactly those
+/// cache lengths.
+fn warm_ragged(
+    m: &TransformerModel,
+    depths: &[usize],
+    cache: &mut PagedKvCache,
+    solos: &mut [KvCache],
+    scratch: &mut DecodeScratch,
+) {
+    let mut out = Mat::zeros(1, 1);
+    for (i, &depth) in depths.iter().enumerate() {
+        for t in 0..depth {
+            let tok = tokens_for(m, 1, (i * 53 + t) as u64);
+            m.decode_batch_with(&tok, cache, &[i], &ExactGemm, scratch, &mut out);
+            let _ = m.decode_step(&tok.row(0), &mut solos[i], &ExactGemm);
+        }
+    }
+}
+
+/// One batched step over `slots`, asserted row-by-row against solo
+/// `decode_step` on each slot's mirror in `solos`.
+fn step_and_compare(
+    m: &TransformerModel,
+    cache: &mut PagedKvCache,
+    slots: &[usize],
+    solos: &mut [KvCache],
+    scratch: &mut DecodeScratch,
+    seed: u64,
+) {
+    let toks = tokens_for(m, slots.len(), seed);
+    let mut out = Mat::zeros(1, 1);
+    m.decode_batch_with(&toks, cache, slots, &ExactGemm, scratch, &mut out);
+    for (i, &slot) in slots.iter().enumerate() {
+        let want = m.decode_step(&toks.row(i), &mut solos[slot], &ExactGemm);
+        assert_eq!(out.row(i), want, "slot {slot}");
+    }
+}
+
+/// A paged cache plus solo mirrors warmed to `depths`.
+fn warmed(
+    m: &TransformerModel,
+    depths: &[usize],
+    scratch: &mut DecodeScratch,
+) -> (PagedKvCache, Vec<KvCache>) {
+    let mut cache = paged(m, depths.len());
+    let mut solos: Vec<KvCache> = depths.iter().map(|_| m.new_cache()).collect();
+    warm_ragged(m, depths, &mut cache, &mut solos, scratch);
+    (cache, solos)
+}
+
 #[test]
 fn ragged_batch_positions_stay_independent() {
     // Three sequences at positions 0, 2 and 5 advanced together match
     // their isolated counterparts bit-for-bit, and only their own
-    // caches grow.
+    // slots grow.
     let m = tiny();
-    let backend = ExactGemm;
     let depths = [0usize, 2, 5];
-    let mut caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    let mut refs_caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    for (i, &depth) in depths.iter().enumerate() {
-        for t in 0..depth {
-            let tok = tokens_for(&m, 1, (i * 37 + t) as u64);
-            let _ = m.decode_step(&tok.row(0), &mut caches[i], &backend);
-            let _ = m.decode_step(&tok.row(0), &mut refs_caches[i], &backend);
-        }
-    }
-    let toks = tokens_for(&m, 3, 77);
     let mut scratch = DecodeScratch::new();
-    let mut out = Mat::zeros(1, 1);
-    {
-        let mut refs: Vec<&mut _> = caches.iter_mut().collect();
-        m.decode_batch_with(&toks, &mut refs, &backend, &mut scratch, &mut out);
-    }
+    let (mut cache, mut solos) = warmed(&m, &depths, &mut scratch);
+    step_and_compare(&m, &mut cache, &[0, 1, 2], &mut solos, &mut scratch, 77);
     for (i, &depth) in depths.iter().enumerate() {
-        let want = m.decode_step(&toks.row(i), &mut refs_caches[i], &backend);
-        assert_eq!(out.row(i), want, "seq {i}");
-        assert_eq!(caches[i].len(), depth + 1);
+        assert_eq!(cache.seq_len(i), depth + 1);
     }
 }
 
@@ -96,125 +144,64 @@ fn scratch_survives_batch_size_changes() {
     // Shrinking then regrowing the live batch (continuous batching
     // admission/retirement) keeps results correct with one scratch.
     let m = tiny();
-    let backend = ExactGemm;
+    let mut cache = paged(&m, 3);
+    let mut solos: Vec<KvCache> = (0..3).map(|_| m.new_cache()).collect();
     let mut scratch = DecodeScratch::new();
-    let mut out = Mat::zeros(1, 1);
-    let mut a = m.new_cache();
-    let mut b = m.new_cache();
-    let mut c = m.new_cache();
-    let t3 = tokens_for(&m, 3, 1);
-    m.decode_batch_with(
-        &t3,
-        &mut [&mut a, &mut b, &mut c],
-        &backend,
-        &mut scratch,
-        &mut out,
+    step_and_compare(&m, &mut cache, &[0, 1, 2], &mut solos, &mut scratch, 1);
+    step_and_compare(&m, &mut cache, &[1], &mut solos, &mut scratch, 2);
+    step_and_compare(&m, &mut cache, &[0, 2], &mut solos, &mut scratch, 3);
+    assert_eq!(
+        (cache.seq_len(0), cache.seq_len(1), cache.seq_len(2)),
+        (2, 2, 2)
     );
-    let t1 = tokens_for(&m, 1, 2);
-    m.decode_batch_with(&t1, &mut [&mut b], &backend, &mut scratch, &mut out);
-    let t2 = tokens_for(&m, 2, 3);
-    m.decode_batch_with(&t2, &mut [&mut a, &mut c], &backend, &mut scratch, &mut out);
-    assert_eq!(out.shape(), (2, m.config().hidden));
-    assert_eq!((a.len(), b.len(), c.len()), (2, 2, 2));
     // Steps 2 and 3 fit inside step 1's buffers.
     assert_eq!(scratch.reuses(), 2);
 }
 
-/// Warms `caches[i]` (and a mirror in `solos[i]`) by `depths[i]` solo
-/// steps so a subsequent batch starts at exactly those cache lengths.
-fn warm_ragged(
-    m: &TransformerModel,
-    depths: &[usize],
-    caches: &mut [pdac_nn::KvCache],
-    solos: &mut [pdac_nn::KvCache],
-) {
-    for (i, &depth) in depths.iter().enumerate() {
-        for t in 0..depth {
-            let tok = tokens_for(m, 1, (i * 53 + t) as u64);
-            let _ = m.decode_step(&tok.row(0), &mut caches[i], &ExactGemm);
-            let _ = m.decode_step(&tok.row(0), &mut solos[i], &ExactGemm);
-        }
-    }
-}
-
-/// One batched step from `depths`, asserted row-by-row against solo
-/// `decode_step`.
-fn step_and_compare(
-    m: &TransformerModel,
-    caches: &mut [pdac_nn::KvCache],
-    solos: &mut [pdac_nn::KvCache],
-    scratch: &mut DecodeScratch,
-    seed: u64,
-) {
-    let s = caches.len();
-    let toks = tokens_for(m, s, seed);
-    let mut out = Mat::zeros(1, 1);
-    {
-        let mut refs: Vec<&mut _> = caches.iter_mut().collect();
-        m.decode_batch_with(&toks, &mut refs, &ExactGemm, scratch, &mut out);
-    }
-    for (i, solo) in solos.iter_mut().enumerate() {
-        let want = m.decode_step(&toks.row(i), solo, &ExactGemm);
-        assert_eq!(out.row(i), want, "seq {i}");
-    }
-}
-
 #[test]
 fn all_equal_lengths_decode_as_one_slot_group() {
-    // Every cache at the same depth: the attention phase collapses to a
+    // Every slot at the same depth: the attention phase collapses to a
     // single slot-group spanning the whole batch.
     let m = tiny();
-    let depths = [3usize; 4];
-    let mut caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    let mut solos: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    warm_ragged(&m, &depths, &mut caches, &mut solos);
     let mut scratch = DecodeScratch::new();
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 21);
-    assert!(caches.iter().all(|c| c.len() == 4));
+    let (mut cache, mut solos) = warmed(&m, &[3; 4], &mut scratch);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, &mut scratch, 21);
+    assert!((0..4).all(|i| cache.seq_len(i) == 4));
 }
 
 #[test]
 fn all_distinct_lengths_decode_as_s_slot_groups() {
-    // Every cache at a different depth: S sequences, S slot-groups of
+    // Every slot at a different depth: S sequences, S slot-groups of
     // one — the degenerate grouping where nothing is shared.
     let m = tiny();
     let depths = [0usize, 1, 2, 3];
-    let mut caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    let mut solos: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    warm_ragged(&m, &depths, &mut caches, &mut solos);
     let mut scratch = DecodeScratch::new();
+    let (mut cache, mut solos) = warmed(&m, &depths, &mut scratch);
     // Two steps: depths stay pairwise distinct, so the grouping stays
     // fully fragmented both times.
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 22);
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 23);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, &mut scratch, 22);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, &mut scratch, 23);
     for (i, &depth) in depths.iter().enumerate() {
-        assert_eq!(caches[i].len(), depth + 2);
+        assert_eq!(cache.seq_len(i), depth + 2);
     }
 }
 
 #[test]
 fn group_membership_tracks_retiring_sequences() {
     // Continuous batching: sequences leave the batch mid-run, so the
-    // same cache lands in differently shaped slot-groups step to step.
+    // same slot lands in differently shaped slot-groups step to step.
     let m = tiny();
-    let depths = [2usize, 2, 1, 2];
-    let mut caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    let mut solos: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    warm_ragged(&m, &depths, &mut caches, &mut solos);
     let mut scratch = DecodeScratch::new();
+    let (mut cache, mut solos) = warmed(&m, &[2, 2, 1, 2], &mut scratch);
     // Step 1, full batch: groups {2} and {0, 1, 3}.
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 31);
-    // Sequences 1 and 3 retire. Step 2: groups {2} and {0} — the
-    // survivor of the big group now shares with nobody.
-    let mut live_caches: Vec<_> = vec![caches.remove(2), caches.remove(0)];
-    let mut live_solos: Vec<_> = vec![solos.remove(2), solos.remove(0)];
-    step_and_compare(&m, &mut live_caches, &mut live_solos, &mut scratch, 32);
-    // Sequence 2 catches up to sequence 0's depth. Step 3: one group.
-    let tok = tokens_for(&m, 1, 33);
-    let _ = m.decode_step(&tok.row(0), &mut live_caches[0], &ExactGemm);
-    let _ = m.decode_step(&tok.row(0), &mut live_solos[0], &ExactGemm);
-    assert_eq!(live_caches[0].len(), live_caches[1].len());
-    step_and_compare(&m, &mut live_caches, &mut live_solos, &mut scratch, 34);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, &mut scratch, 31);
+    // Slots 1 and 3 retire. Step 2: groups {2} and {0} — the survivor
+    // of the big group now shares with nobody.
+    step_and_compare(&m, &mut cache, &[2, 0], &mut solos, &mut scratch, 32);
+    // Slot 2 catches up to slot 0's depth. Step 3: one group.
+    step_and_compare(&m, &mut cache, &[2], &mut solos, &mut scratch, 33);
+    assert_eq!(cache.seq_len(2), cache.seq_len(0));
+    step_and_compare(&m, &mut cache, &[2, 0], &mut solos, &mut scratch, 34);
 }
 
 #[test]
@@ -234,13 +221,10 @@ fn prime_head_dim_grouped_attention_matches_sequential() {
         4,
         19,
     );
-    let depths = [0usize, 2, 2, 5];
-    let mut caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    let mut solos: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    warm_ragged(&m, &depths, &mut caches, &mut solos);
     let mut scratch = DecodeScratch::new();
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 41);
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 42);
+    let (mut cache, mut solos) = warmed(&m, &[0, 2, 2, 5], &mut scratch);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, &mut scratch, 41);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, &mut scratch, 42);
 }
 
 #[test]
@@ -264,7 +248,7 @@ fn mismatched_cache_layer_count_rejected() {
 #[should_panic(expected = "batch size mismatch")]
 fn batch_width_mismatch_rejected() {
     let m = tiny();
-    let mut batch = BatchedKvCache::new(&m, 3);
+    let mut batch = paged(&m, 3);
     let toks = tokens_for(&m, 2, 4);
     m.decode_batch(&toks, &mut batch, &ExactGemm);
 }
@@ -273,12 +257,10 @@ fn batch_width_mismatch_rejected() {
 #[should_panic(expected = "batch must be nonzero")]
 fn zero_batch_rejected() {
     let m = tiny();
-    let _ = BatchedKvCache::new(&m, 0);
+    let _ = paged(&m, 0);
 }
 
-// ---- paged KV cache edges ------------------------------------------------
-
-use pdac_nn::{prefix_block_hashes, KvCache, PagedConfig, PagedKvCache};
+// ---- prefix sharing, eviction and retirement ----------------------------
 
 fn prompt_list(model: &TransformerModel, len: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(seed);
@@ -303,7 +285,7 @@ fn decode_prompt_paged(
     let mut out = Mat::zeros(1, 1);
     for tok in &prompt[cache.seq_len(slot)..] {
         let tokens = Mat::from_rows(1, tok.len(), tok.clone()).expect("token row");
-        model.decode_paged_with(&tokens, cache, &[slot], &ExactGemm, scratch, &mut out);
+        model.decode_batch_with(&tokens, cache, &[slot], &ExactGemm, scratch, &mut out);
     }
     out.row(0)
 }
@@ -459,85 +441,4 @@ fn paged_reset_slot_returns_pages_to_free_list() {
     // The recycled pages are reused, not re-grown.
     let _ = decode_prompt_paged(&m, &mut cache, 0, &prompt, &mut scratch);
     assert_eq!(cache.allocator().total_pages(), total);
-}
-
-// ---- BatchedKvCache::seq_mut contract (the documented reset path) --------
-
-#[test]
-fn seq_mut_fresh_cache_reset_is_supported() {
-    // Replacing a slot's cache with a fresh one mid-run (what
-    // `reset_seq` does) keeps every row bit-identical to solo decode:
-    // the scratch holds no per-sequence state.
-    let m = tiny();
-    let mut batch = BatchedKvCache::new(&m, 2);
-    let mut solos: Vec<KvCache> = (0..2).map(|_| m.new_cache()).collect();
-    for t in 0..2 {
-        let toks = tokens_for(&m, 2, 80 + t);
-        let got = m.decode_batch(&toks, &mut batch, &ExactGemm);
-        for (i, solo) in solos.iter_mut().enumerate() {
-            let want = m.decode_step(&toks.row(i), solo, &ExactGemm);
-            assert_eq!(got.row(i), want);
-        }
-    }
-    *batch.seq_mut(1) = m.new_cache();
-    solos[1] = m.new_cache();
-    let toks = tokens_for(&m, 2, 90);
-    let got = m.decode_batch(&toks, &mut batch, &ExactGemm);
-    for (i, solo) in solos.iter_mut().enumerate() {
-        let want = m.decode_step(&toks.row(i), solo, &ExactGemm);
-        assert_eq!(got.row(i), want, "seq {i} after seq_mut reset");
-    }
-    assert_eq!(batch.seq(0).len(), 3);
-    assert_eq!(batch.seq(1).len(), 1);
-}
-
-#[test]
-fn seq_mut_warmed_cache_swap_is_supported() {
-    // Installing an independently warmed cache (same model) into a slot
-    // is the other documented mutation: the next step regroups by the
-    // new length and stays bit-identical.
-    let m = tiny();
-    let mut batch = BatchedKvCache::new(&m, 2);
-    let toks0 = tokens_for(&m, 2, 91);
-    let _ = m.decode_batch(&toks0, &mut batch, &ExactGemm);
-    // Warm a 3-token cache off to the side (plus its solo mirror).
-    let mut warmed = m.new_cache();
-    let mut warmed_solo = m.new_cache();
-    for t in 0..3 {
-        let tok = tokens_for(&m, 1, 92 + t);
-        let _ = m.decode_step(&tok.row(0), &mut warmed, &ExactGemm);
-        let _ = m.decode_step(&tok.row(0), &mut warmed_solo, &ExactGemm);
-    }
-    *batch.seq_mut(0) = warmed;
-    // Solo mirror of slot 1's original history.
-    let mut solo1 = m.new_cache();
-    let _ = m.decode_step(&toks0.row(1), &mut solo1, &ExactGemm);
-    let toks = tokens_for(&m, 2, 95);
-    let got = m.decode_batch(&toks, &mut batch, &ExactGemm);
-    let want0 = m.decode_step(&toks.row(0), &mut warmed_solo, &ExactGemm);
-    let want1 = m.decode_step(&toks.row(1), &mut solo1, &ExactGemm);
-    assert_eq!(got.row(0), want0, "swapped-in cache diverged");
-    assert_eq!(got.row(1), want1, "untouched slot diverged");
-    assert_eq!((batch.seq(0).len(), batch.seq(1).len()), (4, 2));
-}
-
-#[test]
-#[should_panic(expected = "cache layer mismatch")]
-fn seq_mut_foreign_model_cache_rejected() {
-    // The unsupported mutation: a cache built for a different model is
-    // rejected on the next decode instead of corrupting attention.
-    let m = tiny();
-    let other = TransformerModel::random(
-        TransformerConfig {
-            layers: m.config().layers + 1,
-            ..m.config().clone()
-        },
-        4,
-        5,
-    );
-    let mut batch = BatchedKvCache::new(&m, 2);
-    let toks = tokens_for(&m, 2, 96);
-    let _ = m.decode_batch(&toks, &mut batch, &ExactGemm);
-    *batch.seq_mut(0) = other.new_cache();
-    let _ = m.decode_batch(&toks, &mut batch, &ExactGemm);
 }

@@ -7,7 +7,7 @@
 //! would pollute the exact count assertions.
 
 use pdac_math::Mat;
-use pdac_nn::{BatchedKvCache, ExactGemm, TransformerConfig, TransformerModel};
+use pdac_nn::{ExactGemm, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel};
 use pdac_power::meter::EnergyMeter;
 use pdac_power::model::{DriverKind, PowerModel};
 use pdac_power::{ArchConfig, EnergyModel, OpClass, TechParams};
@@ -20,7 +20,7 @@ fn token_rows(model: &TransformerModel, s: usize, seed: u64) -> Mat {
 }
 
 fn run(model: &TransformerModel, s: usize, steps: usize) -> Vec<Mat> {
-    let mut batch = BatchedKvCache::new(model, s);
+    let mut batch = PagedKvCache::new(model, s, PagedConfig::default());
     (0..steps)
         .map(|t| {
             let tokens = token_rows(model, s, 70 + t as u64);

@@ -327,7 +327,7 @@ fn decode_prompt(
     let start = cache.seq_len(slot);
     for tok in &prompt[start..] {
         let tokens = Mat::from_rows(1, tok.len(), tok.clone()).expect("token row");
-        model.decode_paged_with(&tokens, cache, &[slot], &ExactGemm, scratch, &mut out);
+        model.decode_batch_with(&tokens, cache, &[slot], &ExactGemm, scratch, &mut out);
     }
 }
 

@@ -14,14 +14,12 @@
 //! * `PDAC_SERVE_BACKEND` — `exact` | `pdac` | `edac` | `hybrid`
 //!   (default `pdac`; `hybrid` runs activations on the P-DAC and
 //!   weights on the e-DAC path)
-//! * `PDAC_SERVE_KV` — `flat` | `paged` (default `flat`): `paged` backs
-//!   the KV cache with the block allocator + prefix sharing, honouring
-//!   `PDAC_KV_BLOCK_TOKENS` / `PDAC_KV_BUDGET_BYTES`; the run is
-//!   re-played on a flat server afterwards and both completions must be
-//!   bit-identical (the paging CI smoke)
+//! * `PDAC_KV_BLOCK_TOKENS` / `PDAC_KV_BUDGET_BYTES` — page size in
+//!   tokens (default 16) and byte budget (default unbounded) of the
+//!   paged KV cache; a malformed value exits 2
 //! * `PDAC_SERVE_SHARED_PROMPT` — first N prompt tokens identical
-//!   across all requests (default 0), so a paged run exercises
-//!   hash-consed prefix sharing
+//!   across all requests (default 0), so the run exercises hash-consed
+//!   prefix sharing
 //! * `PDAC_SERVE_HIDDEN` / `PDAC_SERVE_LAYERS` / `PDAC_SERVE_HEADS` —
 //!   model shape (default 64 / 2 / 4)
 //! * `PDAC_SERVE_METER` — `auto` | `pdac` | `edac` | `hybrid` | `off`:
@@ -57,9 +55,14 @@
 //! After the run it prints a p50/p95/p99 latency table for the SLO
 //! histograms (queue-wait, TTFT, ITL, e2e) and — when a meter is
 //! installed — a per-class energy table with joules/token and
-//! tokens/joule. Exits nonzero if any request fails to retire, the
-//! trace file fails validation, or the meter ran but the `power.*`
-//! gauges are missing from telemetry (the CI smoke gates).
+//! tokens/joule, then replays every request alone through
+//! `decode_step` ([`pdac_serve::solo_reference`]). Exits nonzero if any
+//! request fails to retire, a completion differs from its solo replay
+//! by one bit, the trace file fails validation, or the meter ran but
+//! the `power.*` gauges are missing from telemetry (the CI smoke
+//! gates). The replay is skipped, with a note, when sentinel failover
+//! rerouted steps to the exact backend: those bits cannot match a
+//! replay on the configured backend.
 
 use std::time::Instant;
 
@@ -74,7 +77,7 @@ use pdac_nn::{
 use pdac_power::meter::EnergyMeter;
 use pdac_power::model::{DriverKind, PowerModel};
 use pdac_power::{ArchConfig, EnergyModel, OpClass, TechParams};
-use pdac_serve::{Request, TokenServer};
+use pdac_serve::{solo_reference, Request, TokenServer};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -213,15 +216,10 @@ fn main() {
     let layers = env_usize("PDAC_SERVE_LAYERS", 2);
     let heads = env_usize("PDAC_SERVE_HEADS", 4);
     let backend_name = std::env::var("PDAC_SERVE_BACKEND").unwrap_or_else(|_| "pdac".to_string());
-    let kv_mode = std::env::var("PDAC_SERVE_KV").unwrap_or_else(|_| "flat".to_string());
-    let paged = match kv_mode.as_str() {
-        "flat" => false,
-        "paged" => true,
-        other => {
-            eprintln!("unknown PDAC_SERVE_KV {other:?} (use flat|paged)");
-            std::process::exit(2);
-        }
-    };
+    let kv_config = PagedConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("serve: {e}");
+        std::process::exit(2);
+    });
     let shared_prompt = env_usize("PDAC_SERVE_SHARED_PROMPT", 0).min(prompt_len);
 
     let config = TransformerConfig {
@@ -334,11 +332,7 @@ fn main() {
         server
     });
 
-    let mut server = if paged {
-        TokenServer::new_paged(&model, batch, PagedConfig::from_env())
-    } else {
-        TokenServer::new(&model, batch)
-    };
+    let mut server = TokenServer::new_paged(&model, batch, kv_config.clone());
     // Shared prefix drawn once so every request opens with the same
     // tokens (system-prompt shape); tails stay per-request.
     let mut shared_rng = pdac_math::rng::SplitMix64::seed_from_u64(999);
@@ -415,30 +409,34 @@ fn main() {
         counter("serve.admitted"),
         counter("serve.retired")
     );
-    if let Some(stats) = server.kv_stats() {
-        println!(
-            "serve: kv paged block={} pages={} bytes={} shared_tokens={} shared_hits={} \
-             evicted={} cow={} over_budget={} deferred={}",
-            env_usize("PDAC_KV_BLOCK_TOKENS", 16),
-            stats.live_pages,
-            stats.live_bytes,
-            stats.shared_tokens,
-            stats.shared_hits,
-            stats.evicted_pages,
-            stats.cow_copies,
-            stats.over_budget_pages,
-            server.kv_deferred(),
-        );
-        // The paging smoke: a paged run must leave the kv gauges in
-        // telemetry, and a shared-prompt trace must actually share.
-        if !snap.gauges.iter().any(|(n, _)| n == "serve.kv.pages") {
-            eprintln!("serve: FAIL — paged run but gauge serve.kv.pages missing");
-            std::process::exit(1);
-        }
-        if shared_prompt > 0 && requests > 1 && counter("serve.kv.shared") == 0 {
-            eprintln!("serve: FAIL — shared prompts but serve.kv.shared stayed 0");
-            std::process::exit(1);
-        }
+    let stats = server
+        .kv_stats()
+        .expect("the server always pages its KV cache");
+    println!(
+        "serve: kv paged block={} budget={} pages={} bytes={} shared_tokens={} shared_hits={} \
+         evicted={} cow={} over_budget={} deferred={}",
+        kv_config.block_tokens,
+        kv_config
+            .budget_bytes
+            .map_or("none".to_string(), |b| b.to_string()),
+        stats.live_pages,
+        stats.live_bytes,
+        stats.shared_tokens,
+        stats.shared_hits,
+        stats.evicted_pages,
+        stats.cow_copies,
+        stats.over_budget_pages,
+        server.kv_deferred(),
+    );
+    // The paging smoke: the run must leave the kv gauges in telemetry,
+    // and a shared-prompt trace must actually share.
+    if !snap.gauges.iter().any(|(n, _)| n == "serve.kv.pages") {
+        eprintln!("serve: FAIL — gauge serve.kv.pages missing");
+        std::process::exit(1);
+    }
+    if shared_prompt > 0 && requests > 1 && counter("serve.kv.shared") == 0 {
+        eprintln!("serve: FAIL — shared prompts but serve.kv.shared stayed 0");
+        std::process::exit(1);
     }
     print_slo_table(&snap.histograms);
 
@@ -514,32 +512,33 @@ fn main() {
         "every completion carries max_new hidden states"
     );
 
-    if paged {
-        // Paging must never change results: replay the identical trace
-        // on a flat server and demand bit-identical completions.
-        let mut flat = TokenServer::new(&model, batch);
-        for req in &trace {
-            flat.admit(req.clone());
-        }
-        flat.run(&*backend);
-        let mut flat_done = flat.take_completions();
-        let mut paged_done = completions.clone();
-        flat_done.sort_by_key(|c| c.id);
-        paged_done.sort_by_key(|c| c.id);
-        let identical = flat_done.len() == paged_done.len()
-            && flat_done.iter().zip(&paged_done).all(|(f, p)| {
-                f.id == p.id
-                    && f.hidden.len() == p.hidden.len()
-                    && f.hidden.iter().zip(&p.hidden).all(|(a, b)| {
-                        a.len() == b.len()
-                            && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-                    })
-            });
-        if !identical {
-            eprintln!("serve: FAIL — paged completions diverged from the flat replay");
+    // Batching, scheduling and prefix sharing must never change results:
+    // replay every request alone through `decode_step` and demand
+    // bit-identical completions.
+    if server.failover_steps() > 0 {
+        println!(
+            "serve: note — solo replay skipped: {} steps failed over to the exact backend",
+            server.failover_steps()
+        );
+    } else {
+        let bits = |rows: &[Vec<f64>]| -> Vec<u64> {
+            rows.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        let diverged: Vec<u64> = completions
+            .iter()
+            .filter(|c| {
+                bits(&c.hidden) != bits(&solo_reference(&model, &*backend, &trace[c.id as usize]))
+            })
+            .map(|c| c.id)
+            .collect();
+        if !diverged.is_empty() {
+            eprintln!("serve: FAIL — requests {diverged:?} diverged from their solo replay");
             std::process::exit(1);
         }
-        println!("serve: kv paged completions bit-identical to flat replay");
+        println!(
+            "serve: all {} completions bit-identical to solo decode_step",
+            completions.len()
+        );
     }
 
     // The health verdict gate: mirror the ledger to stdout and exit

@@ -11,14 +11,14 @@
 //! granularity, never blocking on each other).
 //!
 //! [`TokenServer`] implements the scheduler: requests wait in an
-//! admission queue, free slots are filled at the start of every step,
-//! each step advances all active sequences by one token through
-//! [`TransformerModel::decode_batch_with`], and sequences retire as soon
-//! as they reach their token budget. Because the batched engine is
-//! row-for-row **bit-identical** to sequential
+//! admission queue, free slots of one shared [`PagedKvCache`] are filled
+//! at the start of every step, each step advances all active sequences
+//! by one token through [`TransformerModel::decode_batch_with`], and
+//! sequences retire as soon as they reach their token budget. Because
+//! the batched engine is row-for-row **bit-identical** to sequential
 //! [`TransformerModel::decode_step`] calls, a served request produces
-//! exactly the hidden states it would have produced alone — scheduling
-//! changes throughput, never results.
+//! exactly the hidden states it would have produced alone
+//! ([`solo_reference`]) — scheduling changes throughput, never results.
 //!
 //! # Telemetry
 //!
@@ -67,17 +67,18 @@
 //!
 //! # KV paging
 //!
-//! [`TokenServer::new_paged`] serves through a [`PagedKvCache`] instead
-//! of per-request flat caches: sequences share physical K/V pages for
-//! equal prompt prefixes (each request's prompt is hashed at block
-//! boundaries on admission; a retiring-past-its-prompt request
-//! *publishes* its full-block prefix pages, and later admissions with a
-//! matching prefix map them instead of recomputing), and total KV memory
-//! respects `PDAC_KV_BUDGET_BYTES`: admission defers a queued request —
-//! counter `serve.kv.defer` — while its worst-case page demand can't be
-//! met from free pages, budget headroom and evictable prefix entries.
-//! Decode results stay bit-identical to the flat server and to solo
-//! `decode_step` (the page table is pure indirection). Gauges
+//! Every server keeps all K/V state in one [`PagedKvCache`] shaped by
+//! the [`PagedConfig`] given to [`TokenServer::new_paged`]: sequences
+//! share physical K/V pages for equal prompt prefixes (each request's
+//! prompt is hashed at block boundaries on admission; a
+//! past-its-prompt request *publishes* its full-block prefix pages, and
+//! later admissions with a matching prefix map them instead of
+//! recomputing), and total KV memory respects the configured byte
+//! budget: admission defers a queued request — counter
+//! `serve.kv.defer` — while its worst-case page demand can't be met
+//! from free pages, budget headroom and evictable prefix entries.
+//! Decode results stay bit-identical to solo `decode_step` (the page
+//! table is pure indirection). Gauges
 //! `serve.kv.{pages,bytes}` and counters
 //! `serve.kv.{shared,evicted,cow,over_budget}` track the cache;
 //! `serve.kv.request_pages` records each retiring request's mapped page
@@ -86,23 +87,29 @@
 //! # Examples
 //!
 //! ```
-//! use pdac_nn::{ExactGemm, TransformerConfig, TransformerModel};
-//! use pdac_serve::{Request, TokenServer};
+//! use pdac_nn::{ExactGemm, PagedConfig, TransformerConfig, TransformerModel};
+//! use pdac_serve::{solo_reference, Request, TokenServer};
 //!
 //! let model = TransformerModel::random(TransformerConfig::tiny(), 4, 42);
-//! let mut server = TokenServer::new(&model, 2);
+//! let mut server = TokenServer::new_paged(&model, 2, PagedConfig::default());
 //! let prompt = model.random_input(1);
-//! for id in 0..3 {
-//!     server.admit(Request {
+//! let requests: Vec<Request> = (0..3)
+//!     .map(|id| Request {
 //!         id,
 //!         prompt: vec![prompt.row(0), prompt.row(1)],
 //!         max_new_tokens: 3,
-//!     });
+//!     })
+//!     .collect();
+//! for request in &requests {
+//!     server.admit(request.clone());
 //! }
 //! server.run(&ExactGemm);
-//! let done = server.take_completions();
+//! let mut done = server.take_completions();
+//! done.sort_by_key(|c| c.id);
 //! assert_eq!(done.len(), 3);
-//! assert!(done.iter().all(|c| c.hidden.len() == 3));
+//! for (c, request) in done.iter().zip(&requests) {
+//!     assert_eq!(c.hidden, solo_reference(&model, &ExactGemm, request));
+//! }
 //! ```
 
 use std::collections::VecDeque;
@@ -112,8 +119,8 @@ pub mod sentinel;
 
 use pdac_math::Mat;
 use pdac_nn::{
-    prefix_block_hashes, DecodeScratch, ExactGemm, GemmBackend, KvCache, KvStats, PagedConfig,
-    PagedKvCache, TransformerModel,
+    prefix_block_hashes, DecodeScratch, ExactGemm, GemmBackend, KvStats, PagedConfig, PagedKvCache,
+    TransformerModel,
 };
 
 /// The embedding fed back as the next input token once a sequence runs
@@ -125,6 +132,38 @@ use pdac_nn::{
 /// to reproduce served sequences bit-for-bit.
 pub fn feedback_embedding(hidden: &[f64]) -> Vec<f64> {
     hidden.iter().map(|v| v.tanh()).collect()
+}
+
+/// The hidden states `request` must produce when served: the request
+/// decoded alone through [`TransformerModel::decode_step`] over a flat
+/// [`pdac_nn::KvCache`], feeding back [`feedback_embedding`] past the
+/// prompt (an empty prompt starts from a zero embedding). Every
+/// [`Completion::hidden`] of a [`TokenServer`] run on the same backend
+/// equals this bit for bit, whatever the batch, schedule or prefix
+/// sharing — unless sentinel failover rerouted steps to [`ExactGemm`]
+/// ([`TokenServer::failover_steps`]).
+pub fn solo_reference(
+    model: &TransformerModel,
+    backend: &dyn GemmBackend,
+    request: &Request,
+) -> Vec<Vec<f64>> {
+    let mut generated: Vec<Vec<f64>> = Vec::with_capacity(request.max_new_tokens);
+    if request.max_new_tokens == 0 {
+        return generated;
+    }
+    let mut cache = model.new_cache();
+    let mut scratch = DecodeScratch::new();
+    let mut step = |tok: &[f64]| model.decode_step_with(tok, &mut cache, backend, &mut scratch);
+    let mut last = None;
+    for tok in &request.prompt {
+        last = Some(step(tok));
+    }
+    generated.push(last.unwrap_or_else(|| step(&vec![0.0; model.config().hidden])));
+    while generated.len() < request.max_new_tokens {
+        let tok = feedback_embedding(generated.last().expect("nonempty"));
+        generated.push(step(&tok));
+    }
+    generated
 }
 
 /// One inference request: a prompt of token embeddings plus a budget of
@@ -158,8 +197,8 @@ pub struct Completion {
     /// split across the active batch in proportion to per-sequence
     /// modeled MACs. `0.0` when no meter is installed.
     pub energy_j: f64,
-    /// KV pages the request's slot mapped at retirement (paged servers
-    /// only; `0` on flat servers and zero-budget requests). Shared
+    /// KV pages the request's slot mapped at retirement (`0` for
+    /// zero-budget requests, which never take a slot). Shared
     /// prefix pages count once per mapping, so two requests sharing a
     /// prefix each report the full page count while the cache holds one
     /// physical copy.
@@ -174,22 +213,16 @@ struct Queued {
     /// The request's root span (`serve.request`), open from admission to
     /// retirement; children attach through its context.
     span: pdac_telemetry::OwnedSpan<'static>,
-    /// Block-boundary prompt hashes (paged servers only), capped so the
-    /// last prompt token is always computed — its hidden output is the
-    /// request's first generated entry.
+    /// Block-boundary prompt hashes, capped so the last prompt token is
+    /// always computed — its hidden output is the request's first
+    /// generated entry.
     hashes: Vec<u64>,
-}
-
-/// Where an active sequence's K/V rows live: its own flat cache, or a
-/// slot of the server's shared [`PagedKvCache`].
-enum SeqKv {
-    Flat(KvCache),
-    Paged(usize),
 }
 
 struct Active {
     id: u64,
-    kv: SeqKv,
+    /// The sequence's slot in the server's [`PagedKvCache`].
+    slot: usize,
     prompt: Vec<Vec<f64>>,
     pos: usize,
     generated: Vec<Vec<f64>>,
@@ -202,10 +235,10 @@ struct Active {
     entered_ns: u64,
     /// Modeled joules attributed so far (see [`Completion::energy_j`]).
     energy_j: f64,
-    /// Prompt hashes carried from admission (paged servers only).
+    /// Prompt hashes carried from admission.
     hashes: Vec<u64>,
     /// Whether this sequence's prompt prefix has been published to the
-    /// paged cache's prefix index (once, when `pos` passes the prompt).
+    /// cache's prefix index (once, when `pos` passes the prompt).
     published: bool,
 }
 
@@ -237,9 +270,9 @@ pub struct TokenServer<'m> {
     occupancy_sum: u64,
     energy_j: f64,
     shed_steps: u64,
-    /// The shared paged KV cache (`None` on flat servers).
-    paged: Option<PagedKvCache>,
-    /// Idle slot indices of the paged cache.
+    /// The K/V rows of every active sequence.
+    kv: PagedKvCache,
+    /// Idle slot indices of `kv`.
     free_slots: Vec<usize>,
     /// Admissions deferred for KV budget headroom (`serve.kv.defer`).
     kv_deferred: u64,
@@ -252,12 +285,14 @@ pub struct TokenServer<'m> {
 }
 
 impl<'m> TokenServer<'m> {
-    /// A server decoding at most `max_batch` sequences per step.
+    /// A server decoding at most `max_batch` sequences per step, with
+    /// all K/V state in one [`PagedKvCache`] of `max_batch` slots shaped
+    /// by `config` (block size, byte budget).
     ///
     /// # Panics
     ///
-    /// Panics if `max_batch == 0`.
-    pub fn new(model: &'m TransformerModel, max_batch: usize) -> Self {
+    /// Panics if `max_batch == 0` or `config.block_tokens == 0`.
+    pub fn new_paged(model: &'m TransformerModel, max_batch: usize, config: PagedConfig) -> Self {
         assert!(max_batch > 0, "max_batch must be nonzero");
         Self {
             model,
@@ -273,28 +308,13 @@ impl<'m> TokenServer<'m> {
             occupancy_sum: 0,
             energy_j: 0.0,
             shed_steps: 0,
-            paged: None,
-            free_slots: Vec::new(),
+            kv: PagedKvCache::new(model, max_batch, config),
+            // Pop order is cosmetic; reversed so slot 0 is used first.
+            free_slots: (0..max_batch).rev().collect(),
             kv_deferred: 0,
             failover_armed: std::env::var("PDAC_SENTINEL_FAILOVER").is_ok_and(|v| v == "1"),
             failover_steps: 0,
         }
-    }
-
-    /// A server decoding through a shared [`PagedKvCache`] (prefix
-    /// sharing + byte budget) instead of per-request flat caches.
-    /// Results are bit-identical to [`Self::new`]; only memory behavior
-    /// and the `serve.kv.*` telemetry differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch == 0` or `config.block_tokens == 0`.
-    pub fn new_paged(model: &'m TransformerModel, max_batch: usize, config: PagedConfig) -> Self {
-        let mut server = Self::new(model, max_batch);
-        server.paged = Some(PagedKvCache::new(model, max_batch, config));
-        // Pop order is cosmetic; reversed so slot 0 is used first.
-        server.free_slots = (0..max_batch).rev().collect();
-        server
     }
 
     /// Enqueues a request. Zero-budget requests complete immediately.
@@ -330,20 +350,13 @@ impl<'m> TokenServer<'m> {
             });
             return;
         }
-        // Paged servers hash the prompt at block boundaries once, at
-        // admission. Capped at `prompt_len - 1`: the last prompt token's
-        // hidden state is the request's first output, so it must be
-        // computed even when the whole prompt's pages are shareable.
-        let hashes = match &self.paged {
-            Some(paged) if !request.prompt.is_empty() => {
-                let block = paged.block_tokens();
-                let mut hashes =
-                    prefix_block_hashes(request.prompt.iter().map(Vec::as_slice), block);
-                hashes.truncate((request.prompt.len() - 1) / block);
-                hashes
-            }
-            _ => Vec::new(),
-        };
+        // Hash the prompt at block boundaries once, at admission.
+        // Capped at `prompt_len - 1`: the last prompt token's hidden
+        // state is the request's first output, so it must be computed
+        // even when the whole prompt's pages are shareable.
+        let block = self.kv.block_tokens();
+        let mut hashes = prefix_block_hashes(request.prompt.iter().map(Vec::as_slice), block);
+        hashes.truncate(request.prompt.len().saturating_sub(1) / block);
         self.queue.push_back(Queued {
             request,
             admitted_ns,
@@ -411,14 +424,13 @@ impl<'m> TokenServer<'m> {
         self.failover_steps
     }
 
-    /// Paging statistics of the shared KV cache (`None` on flat
-    /// servers).
+    /// Paging statistics of the shared KV cache (always `Some`).
     pub fn kv_stats(&self) -> Option<KvStats> {
-        self.paged.as_ref().map(PagedKvCache::stats)
+        Some(self.kv.stats())
     }
 
     /// Admissions deferred for KV budget headroom so far (the
-    /// `serve.kv.defer` counter; always `0` on flat servers).
+    /// `serve.kv.defer` counter).
     pub fn kv_deferred(&self) -> u64 {
         self.kv_deferred
     }
@@ -465,21 +477,19 @@ impl<'m> TokenServer<'m> {
             let Some(front) = self.queue.front() else {
                 break;
             };
-            // Budget-aware admission (paged servers): defer the request
-            // while its worst-case page demand — prompt + generation,
-            // minus what the prefix cache already holds — cannot be met
-            // from free pages, budget headroom and evictable prefixes.
-            // With nothing in flight it admits anyway (over-budget
-            // growth is counted, never fatal): deferring would deadlock.
-            if let Some(paged) = &self.paged {
-                let shared = paged.probe_prefix(&front.hashes);
-                let worst = (front.request.prompt.len().max(1) + front.request.max_new_tokens - 1)
-                    .saturating_sub(shared);
-                if !self.active.is_empty() && !paged.can_fit(worst) {
-                    self.kv_deferred += 1;
-                    pdac_telemetry::counter_add("serve.kv.defer", 1);
-                    break;
-                }
+            // Budget-aware admission: defer the request while its
+            // worst-case page demand — prompt + generation, minus what
+            // the prefix cache already holds — cannot be met from free
+            // pages, budget headroom and evictable prefixes. With
+            // nothing in flight it admits anyway (over-budget growth is
+            // counted, never fatal): deferring would deadlock.
+            let shared = self.kv.probe_prefix(&front.hashes);
+            let worst = (front.request.prompt.len().max(1) + front.request.max_new_tokens - 1)
+                .saturating_sub(shared);
+            if !self.active.is_empty() && !self.kv.can_fit(worst) {
+                self.kv_deferred += 1;
+                pdac_telemetry::counter_add("serve.kv.defer", 1);
+                break;
             }
             let q = self.queue.pop_front().expect("front exists");
             let entered_ns = pdac_telemetry::now_ns();
@@ -492,19 +502,13 @@ impl<'m> TokenServer<'m> {
                 q.span.ctx(),
                 None,
             );
-            // Paged: claim a slot and map any published prefix; the
-            // sequence then resumes at the first unshared prompt token.
-            let (kv, pos) = match &mut self.paged {
-                Some(paged) => {
-                    let slot = self.free_slots.pop().expect("active < max_batch");
-                    let shared = paged.lookup_prefix(slot, &q.hashes);
-                    (SeqKv::Paged(slot), shared)
-                }
-                None => (SeqKv::Flat(self.model.new_cache()), 0),
-            };
+            // Claim a slot and map any published prefix; the sequence
+            // then resumes at the first unshared prompt token.
+            let slot = self.free_slots.pop().expect("active < max_batch");
+            let pos = self.kv.lookup_prefix(slot, &q.hashes);
             self.active.push(Active {
                 id: q.request.id,
-                kv,
+                slot,
                 prompt: q.request.prompt,
                 pos,
                 generated: Vec::new(),
@@ -538,43 +542,15 @@ impl<'m> TokenServer<'m> {
         }
         let tokens = Mat::from_rows(s, hidden, data).expect("batch assembly");
         let energy_before = pdac_power::meter::snapshot().map(|snap| snap.total_j());
-        match &mut self.paged {
-            Some(paged) => {
-                let slots: Vec<usize> = self
-                    .active
-                    .iter()
-                    .map(|a| match &a.kv {
-                        SeqKv::Paged(slot) => *slot,
-                        SeqKv::Flat(_) => unreachable!("flat sequence on a paged server"),
-                    })
-                    .collect();
-                self.model.decode_paged_with(
-                    &tokens,
-                    paged,
-                    &slots,
-                    backend,
-                    &mut self.scratch,
-                    &mut self.out,
-                );
-            }
-            None => {
-                let mut caches: Vec<&mut KvCache> = self
-                    .active
-                    .iter_mut()
-                    .map(|a| match &mut a.kv {
-                        SeqKv::Flat(cache) => cache,
-                        SeqKv::Paged(_) => unreachable!("paged sequence on a flat server"),
-                    })
-                    .collect();
-                self.model.decode_batch_with(
-                    &tokens,
-                    &mut caches,
-                    backend,
-                    &mut self.scratch,
-                    &mut self.out,
-                );
-            }
-        }
+        let slots: Vec<usize> = self.active.iter().map(|a| a.slot).collect();
+        self.model.decode_batch_with(
+            &tokens,
+            &mut self.kv,
+            &slots,
+            backend,
+            &mut self.scratch,
+            &mut self.out,
+        );
         // Split the step's metered energy delta across the batch in
         // proportion to per-sequence modeled MACs (projections + FFN are
         // shape-uniform; the KV terms scale with each context length),
@@ -585,16 +561,12 @@ impl<'m> TokenServer<'m> {
                 if delta > 0.0 {
                     let d = hidden as f64;
                     let ff = self.model.config().ff_dim() as f64;
-                    let paged = self.paged.as_ref();
                     let weights: Vec<f64> = self
                         .active
                         .iter()
                         .map(|a| {
-                            let len = match &a.kv {
-                                SeqKv::Flat(cache) => cache.len(),
-                                SeqKv::Paged(slot) => paged.expect("paged mode").seq_len(*slot),
-                            };
-                            4.0 * d * d + 2.0 * d * ff + 2.0 * d * len as f64
+                            let len = self.kv.seq_len(a.slot) as f64;
+                            4.0 * d * d + 2.0 * d * ff + 2.0 * d * len
                         })
                         .collect();
                     let total_w: f64 = weights.iter().sum();
@@ -614,11 +586,9 @@ impl<'m> TokenServer<'m> {
             if a.pos >= a.prompt.len() {
                 // The whole prompt is now cached: publish its full-block
                 // prefix pages so later requests with an equal prefix
-                // share them (paged servers, once per request).
+                // share them (once per request).
                 if !a.published {
-                    if let (SeqKv::Paged(slot), Some(paged)) = (&a.kv, self.paged.as_mut()) {
-                        paged.publish_prefix(*slot, &a.hashes);
-                    }
+                    self.kv.publish_prefix(a.slot, &a.hashes);
                     a.published = true;
                 }
                 a.generated.push(self.out.row(i));
@@ -644,20 +614,13 @@ impl<'m> TokenServer<'m> {
             if self.active[i].generated.len() >= self.active[i].max_new_tokens {
                 let a = self.active.remove(i);
                 pdac_telemetry::counter_add("serve.retired", 1);
-                // Paged retirement: record the slot's page footprint,
-                // then return its pages (shared prefixes survive via
-                // their prefix-index refcounts) and recycle the slot.
-                let kv_pages = match &a.kv {
-                    SeqKv::Paged(slot) => {
-                        let paged = self.paged.as_mut().expect("paged mode");
-                        let pages = paged.slot_page_ids(*slot).len();
-                        pdac_telemetry::observe("serve.kv.request_pages", pages as f64);
-                        paged.reset_slot(*slot);
-                        self.free_slots.push(*slot);
-                        pages
-                    }
-                    SeqKv::Flat(_) => 0,
-                };
+                // Record the slot's page footprint, then return its pages
+                // (shared prefixes survive via their prefix-index
+                // refcounts) and recycle the slot.
+                let kv_pages = self.kv.slot_page_ids(a.slot).len();
+                pdac_telemetry::observe("serve.kv.request_pages", kv_pages as f64);
+                self.kv.reset_slot(a.slot);
+                self.free_slots.push(a.slot);
                 let end_ns = pdac_telemetry::now_ns();
                 pdac_telemetry::record_span(
                     "serve.request.generate",
@@ -727,6 +690,10 @@ mod tests {
         TransformerModel::random(TransformerConfig::tiny(), 4, 7)
     }
 
+    fn server(model: &TransformerModel, max_batch: usize) -> TokenServer<'_> {
+        TokenServer::new_paged(model, max_batch, PagedConfig::default())
+    }
+
     fn prompt_rows(model: &TransformerModel, len: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(seed);
         (0..len)
@@ -738,99 +705,94 @@ mod tests {
             .collect()
     }
 
-    /// The sequential ground truth: one request decoded alone through
-    /// `decode_step`, using the same feedback rule as the server.
-    fn reference_generate(
-        model: &TransformerModel,
-        backend: &dyn GemmBackend,
-        prompt: &[Vec<f64>],
-        max_new: usize,
-    ) -> Vec<Vec<f64>> {
-        let hidden = model.config().hidden;
-        let mut cache = model.new_cache();
-        let mut generated: Vec<Vec<f64>> = Vec::new();
-        if prompt.is_empty() {
-            let h = model.decode_step(&vec![0.0; hidden], &mut cache, backend);
-            generated.push(h);
-        } else {
-            for (i, tok) in prompt.iter().enumerate() {
-                let h = model.decode_step(tok, &mut cache, backend);
-                if i == prompt.len() - 1 {
-                    generated.push(h);
-                }
-            }
+    fn request(model: &TransformerModel, id: u64, prompt: usize, seed: u64, n: usize) -> Request {
+        Request {
+            id,
+            prompt: prompt_rows(model, prompt, seed),
+            max_new_tokens: n,
         }
-        while generated.len() < max_new {
-            let tok = feedback_embedding(generated.last().expect("nonempty"));
-            generated.push(model.decode_step(&tok, &mut cache, backend));
-        }
-        generated
     }
 
-    fn assert_server_matches_reference(backend: &dyn GemmBackend, max_batch: usize) {
-        let model = tiny_model();
-        let specs = [(0usize, 3usize), (2, 4), (5, 1), (1, 2)];
-        let mut server = TokenServer::new(&model, max_batch);
-        for (id, &(p, n)) in specs.iter().enumerate() {
-            server.admit(Request {
-                id: id as u64,
-                prompt: prompt_rows(&model, p, 100 + id as u64),
-                max_new_tokens: n,
-            });
+    /// Byte-level comparison: f64 bit patterns, not `==`.
+    fn bits(hidden: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        hidden
+            .iter()
+            .map(|row| row.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// Serves the shared spec battery through `server` and checks every
+    /// completion against its solo reference.
+    fn assert_server_matches_reference(server: &mut TokenServer, backend: &dyn GemmBackend) {
+        let model = server.model;
+        let requests: Vec<Request> = [(0usize, 3usize), (2, 4), (5, 1), (1, 2)]
+            .into_iter()
+            .enumerate()
+            .map(|(id, (p, n))| request(model, id as u64, p, 100 + id as u64, n))
+            .collect();
+        for r in &requests {
+            server.admit(r.clone());
         }
         server.run(backend);
         let mut done = server.take_completions();
-        assert_eq!(done.len(), specs.len());
+        assert_eq!(done.len(), requests.len());
         done.sort_by_key(|c| c.id);
-        for (id, &(p, n)) in specs.iter().enumerate() {
-            let want =
-                reference_generate(&model, backend, &prompt_rows(&model, p, 100 + id as u64), n);
-            let got = &done[id];
-            assert_eq!(got.prompt_tokens, p, "request {id}");
-            assert_eq!(got.hidden.len(), n, "request {id}");
-            assert_eq!(got.hidden, want, "request {id} diverged from solo decode");
+        for (got, r) in done.iter().zip(&requests) {
+            let id = r.id;
+            assert_eq!(got.prompt_tokens, r.prompt.len(), "request {id}");
+            assert_eq!(got.hidden.len(), r.max_new_tokens, "request {id}");
+            assert_eq!(
+                bits(&got.hidden),
+                bits(&solo_reference(model, backend, r)),
+                "request {id} diverged from solo decode"
+            );
         }
     }
 
     #[test]
     fn served_results_bit_identical_to_solo_decode_exact() {
-        assert_server_matches_reference(&ExactGemm, 2);
-        assert_server_matches_reference(&ExactGemm, 4);
+        let model = tiny_model();
+        assert_server_matches_reference(&mut server(&model, 2), &ExactGemm);
+        assert_server_matches_reference(&mut server(&model, 4), &ExactGemm);
     }
 
     #[test]
     fn served_results_bit_identical_to_solo_decode_analog() {
+        let model = tiny_model();
         let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pdac");
-        assert_server_matches_reference(&pdac, 3);
+        assert_server_matches_reference(&mut server(&model, 3), &pdac);
         let edac = AnalogGemm::new(ElectricalDac::new(8).unwrap(), "edac");
-        assert_server_matches_reference(&edac, 2);
+        assert_server_matches_reference(&mut server(&model, 2), &edac);
+    }
+
+    #[test]
+    fn solo_reference_of_zero_budget_request_is_empty() {
+        let model = tiny_model();
+        let r = request(&model, 0, 2, 3, 0);
+        assert!(solo_reference(&model, &ExactGemm, &r).is_empty());
     }
 
     #[test]
     fn mid_run_admission_matches_solo_decode() {
         let model = tiny_model();
         let backend = ExactGemm;
-        let mut server = TokenServer::new(&model, 4);
-        server.admit(Request {
-            id: 0,
-            prompt: prompt_rows(&model, 3, 1),
-            max_new_tokens: 6,
-        });
+        let mut server = server(&model, 4);
+        let requests = [request(&model, 0, 3, 1, 6), request(&model, 1, 1, 2, 2)];
+        server.admit(requests[0].clone());
         let _ = server.step(&backend);
         let _ = server.step(&backend);
         // A late arrival joins the running batch at token granularity.
-        server.admit(Request {
-            id: 1,
-            prompt: prompt_rows(&model, 1, 2),
-            max_new_tokens: 2,
-        });
+        server.admit(requests[1].clone());
         server.run(&backend);
         let mut done = server.take_completions();
         done.sort_by_key(|c| c.id);
-        for (id, (p, n)) in [(3usize, 6usize), (1, 2)].into_iter().enumerate() {
-            let want =
-                reference_generate(&model, &backend, &prompt_rows(&model, p, 1 + id as u64), n);
-            assert_eq!(done[id].hidden, want, "request {id}");
+        for (c, r) in done.iter().zip(&requests) {
+            assert_eq!(
+                c.hidden,
+                solo_reference(&model, &backend, r),
+                "request {}",
+                r.id
+            );
         }
         // Request 1 (2 tokens incl. prompt output) retires before 0.
         assert!(done[1].finished_step < done[0].finished_step);
@@ -839,13 +801,9 @@ mod tests {
     #[test]
     fn oversubscribed_queue_drains_in_fifo_order() {
         let model = tiny_model();
-        let mut server = TokenServer::new(&model, 2);
+        let mut server = server(&model, 2);
         for id in 0..5 {
-            server.admit(Request {
-                id,
-                prompt: prompt_rows(&model, 1, id),
-                max_new_tokens: 2,
-            });
+            server.admit(request(&model, id, 1, id, 2));
         }
         assert_eq!(server.pending(), 5);
         let retired_now = server.step(&ExactGemm);
@@ -867,16 +825,13 @@ mod tests {
     #[test]
     fn zero_budget_request_completes_without_decoding() {
         let model = tiny_model();
-        let mut server = TokenServer::new(&model, 2);
-        server.admit(Request {
-            id: 9,
-            prompt: prompt_rows(&model, 2, 3),
-            max_new_tokens: 0,
-        });
+        let mut server = server(&model, 2);
+        server.admit(request(&model, 9, 2, 3, 0));
         assert!(server.is_idle());
         let done = server.take_completions();
         assert_eq!(done.len(), 1);
         assert!(done[0].hidden.is_empty());
+        assert_eq!(done[0].kv_pages, 0);
         assert_eq!(server.fed_tokens(), 0);
     }
 
@@ -884,7 +839,7 @@ mod tests {
     #[should_panic(expected = "hidden dim mismatch")]
     fn bad_prompt_width_rejected_at_admission() {
         let model = tiny_model();
-        let mut server = TokenServer::new(&model, 1);
+        let mut server = server(&model, 1);
         server.admit(Request {
             id: 0,
             prompt: vec![vec![0.0; 3]],
@@ -896,114 +851,69 @@ mod tests {
     #[should_panic(expected = "max_batch must be nonzero")]
     fn zero_batch_capacity_rejected() {
         let model = tiny_model();
-        let _ = TokenServer::new(&model, 0);
+        let _ = server(&model, 0);
     }
 
-    // ---- paged serving ---------------------------------------------------
+    // ---- paging ----------------------------------------------------------
 
     #[test]
-    fn paged_server_bit_identical_to_flat_and_reference() {
-        // The full flat-server battery, served through a PagedKvCache
-        // (block 2, unbounded): every completion must still match the
-        // solo-decode reference bit for bit.
+    fn paged_server_bit_identical_to_solo_reference() {
+        // The battery again at block 2 (every sequence spans several
+        // pages), then a leak check: once idle, every slot is empty and
+        // only published prefixes still hold pages.
         let model = tiny_model();
-        let specs = [(0usize, 3usize), (2, 4), (5, 1), (1, 2)];
         for max_batch in [2usize, 4] {
             let mut server = TokenServer::new_paged(&model, max_batch, PagedConfig::new(2));
-            for (id, &(p, n)) in specs.iter().enumerate() {
-                server.admit(Request {
-                    id: id as u64,
-                    prompt: prompt_rows(&model, p, 100 + id as u64),
-                    max_new_tokens: n,
-                });
-            }
-            server.run(&ExactGemm);
-            let mut done = server.take_completions();
-            done.sort_by_key(|c| c.id);
-            for (id, &(p, n)) in specs.iter().enumerate() {
-                let want = reference_generate(
-                    &model,
-                    &ExactGemm,
-                    &prompt_rows(&model, p, 100 + id as u64),
-                    n,
-                );
-                assert_eq!(done[id].hidden, want, "request {id} (batch {max_batch})");
-            }
-            // Every slot was recycled; no pages leak past retirement
-            // except published prefixes.
-            let stats = server.kv_stats().expect("paged server");
-            assert_eq!(
-                stats.live_pages,
-                server
-                    .paged
-                    .as_ref()
-                    .unwrap()
-                    .mapped_page_ids()
-                    .len()
-                    .min(stats.live_pages)
-            );
+            assert_server_matches_reference(&mut server, &ExactGemm);
             assert_eq!(server.active(), 0);
+            assert!((0..max_batch).all(|slot| server.kv.seq_len(slot) == 0));
+            let mut held = server.kv.mapped_page_ids();
+            held.sort_unstable();
+            held.dedup();
+            let stats = server.kv_stats().expect("always paged");
+            assert_eq!(stats.live_pages, held.len(), "batch {max_batch}");
         }
     }
 
     #[test]
     fn shared_system_prompt_shares_pages_and_matches_unshared_run() {
-        // Satellite: two requests with an identical system prompt must
-        // report `serve.kv.shared > 0` and produce byte-identical
-        // completions to the unshared (flat-server) run.
+        // Two requests with an identical system prompt must report
+        // `serve.kv.shared > 0` and produce byte-identical completions
+        // to the unshared solo run.
         let model = tiny_model();
         let system_prompt = prompt_rows(&model, 5, 500); // block 2 → shares 4
-        let run = |paged: bool| -> (Vec<Completion>, Option<KvStats>) {
-            let mut server = if paged {
-                TokenServer::new_paged(&model, 2, PagedConfig::new(2))
-            } else {
-                TokenServer::new(&model, 2)
-            };
-            // First request runs alone past its prompt (publishing it on
-            // paged servers), then the second arrives and can share.
-            server.admit(Request {
-                id: 0,
+        let requests: Vec<Request> = (0..2)
+            .map(|id| Request {
+                id,
                 prompt: system_prompt.clone(),
                 max_new_tokens: 4,
-            });
-            for _ in 0..system_prompt.len() {
-                let _ = server.step(&ExactGemm);
-            }
-            server.admit(Request {
-                id: 1,
-                prompt: system_prompt.clone(),
-                max_new_tokens: 4,
-            });
-            server.run(&ExactGemm);
-            let mut done = server.take_completions();
-            done.sort_by_key(|c| c.id);
-            let stats = server.kv_stats();
-            (done, stats)
-        };
-        let (flat, none) = run(false);
-        assert!(none.is_none());
-        let (paged, stats) = run(true);
-        let stats = stats.expect("paged server");
+            })
+            .collect();
+        let mut server = TokenServer::new_paged(&model, 2, PagedConfig::new(2));
+        // First request runs alone past its prompt (publishing it), then
+        // the second arrives and can share.
+        server.admit(requests[0].clone());
+        for _ in 0..system_prompt.len() {
+            let _ = server.step(&ExactGemm);
+        }
+        server.admit(requests[1].clone());
+        server.run(&ExactGemm);
+        let mut done = server.take_completions();
+        done.sort_by_key(|c| c.id);
+        let stats = server.kv_stats().expect("always paged");
         assert!(stats.shared_tokens > 0, "identical prompts never shared");
         assert_eq!(stats.shared_tokens, 4, "block-aligned share depth");
-        assert_eq!(flat.len(), 2);
-        for (f, p) in flat.iter().zip(&paged) {
-            assert_eq!(f.id, p.id);
-            // Byte-identical: compare the f64 bit patterns.
-            let fb: Vec<Vec<u64>> = f
-                .hidden
-                .iter()
-                .map(|row| row.iter().map(|v| v.to_bits()).collect())
-                .collect();
-            let pb: Vec<Vec<u64>> = p
-                .hidden
-                .iter()
-                .map(|row| row.iter().map(|v| v.to_bits()).collect())
-                .collect();
-            assert_eq!(fb, pb, "request {} diverged from unshared run", f.id);
+        assert_eq!(done.len(), 2);
+        for (c, r) in done.iter().zip(&requests) {
+            assert_eq!(
+                bits(&c.hidden),
+                bits(&solo_reference(&model, &ExactGemm, r)),
+                "request {} diverged from unshared run",
+                c.id
+            );
         }
         // The sharer reports its mapped footprint.
-        assert!(paged[1].kv_pages > 0);
+        assert!(done[1].kv_pages > 0);
     }
 
     #[test]
@@ -1019,38 +929,27 @@ mod tests {
         let budget = layers * 4 * page_bytes;
         let mut server =
             TokenServer::new_paged(&model, 2, PagedConfig::new(2).with_budget_bytes(budget));
-        server.admit(Request {
-            id: 0,
-            prompt: prompt_rows(&model, 4, 600),
-            max_new_tokens: 3,
-        });
+        let requests = [request(&model, 0, 4, 600, 3), request(&model, 1, 4, 601, 3)];
+        server.admit(requests[0].clone());
         // Let request 0 build up its KV footprint, then enqueue the
         // second: its worst-case demand no longer fits the headroom.
         for _ in 0..3 {
             let _ = server.step(&ExactGemm);
         }
-        server.admit(Request {
-            id: 1,
-            prompt: prompt_rows(&model, 4, 601),
-            max_new_tokens: 3,
-        });
+        server.admit(requests[1].clone());
         server.run(&ExactGemm);
         assert!(server.kv_deferred() > 0, "budget never deferred admission");
-        let stats = server.kv_stats().expect("paged server");
+        let stats = server.kv_stats().expect("always paged");
         assert_eq!(stats.over_budget_pages, 0, "defer should prevent overflow");
         let mut done = server.take_completions();
         done.sort_by_key(|c| c.id);
         assert_eq!(done.len(), 2);
-        for (id, c) in done.iter().enumerate() {
-            let want = reference_generate(
-                &model,
-                &ExactGemm,
-                &prompt_rows(&model, 4, 600 + id as u64),
-                3,
-            );
+        for (c, r) in done.iter().zip(&requests) {
             assert_eq!(
-                c.hidden, want,
-                "request {id} diverged under budget pressure"
+                c.hidden,
+                solo_reference(&model, &ExactGemm, r),
+                "request {} diverged under budget pressure",
+                r.id
             );
         }
     }

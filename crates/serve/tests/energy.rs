@@ -4,7 +4,7 @@
 //! a process-global ambient: installing one while the lib tests decode
 //! in parallel would corrupt both sides' expectations.
 
-use pdac_nn::{ExactGemm, TransformerConfig, TransformerModel};
+use pdac_nn::{ExactGemm, PagedConfig, TransformerConfig, TransformerModel};
 use pdac_power::meter::EnergyMeter;
 use pdac_power::model::{DriverKind, PowerModel};
 use pdac_power::{ArchConfig, EnergyModel, OpClass, TechParams};
@@ -35,7 +35,7 @@ fn pdac_meter() -> EnergyMeter {
 }
 
 fn serve_all(m: &TransformerModel, max_batch: usize) -> (Vec<pdac_serve::Completion>, f64, f64) {
-    let mut server = TokenServer::new(m, max_batch);
+    let mut server = TokenServer::new_paged(m, max_batch, PagedConfig::default());
     for (id, (p, n)) in [(2usize, 3usize), (0, 2), (4, 4)].into_iter().enumerate() {
         server.admit(Request {
             id: id as u64,
@@ -85,7 +85,7 @@ fn energy_ledger_and_load_shed() {
     // Load shed: latch the budget while a batch is in flight and new
     // admissions must wait; clear it and they drain.
     let meter = pdac_power::meter::install(pdac_meter().with_budget_w(Some(1e-12)));
-    let mut server = TokenServer::new(&m, 4);
+    let mut server = TokenServer::new_paged(&m, 4, PagedConfig::default());
     for id in 0..3 {
         server.admit(Request {
             id,

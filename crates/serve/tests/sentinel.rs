@@ -9,7 +9,7 @@
 
 #![cfg(feature = "sentinel")]
 
-use pdac_nn::{AnalogGemm, ExactGemm, TransformerConfig, TransformerModel};
+use pdac_nn::{AnalogGemm, ExactGemm, PagedConfig, TransformerConfig, TransformerModel};
 use pdac_serve::sentinel::{
     FaultSpec, FaultyPDac, Sentinel, SentinelConfig, SentinelStats, Severity, SlotFault,
 };
@@ -46,7 +46,7 @@ fn serve_sampled(
         rate: 1.0,
         ..SentinelConfig::default()
     });
-    let mut server = TokenServer::new(m, 2);
+    let mut server = TokenServer::new_paged(m, 2, PagedConfig::default());
     for (id, (p, n)) in [(3usize, 4usize), (1, 3), (5, 4)].into_iter().enumerate() {
         server.admit(Request {
             id: id as u64,
@@ -70,7 +70,7 @@ fn clean_run_stays_green_and_serves_identical_bits() {
     let backend = AnalogGemm::new(pdac8(), "pdac8");
 
     // Reference run without any sentinel installed.
-    let mut server = TokenServer::new(&m, 2);
+    let mut server = TokenServer::new_paged(&m, 2, PagedConfig::default());
     for (id, (p, n)) in [(3usize, 4usize), (1, 3), (5, 4)].into_iter().enumerate() {
         server.admit(Request {
             id: id as u64,
@@ -159,7 +159,7 @@ fn failover_reroutes_steps_once_critical_latches() {
     pdac_telemetry::enable();
     let m = model();
     std::env::set_var("PDAC_SENTINEL_FAILOVER", "1");
-    let mut server = TokenServer::new(&m, 2);
+    let mut server = TokenServer::new_paged(&m, 2, PagedConfig::default());
     std::env::remove_var("PDAC_SENTINEL_FAILOVER");
     server.admit(Request {
         id: 0,
@@ -181,7 +181,7 @@ fn failover_reroutes_steps_once_critical_latches() {
 
     // Without the opt-in env the latch never reroutes.
     health::raise(Severity::Critical, "pdac8", "matmul", 0.5, 0.15);
-    let mut unarmed = TokenServer::new(&m, 2);
+    let mut unarmed = TokenServer::new_paged(&m, 2, PagedConfig::default());
     unarmed.admit(Request {
         id: 0,
         prompt: prompt_rows(&m, 1, 43),

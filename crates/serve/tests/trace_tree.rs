@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use pdac_nn::{ExactGemm, TransformerConfig, TransformerModel};
+use pdac_nn::{ExactGemm, PagedConfig, TransformerConfig, TransformerModel};
 use pdac_serve::{Request, TokenServer};
 use pdac_telemetry::SpanEvent;
 
@@ -44,7 +44,7 @@ fn every_admitted_request_yields_one_complete_span_tree() {
     // More requests than batch slots so some requests genuinely queue,
     // including a zero-budget request that completes at admission.
     let specs = [(10u64, 0usize, 3usize), (11, 2, 4), (12, 1, 2), (13, 3, 1)];
-    let mut server = TokenServer::new(&model, 2);
+    let mut server = TokenServer::new_paged(&model, 2, PagedConfig::default());
     for &(id, p, n) in &specs {
         server.admit(Request {
             id,

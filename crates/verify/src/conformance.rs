@@ -33,8 +33,8 @@ use pdac_math::Mat;
 use pdac_nn::gemm::{AnalogGemm, AsymmetricGemm, ExactGemm, GemmBackend};
 use pdac_nn::quant::QuantizedMat;
 use pdac_nn::{
-    prefix_block_hashes, BatchedKvCache, DecodeScratch, KvCache, PagedConfig, PagedKvCache,
-    TransformerConfig, TransformerModel,
+    prefix_block_hashes, DecodeScratch, KvCache, PagedConfig, PagedKvCache, TransformerConfig,
+    TransformerModel,
 };
 use pdac_power::ArchConfig;
 
@@ -263,162 +263,46 @@ fn decode_backends() -> Vec<(&'static str, Box<dyn GemmBackend>)> {
     ]
 }
 
-/// Batched decode vs sequential decode: every row of every
-/// `decode_batch` step must be bit-identical to feeding that sequence
-/// through `decode_step` alone — for each of [`decode_backends`] (the
-/// analog ones quantize activations per row against prepacked weights).
-fn batched_decode_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
+/// One decode-equivalence family on [`PagedKvCache`], for each of
+/// [`decode_backends`]: slot `i` is warmed to `warm[i]` tokens through
+/// single-slot `decode_batch_with`, then every slot advances together
+/// for a few steps — and every batched row must be bit-identical to
+/// feeding that sequence through `decode_step` alone over a flat
+/// `KvCache`, the solo reference. `name` maps a backend label to the
+/// row name; `salt` seeds the family's token stream.
+fn paged_rows_vs_decode_step(
+    cfg: &ConformanceConfig,
+    name: fn(&str) -> String,
+    salt: u64,
+    warm: &[usize],
+    block: usize,
+) -> Vec<CheckResult> {
     let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
     let hidden = model.config().hidden;
-    let s = 3usize;
-    let steps = cfg.decode_steps.clamp(2, 4);
-    let mut checks = Vec::new();
-    for (label, backend) in decode_backends() {
-        let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0xBA7C4);
-        let mut batch = BatchedKvCache::new(&model, s);
-        let mut solo: Vec<_> = (0..s).map(|_| model.new_cache()).collect();
-        let mut diffs = 0usize;
-        for _ in 0..steps {
-            let tokens = random_mat(s, hidden, &mut rng);
-            let got = model.decode_batch(&tokens, &mut batch, backend.as_ref());
-            for (sq, cache) in solo.iter_mut().enumerate() {
-                let want = model.decode_step(&tokens.row(sq), cache, backend.as_ref());
-                diffs += got
-                    .row_slice(sq)
-                    .iter()
-                    .zip(&want)
-                    .filter(|(x, y)| x.to_bits() != y.to_bits())
-                    .count();
-            }
-        }
-        checks.push(bit_identity_check(
-            &format!("decode.batch.{label}.rows_vs_decode_step"),
-            diffs,
-            format!("{steps} steps x batch {s}: decode_batch rows vs independent decode_step"),
-        ));
-    }
-    checks
-}
-
-/// The slot-grouped attention path under *ragged* cache lengths:
-/// caches are pre-warmed to distinct depths (2/0/1/2) so every
-/// subsequent step decodes against three slot-groups at once — one of
-/// them holding two sequences — and each `decode_batch_with` row must
-/// still be bit-identical to feeding that sequence through
-/// `decode_step` alone, for each of [`decode_backends`].
-///
-/// [`batched_decode_checks`] starts every cache empty, so all
-/// sequences share one slot-group; this check pins the gather /
-/// grouped-GEMM / scatter bookkeeping that only multiple groups
-/// exercise.
-fn grouped_attention_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
-    let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
-    let hidden = model.config().hidden;
-    let warm = [2usize, 0, 1, 2];
     let s = warm.len();
+    let slots: Vec<usize> = (0..s).collect();
     let steps = cfg.decode_steps.clamp(2, 4);
     let mut checks = Vec::new();
     for (label, backend) in decode_backends() {
-        let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x6A0B5);
-        let mut batched: Vec<KvCache> = (0..s).map(|_| model.new_cache()).collect();
-        let mut solo: Vec<KvCache> = (0..s).map(|_| model.new_cache()).collect();
-        // Warm both sides identically so the batch starts ragged.
-        for (sq, &depth) in warm.iter().enumerate() {
-            for _ in 0..depth {
-                let tok = random_mat(1, hidden, &mut rng);
-                let _ = model.decode_step(&tok.row(0), &mut batched[sq], backend.as_ref());
-                let _ = model.decode_step(&tok.row(0), &mut solo[sq], backend.as_ref());
-            }
-        }
-        let mut scratch = DecodeScratch::new();
-        let mut got = Mat::zeros(1, 1);
-        let mut diffs = 0usize;
-        for _ in 0..steps {
-            let tokens = random_mat(s, hidden, &mut rng);
-            {
-                let mut refs: Vec<&mut KvCache> = batched.iter_mut().collect();
-                model.decode_batch_with(
-                    &tokens,
-                    &mut refs,
-                    backend.as_ref(),
-                    &mut scratch,
-                    &mut got,
-                );
-            }
-            for (sq, cache) in solo.iter_mut().enumerate() {
-                let want = model.decode_step(&tokens.row(sq), cache, backend.as_ref());
-                diffs += got
-                    .row_slice(sq)
-                    .iter()
-                    .zip(&want)
-                    .filter(|(x, y)| x.to_bits() != y.to_bits())
-                    .count();
-            }
-        }
-        checks.push(bit_identity_check(
-            &format!("decode.batch.grouped_attention.{label}.rows_vs_decode_step"),
-            diffs,
-            format!(
-                "{steps} steps x batch {s}, pre-warmed cache depths {warm:?} (three \
-                 slot-groups per step): decode_batch_with rows vs independent decode_step"
-            ),
-        ));
-    }
-    checks
-}
-
-/// The paged KV cache vs the flat caches: the same ragged decode
-/// workload run through `decode_paged_with` (page-table indirection,
-/// block 2 so every sequence spans multiple pages) and through solo
-/// `decode_step` must produce bit-identical rows — for each of
-/// [`decode_backends`]. Plus two paged-only properties: a
-/// prefix-shared continuation matches the unshared run bit-for-bit, and
-/// copy-on-write divergence never mutates the forked-from sequence's
-/// pages.
-fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
-    let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
-    let hidden = model.config().hidden;
-    let warm = [2usize, 0, 1];
-    let s = warm.len();
-    let steps = cfg.decode_steps.clamp(2, 4);
-    let block = 2usize;
-    let mut checks = Vec::new();
-    for (label, backend) in decode_backends() {
-        let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x9A6ED);
+        let backend = backend.as_ref();
+        let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ salt);
         let mut paged = PagedKvCache::new(&model, s, PagedConfig::new(block));
         let mut solo: Vec<KvCache> = (0..s).map(|_| model.new_cache()).collect();
         let mut scratch = DecodeScratch::new();
         let mut got = Mat::zeros(1, 1);
-        // Warm both sides to ragged depths, slot by slot through the
-        // paged engine itself.
         for (sq, &depth) in warm.iter().enumerate() {
             for _ in 0..depth {
                 let tok = random_mat(1, hidden, &mut rng);
-                model.decode_paged_with(
-                    &tok,
-                    &mut paged,
-                    &[sq],
-                    backend.as_ref(),
-                    &mut scratch,
-                    &mut got,
-                );
-                let _ = model.decode_step(&tok.row(0), &mut solo[sq], backend.as_ref());
+                model.decode_batch_with(&tok, &mut paged, &[sq], backend, &mut scratch, &mut got);
+                let _ = model.decode_step(&tok.row(0), &mut solo[sq], backend);
             }
         }
-        let slots: Vec<usize> = (0..s).collect();
         let mut diffs = 0usize;
         for _ in 0..steps {
             let tokens = random_mat(s, hidden, &mut rng);
-            model.decode_paged_with(
-                &tokens,
-                &mut paged,
-                &slots,
-                backend.as_ref(),
-                &mut scratch,
-                &mut got,
-            );
+            model.decode_batch_with(&tokens, &mut paged, &slots, backend, &mut scratch, &mut got);
             for (sq, cache) in solo.iter_mut().enumerate() {
-                let want = model.decode_step(&tokens.row(sq), cache, backend.as_ref());
+                let want = model.decode_step(&tokens.row(sq), cache, backend);
                 diffs += got
                     .row_slice(sq)
                     .iter()
@@ -428,98 +312,142 @@ fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
             }
         }
         checks.push(bit_identity_check(
-            &format!("decode.kv.paged_vs_flat.{label}"),
+            &name(label),
             diffs,
             format!(
                 "{steps} steps x batch {s}, block {block}, pre-warmed depths {warm:?}: \
-                 decode_paged_with rows vs independent decode_step"
+                 decode_batch_with rows vs independent decode_step"
             ),
         ));
     }
+    checks
+}
+
+/// Batched decode vs solo `decode_step`, three ways (each through
+/// [`paged_rows_vs_decode_step`]):
+///
+/// * `decode.batch.*` — every slot starts empty, so all sequences share
+///   one slot-group; default block size (one page per layer here).
+/// * `decode.batch.grouped_attention.*` — pre-warmed depths 2/0/1/2, so
+///   every step decodes three slot-groups at once, one of them holding
+///   two sequences: pins the gather / grouped-GEMM / scatter
+///   bookkeeping only multiple groups exercise. Block 1 puts every
+///   token on its own page.
+/// * `decode.kv.paged_vs_decode_step.*` — ragged depths 2/0/1 at block
+///   2, so every sequence spans several pages.
+fn decode_row_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
+    let mut checks = paged_rows_vs_decode_step(
+        cfg,
+        |label| format!("decode.batch.{label}.rows_vs_decode_step"),
+        0xBA7C4,
+        &[0, 0, 0],
+        PagedConfig::default().block_tokens,
+    );
+    checks.extend(paged_rows_vs_decode_step(
+        cfg,
+        |label| format!("decode.batch.grouped_attention.{label}.rows_vs_decode_step"),
+        0x6A0B5,
+        &[2, 0, 1, 2],
+        1,
+    ));
+    checks.extend(paged_rows_vs_decode_step(
+        cfg,
+        |label| format!("decode.kv.paged_vs_decode_step.{label}"),
+        0x9A6ED,
+        &[2, 0, 1],
+        2,
+    ));
+    checks
+}
+
+/// Two paged-only properties: a prefix-shared continuation matches the
+/// unshared run bit-for-bit, and copy-on-write divergence never mutates
+/// the forked-from sequence's pages.
+fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
+    let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
+    let hidden = model.config().hidden;
+    let steps = cfg.decode_steps.clamp(2, 4);
+    let block = 2usize;
 
     // Shared prefix vs unshared: slot 0 decodes a block-aligned prompt
     // and publishes it; slot 1 maps the shared pages and continues with
     // the same tokens — its outputs must be bit-identical to the
     // recomputed (unshared) sequence.
-    {
-        let backend = ExactGemm;
-        let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x54A6E);
-        let prompt_len = 2 * block;
-        let extra = steps;
-        let mut paged = PagedKvCache::new(&model, 2, PagedConfig::new(block));
-        let mut solo = model.new_cache();
-        let mut scratch = DecodeScratch::new();
-        let mut got = Mat::zeros(1, 1);
-        let tokens: Vec<Mat> = (0..prompt_len + extra)
-            .map(|_| random_mat(1, hidden, &mut rng))
-            .collect();
-        let mut unshared = Vec::new();
-        for tok in &tokens {
-            model.decode_paged_with(tok, &mut paged, &[0], &backend, &mut scratch, &mut got);
-            unshared.push(got.clone());
-            let _ = model.decode_step(&tok.row(0), &mut solo, &backend);
-        }
-        let prompt_slices: Vec<&[f64]> = tokens[..prompt_len]
-            .iter()
-            .map(|t| t.row_slice(0))
-            .collect();
-        let hashes = prefix_block_hashes(prompt_slices, block);
-        paged.publish_prefix(0, &hashes);
-        let shared = paged.lookup_prefix(1, &hashes);
-        let mut diffs = 0usize;
-        for (i, tok) in tokens.iter().enumerate().skip(shared) {
-            model.decode_paged_with(tok, &mut paged, &[1], &backend, &mut scratch, &mut got);
-            diffs += differing_bits(&got, &unshared[i]);
-        }
-        // Sharing must actually have happened, or the comparison is
-        // vacuous — count a silent non-share as a failure.
-        diffs += usize::from(shared == 0);
-        checks.push(bit_identity_check(
-            "decode.kv.shared_prefix_vs_unshared",
-            diffs,
-            format!(
-                "prompt {prompt_len} (block {block}, {shared} tokens shared) + {extra} \
-                 continuation steps: prefix-shared slot vs unshared decode"
-            ),
-        ));
-
-        // Copy-on-write isolation: fork slot 1's sequence into slot 0
-        // (retired above — reset first), push a divergent step, and the
-        // original's K/V bits must be untouched.
-        paged.reset_slot(0);
-        // CoW only fires when the forked tail page is partial; pad the
-        // source sequence off a block boundary first.
-        if paged.seq_len(1).is_multiple_of(block) {
-            let tok = random_mat(1, hidden, &mut rng);
-            model.decode_paged_with(&tok, &mut paged, &[1], &backend, &mut scratch, &mut got);
-        }
-        let snapshot = |paged: &PagedKvCache| {
-            let mut bits = Vec::new();
-            for li in 0..model.config().layers {
-                for t in 0..paged.seq_len(1) {
-                    bits.extend(paged.k_row(1, li, t).iter().map(|v| v.to_bits()));
-                    bits.extend(paged.v_row(1, li, t).iter().map(|v| v.to_bits()));
-                }
-            }
-            bits
-        };
-        let before = snapshot(&paged);
-        let cow_before = paged.stats().cow_copies;
-        paged.fork_slot(0, 1);
-        let tok = random_mat(1, hidden, &mut rng);
-        model.decode_paged_with(&tok, &mut paged, &[0], &backend, &mut scratch, &mut got);
-        let after = snapshot(&paged);
-        let cow_hit = paged.stats().cow_copies > cow_before;
-        checks.push(invariant_check(
-            "decode.kv.fork_cow_isolated",
-            before == after && cow_hit,
-            format!(
-                "fork + divergent step: original K/V bits unchanged={} cow_triggered={cow_hit}",
-                before == after
-            ),
-        ));
+    let backend = ExactGemm;
+    let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x54A6E);
+    let prompt_len = 2 * block;
+    let extra = steps;
+    let mut paged = PagedKvCache::new(&model, 2, PagedConfig::new(block));
+    let mut scratch = DecodeScratch::new();
+    let mut got = Mat::zeros(1, 1);
+    let tokens: Vec<Mat> = (0..prompt_len + extra)
+        .map(|_| random_mat(1, hidden, &mut rng))
+        .collect();
+    let mut unshared = Vec::new();
+    for tok in &tokens {
+        model.decode_batch_with(tok, &mut paged, &[0], &backend, &mut scratch, &mut got);
+        unshared.push(got.clone());
     }
-    checks
+    let prompt_slices: Vec<&[f64]> = tokens[..prompt_len]
+        .iter()
+        .map(|t| t.row_slice(0))
+        .collect();
+    let hashes = prefix_block_hashes(prompt_slices, block);
+    paged.publish_prefix(0, &hashes);
+    let shared = paged.lookup_prefix(1, &hashes);
+    let mut diffs = 0usize;
+    for (i, tok) in tokens.iter().enumerate().skip(shared) {
+        model.decode_batch_with(tok, &mut paged, &[1], &backend, &mut scratch, &mut got);
+        diffs += differing_bits(&got, &unshared[i]);
+    }
+    // Sharing must actually have happened, or the comparison is
+    // vacuous — count a silent non-share as a failure.
+    diffs += usize::from(shared == 0);
+    let shared_check = bit_identity_check(
+        "decode.kv.shared_prefix_vs_unshared",
+        diffs,
+        format!(
+            "prompt {prompt_len} (block {block}, {shared} tokens shared) + {extra} \
+             continuation steps: prefix-shared slot vs unshared decode"
+        ),
+    );
+
+    // Copy-on-write isolation: fork slot 1's sequence into slot 0
+    // (retired above — reset first), push a divergent step, and the
+    // original's K/V bits must be untouched.
+    paged.reset_slot(0);
+    // CoW only fires when the forked tail page is partial; pad the
+    // source sequence off a block boundary first.
+    if paged.seq_len(1).is_multiple_of(block) {
+        let tok = random_mat(1, hidden, &mut rng);
+        model.decode_batch_with(&tok, &mut paged, &[1], &backend, &mut scratch, &mut got);
+    }
+    let snapshot = |paged: &PagedKvCache| {
+        let mut bits = Vec::new();
+        for li in 0..model.config().layers {
+            for t in 0..paged.seq_len(1) {
+                bits.extend(paged.k_row(1, li, t).iter().map(|v| v.to_bits()));
+                bits.extend(paged.v_row(1, li, t).iter().map(|v| v.to_bits()));
+            }
+        }
+        bits
+    };
+    let before = snapshot(&paged);
+    let cow_before = paged.stats().cow_copies;
+    paged.fork_slot(0, 1);
+    let tok = random_mat(1, hidden, &mut rng);
+    model.decode_batch_with(&tok, &mut paged, &[0], &backend, &mut scratch, &mut got);
+    let after = snapshot(&paged);
+    let cow_hit = paged.stats().cow_copies > cow_before;
+    let cow_check = invariant_check(
+        "decode.kv.fork_cow_isolated",
+        before == after && cow_hit,
+        format!(
+            "fork + divergent step: original K/V bits unchanged={} cow_triggered={cow_hit}",
+            before == after
+        ),
+    );
+    vec![shared_check, cow_check]
 }
 
 /// Observability must never touch results: the same batched-decode
@@ -540,7 +468,7 @@ fn tracing_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
             pdac_telemetry::disable();
         }
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x7AACE);
-        let mut batch = BatchedKvCache::new(&model, s);
+        let mut batch = PagedKvCache::new(&model, s, PagedConfig::default());
         (0..steps)
             .map(|_| {
                 let tokens = random_mat(s, hidden, &mut rng);
@@ -592,7 +520,7 @@ fn sentinel_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 
     let run = || -> Vec<Mat> {
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x5E47);
-        let mut batch = BatchedKvCache::new(&model, s);
+        let mut batch = PagedKvCache::new(&model, s, PagedConfig::default());
         (0..steps)
             .map(|_| {
                 let tokens = random_mat(s, hidden, &mut rng);
@@ -649,7 +577,7 @@ fn energy_meter_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 
     let run = || -> Vec<Mat> {
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0xE4E26);
-        let mut batch = BatchedKvCache::new(&model, s);
+        let mut batch = PagedKvCache::new(&model, s, PagedConfig::default());
         (0..steps)
             .map(|_| {
                 let tokens = random_mat(s, hidden, &mut rng);
@@ -1166,8 +1094,7 @@ pub fn run_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
     report.extend(int8_route_checks(cfg));
     report.extend(end_to_end_budget_checks(cfg));
     report.extend(decode_workload_checks(cfg));
-    report.extend(batched_decode_checks(cfg));
-    report.extend(grouped_attention_checks(cfg));
+    report.extend(decode_row_checks(cfg));
     report.extend(paged_kv_checks(cfg));
     report.extend(tracing_invariance_checks(cfg));
     report.extend(energy_meter_invariance_checks(cfg));

@@ -75,10 +75,10 @@ for series in pdac_power_energy_attention_j pdac_power_energy_total_j \
         || { echo "FAIL: ${series} missing from /metrics exposition"; exit 1; }
 done
 
-echo "==> paged KV serve smoke (prefix sharing under a byte budget, bit-identical to flat)"
+echo "==> paged KV serve smoke (prefix sharing under a byte budget, bit-identical to solo decode_step)"
 PDAC_SERVE_REQUESTS=6 PDAC_SERVE_PROMPT=5 PDAC_SERVE_MAX_NEW=4 PDAC_SERVE_BATCH=3 \
     PDAC_SERVE_HIDDEN=32 PDAC_SERVE_LAYERS=2 PDAC_SERVE_HEADS=4 \
-    PDAC_SERVE_KV=paged PDAC_SERVE_SHARED_PROMPT=4 \
+    PDAC_SERVE_SHARED_PROMPT=4 \
     PDAC_KV_BLOCK_TOKENS=2 PDAC_KV_BUDGET_BYTES=16384 \
     PDAC_SERVE_METRICS_OUT="$(pwd)/target/metrics.kv.txt" \
     cargo run --release -q -p pdac-serve --bin serve
@@ -86,6 +86,16 @@ for series in pdac_serve_kv_pages pdac_serve_kv_bytes pdac_serve_kv_shared; do
     grep -q "^${series}" target/metrics.kv.txt \
         || { echo "FAIL: ${series} missing from /metrics exposition"; exit 1; }
 done
+
+echo "==> serve rejects a malformed KV budget (exit 2, not an unbounded cache)"
+status=0
+PDAC_KV_BUDGET_BYTES=1MiB cargo run --release -q -p pdac-serve --bin serve \
+    > target/serve.bad_kv.log 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "FAIL: PDAC_KV_BUDGET_BYTES=1MiB made serve exit $status, expected 2"
+    cat target/serve.bad_kv.log
+    exit 1
+fi
 
 echo "==> drift sentinel smoke (clean serve green; injected fault latches critical)"
 PDAC_SERVE_REQUESTS=6 PDAC_SERVE_PROMPT=3 PDAC_SERVE_MAX_NEW=4 PDAC_SERVE_BATCH=4 \
