@@ -9,7 +9,6 @@
 
 use pdac_bench::microbench::{bench, black_box, BenchResult};
 use pdac_core::converter::MzmDriver;
-use pdac_core::ideal::IdealDac;
 use pdac_core::lut::ConverterLut;
 use pdac_core::pdac::PDac;
 use pdac_math::gemm::default_threads;
@@ -75,7 +74,7 @@ fn main() {
             let data: Vec<f64> = q
                 .codes()
                 .iter()
-                .map(|&c| q.scale() * driver.convert(c))
+                .map(|&c| q.scales()[0] * driver.convert(c))
                 .collect();
             Mat::from_rows(x.rows(), x.cols(), data).unwrap()
         };
@@ -95,39 +94,22 @@ fn main() {
         let analog_cached = bench(&format!("gemm_engine/{size}/analog_lut_cache"), || {
             backend.matmul(black_box(&a), black_box(&b))
         });
-        // The exact integer route: code-linear ideal driver, i8×i8→i32
-        // kernel against memoized packed code panels, dequantize at end.
-        let int8_backend = AnalogGemm::new(IdealDac::new(bits).unwrap(), "ideal8");
-        let analog_int8 = bench(&format!("gemm_engine/{size}/analog_int8"), || {
-            int8_backend.matmul(black_box(&a), black_box(&b))
-        });
 
         let fast_over_naive = exact_naive.mean_ns / exact_fast.mean_ns.max(1.0);
         let analog_over_seed = analog_seed.mean_ns / analog_cached.mean_ns.max(1.0);
-        let int8_over_cache = analog_cached.mean_ns / analog_int8.mean_ns.max(1.0);
         println!(
             "gemm_engine/{size}: exact fast/naive {fast_over_naive:.2}x, \
-             analog lut+cache/seed {analog_over_seed:.2}x, \
-             int8/lut_cache {int8_over_cache:.2}x \
+             analog lut+cache/seed {analog_over_seed:.2}x \
              (cache hits {}, misses {})",
             backend.cache().hits(),
             backend.cache().misses(),
         );
-        // The headline claim of the integer engine, asserted where it is
-        // measured: ≥2× over the analog LUT+cache f64 path at 256³.
-        if size == 256 {
-            assert!(
-                int8_over_cache >= 2.0,
-                "integer route regressed: {int8_over_cache:.2}x < 2x over analog_lut_cache at 256^3"
-            );
-        }
         for r in [
             &exact_naive,
             &exact_fast,
             &analog_seed,
             &analog_lut,
             &analog_cached,
-            &analog_int8,
         ] {
             records.push(record(size, r));
         }
@@ -141,10 +123,6 @@ fn main() {
             (
                 "analog_lut_over_seed".into(),
                 Json::Num(analog_seed.mean_ns / analog_lut.mean_ns.max(1.0)),
-            ),
-            (
-                "analog_int8_over_lut_cache".into(),
-                Json::Num(int8_over_cache),
             ),
         ]);
         // Also into `results`, where the bench-gate step looks for the

@@ -25,7 +25,7 @@
 //!   drive paths;
 //! * [`lut`] — dense code → amplitude lookup tables ([`lut::ConverterLut`])
 //!   that evaluate any driver once per code and make bulk conversion an
-//!   O(1)-per-element array read;
+//!   O(1)-per-element array read (the analog GEMM's operand paths);
 //! * [`error_analysis`] — code sweeps producing the error statistics the
 //!   paper reports.
 //!
@@ -49,7 +49,6 @@ pub mod approx;
 pub mod converter;
 pub mod edac;
 pub mod error_analysis;
-pub mod ideal;
 pub mod lut;
 pub mod minimax;
 pub mod multi_segment;
@@ -62,7 +61,6 @@ pub use adc::Adc;
 pub use approx::ArccosApprox;
 pub use converter::MzmDriver;
 pub use edac::ElectricalDac;
-pub use ideal::IdealDac;
 pub use lut::ConverterLut;
 pub use pdac::PDac;
 pub use tia_weights::TiaWeightPlan;

@@ -7,7 +7,8 @@
 //! code into a dense table and then *is* an [`MzmDriver`] itself, so
 //! every downstream `convert`/`convert_all`/`convert_value` becomes an
 //! O(1) array read — bit-identical to the wrapped driver, because the
-//! table stores its exact outputs.
+//! table stores its exact outputs. The analog GEMM reads its operands
+//! only through these tables, one per operand path, in f64.
 
 use crate::converter::MzmDriver;
 
@@ -66,25 +67,6 @@ impl ConverterLut {
     /// The raw table, indexed by `code + max_code()`.
     pub fn table(&self) -> &[f64] {
         &self.table
-    }
-
-    /// Whether the tabulated drive path is **exactly** linear in the
-    /// code: `convert(code)` bit-equals the ideal value
-    /// `code / max_code` for every representable code.
-    ///
-    /// This is the gate for the byte-size integer GEMM fast path
-    /// (`pdac_math::gemm_i8`): when it holds, dequantized products
-    /// collapse into exact `i32` code arithmetic with the scales applied
-    /// once at the end. The physical drivers (P-DAC approximated arccos,
-    /// e-DAC voltage-grid snap) are *not* code-linear — their modeled
-    /// conversion error is the point — so only the ideal digital
-    /// reference path ([`crate::ideal::IdealDac`]) qualifies.
-    pub fn is_code_linear(&self) -> bool {
-        let m = self.max_code;
-        (-m..=m).all(|c| {
-            let idx = (c + m) as usize;
-            self.table[idx].to_bits() == (c as f64 / m as f64).to_bits()
-        })
     }
 }
 
@@ -168,18 +150,6 @@ mod tests {
         let once = ConverterLut::new(&pdac);
         let twice = ConverterLut::new(&once);
         assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn physical_drivers_are_not_code_linear_ideal_is() {
-        for bits in [4u8, 8] {
-            let pdac = ConverterLut::new(&PDac::with_optimal_approx(bits).unwrap());
-            let edac = ConverterLut::new(&ElectricalDac::new(bits).unwrap());
-            let ideal = ConverterLut::new(&crate::ideal::IdealDac::new(bits).unwrap());
-            assert!(!pdac.is_code_linear(), "pdac bits={bits}");
-            assert!(!edac.is_code_linear(), "edac bits={bits}");
-            assert!(ideal.is_code_linear(), "ideal bits={bits}");
-        }
     }
 
     #[test]

@@ -353,7 +353,7 @@ pub fn gemm_scoped(
 /// [`gemm_prepacked`] over a `PackedB` is bit-identical to [`gemm`] over
 /// the original row-major `B`: packing only changes memory layout, and
 /// the per-cell reduction order is fixed (see module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackedB {
     bp: Vec<f64>,
     k: usize,

@@ -12,9 +12,6 @@
 //! * [`gemm`] — the tuned f64 GEMM engine behind [`Mat::matmul`]: packed
 //!   B-transposed panels, 4×4 register tiling, row-panel threading
 //!   (`PDAC_THREADS`), bit-identical to the reference loop,
-//! * [`gemm_i8`] — the byte-size integer GEMM engine for the quantized
-//!   code domain: exact i8×i8→i32 accumulation (VNNI-accelerated where
-//!   available) plus the product-LUT gather kernel for nonlinear drivers,
 //! * [`pool`] — the persistent worker-thread pool the GEMM engine
 //!   dispatches onto (parked workers, no per-call spawn cost),
 //! * [`integrate`] — adaptive Simpson quadrature (used to evaluate the
@@ -39,7 +36,6 @@
 
 pub mod complex;
 pub mod gemm;
-pub mod gemm_i8;
 pub mod integrate;
 pub mod matrix;
 pub mod optimize;

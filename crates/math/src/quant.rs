@@ -134,23 +134,6 @@ impl Quantizer {
             code.clamp(-m, m) as i32
         }));
     }
-
-    /// [`Quantizer::quantize_slice`] emitting `i16` codes (every
-    /// representable code fits: `|code| ≤ 2^15 − 1` for `bits ≤ 16`) into
-    /// a caller-provided buffer — the integer-GEMM operand form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != xs.len()`.
-    pub fn quantize_slice_i16(&self, xs: &[f64], out: &mut [i16]) {
-        assert_eq!(out.len(), xs.len(), "output length");
-        let m = self.max_code() as f64;
-        let scale = self.scale;
-        for (o, &x) in out.iter_mut().zip(xs) {
-            let code = (x / scale * m).round();
-            *o = code.clamp(-m, m) as i16;
-        }
-    }
 }
 
 /// Largest absolute value in `xs` (`0.0` for an empty slice), computed
@@ -258,10 +241,6 @@ mod tests {
         let mut got = Vec::new();
         q.quantize_slice(&xs, &mut got);
         assert_eq!(got, want);
-        let mut got16 = vec![0i16; xs.len()];
-        q.quantize_slice_i16(&xs, &mut got16);
-        let as32: Vec<i32> = got16.iter().map(|&c| c as i32).collect();
-        assert_eq!(as32, want);
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //! [`TransformerModel::decode_step`] alone. This holds because the GEMM
 //! kernels reduce each output cell in ascending-k order regardless of
 //! batching or grouping (see `pdac_math::gemm`), activation quantization
-//! is per-row ([`crate::quant::RowQuantizedMat`]) and stacked-operand
-//! quantization per-block ([`crate::quant::GroupQuantizedMat`]), and
-//! softmax/layer-norm/GELU are row-local. The `pdac-verify` conformance
+//! is per row and stacked-operand quantization per block (one scale per
+//! block of a [`crate::quant::QuantizedMat`]), and softmax/layer-norm/GELU
+//! are row-local. The `pdac-verify` conformance
 //! matrix asserts this, including ragged multi-group batches.
 
 use crate::gemm::GemmBackend;

@@ -8,31 +8,19 @@
 //!   [`AsymmetricGemm::new`]) before the dot product. The photonic DDot
 //!   itself computes the dot product exactly (see `pdac-photonics`), so
 //!   the analog error is entirely in the operand modulation — exactly the
-//!   paper's error model.
+//!   paper's error model. Every analog multiply takes the same route:
+//!   quantize, dequantize through the path's table, one exact f64 GEMM
+//!   (DESIGN.md §16).
 //!
 //! The [`GemmBackend`] trait lets the same transformer forward pass run in
 //! any regime; the fidelity study diffs their outputs.
 
 use crate::prepared::WeightCache;
-use crate::quant::{self, GroupQuantizedMat, QuantizedMat, RowQuantizedMat};
+use crate::quant::QuantizedMat;
 use pdac_core::converter::MzmDriver;
 use pdac_core::lut::ConverterLut;
-use pdac_math::gemm::{default_threads, PackedB};
-use pdac_math::gemm_i8::{self, PackedBi8};
+use pdac_math::gemm::PackedB;
 use pdac_math::Mat;
-use std::cell::RefCell;
-
-/// Reusable scratch for the integer route (operand codes, their scales,
-/// integer accumulators), so the decode hot path allocates nothing after
-/// warm-up.
-#[derive(Debug, Default)]
-struct IntScratch {
-    a_codes: Vec<i16>,
-    a_scales: Vec<f64>,
-    b_codes: Vec<i16>,
-    b_scales: Vec<f64>,
-    acc: Vec<i32>,
-}
 
 /// A matrix-multiply backend.
 ///
@@ -282,41 +270,16 @@ impl Form {
 /// [`AsymmetricGemm::new`] tabulates one driver per path — the hybrid
 /// design with P-DAC activations and electrical weights. Per-call
 /// conversion is then an array read rather than a drive-path evaluation,
-/// and `b` of cached calls is memoized in a [`WeightCache`], so repeated
-/// multiplies against the same weights — every decode step of generative
-/// inference — skip quantize+convert entirely. Both shortcuts are
-/// bit-identical to the direct path.
-///
-/// **Integer route** — when both tables are exactly code-linear
-/// ([`ConverterLut::is_code_linear`], i.e. the ideal digital reference,
-/// `pdac_core::IdealDac`) at ≤ 8 bits, the dequantized product factors
-/// into `s_a·s_b/m² · Σ ca·cb` and every multiply runs in the exact
-/// byte-size integer engine (`pdac_math::gemm_i8`) with one dequantize at
-/// the end (DESIGN.md §16). Physical drivers never qualify, so their
-/// modeled conversion error is untouched.
-#[derive(Debug)]
+/// and `b` of cached calls is memoized in a [`WeightCache`] as packed
+/// panels, so repeated multiplies against the same weights — every
+/// decode step of generative inference — skip quantize+convert+pack
+/// entirely. Both shortcuts are bit-identical to the direct path.
+#[derive(Debug, Clone)]
 pub struct AnalogGemm {
     lut_a: ConverterLut,
     lut_b: ConverterLut,
     cache: WeightCache,
     name: String,
-    code_linear: bool,
-    scratch: RefCell<IntScratch>,
-}
-
-impl Clone for AnalogGemm {
-    /// Clones share the cache contents but start with fresh (empty,
-    /// re-growable) integer-route scratch.
-    fn clone(&self) -> Self {
-        Self {
-            lut_a: self.lut_a.clone(),
-            lut_b: self.lut_b.clone(),
-            cache: self.cache.clone(),
-            name: self.name.clone(),
-            code_linear: self.code_linear,
-            scratch: RefCell::new(IntScratch::default()),
-        }
-    }
 }
 
 impl AnalogGemm {
@@ -337,14 +300,11 @@ impl AnalogGemm {
             lut_b.bits(),
             "both operand paths must share a bit width"
         );
-        let code_linear = lut_a.is_code_linear() && lut_b.is_code_linear();
         Self {
             lut_a,
             lut_b,
             cache: WeightCache::default(),
             name: name.into(),
-            code_linear,
-            scratch: RefCell::new(IntScratch::default()),
         }
     }
 
@@ -353,49 +313,28 @@ impl AnalogGemm {
         &self.cache
     }
 
-    /// Whether the exact integer route serves a `k`-deep contraction.
-    /// Deliberately a function of shape only (never of operand values),
-    /// so batched/grouped calls route identically to their solo twins.
-    fn use_int8(&self, k: usize) -> bool {
-        self.code_linear && self.lut_a.bits() <= 8 && k <= gemm_i8::MAX_K_I8
-    }
-
-    /// Every analog entry point: one span, the MAC and route counters,
-    /// the shape-only route choice, and the drift tap on the finished
-    /// output.
+    /// Every analog entry point: dequantize `a` through the activation
+    /// table and `b` through the weight table, then one exact f64 GEMM,
+    /// under one span and the MAC counter, with the drift tap on the
+    /// finished output. The cache-free forms apply exactly the
+    /// quantize→dequantize transform `WeightCache::get_or_prepare`
+    /// memoizes, so skipping the cache for dead-after-this-call operands
+    /// cannot change a bit.
     fn run(&self, form: Form, a: &Mat, b: &Mat, out: &mut Mat) {
         let (span, op) = form.names();
         let _span = pdac_telemetry::span(span);
         pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            self.int8_route(form, a, b, out);
-        } else {
-            self.f64_route(form, a, b, out);
-        }
-        crate::tap::observe(&self.name, op, a, b, out);
-    }
-
-    /// The f64 pipeline: dequantize `a` through the activation table and
-    /// `b` through the weight table, then one exact f64 GEMM. The
-    /// cache-free forms apply exactly the quantize→dequantize transform
-    /// `WeightCache::get_or_prepare` memoizes, so skipping the cache for
-    /// dead-after-this-call operands cannot change a bit.
-    fn f64_route(&self, form: Form, a: &Mat, b: &Mat, out: &mut Mat) {
         let bits = self.lut_a.bits();
         let aq = if form.per_row() {
-            RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a)
+            QuantizedMat::quantize_blocks(a, 1, bits)
         } else {
-            QuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a)
-        };
+            QuantizedMat::quantize(a, bits)
+        }
+        .dequantize_with(&self.lut_a);
         let shapes = match form {
-            Form::Solo => {
+            Form::Solo | Form::Batch => {
                 let bq = self.cache.get_or_prepare(b, &self.lut_b);
-                aq.matmul_into(bq.converted(), out)
-            }
-            Form::Batch => {
-                let bq = self.cache.get_or_prepare(b, &self.lut_b);
-                aq.matmul_prepacked_into(bq.packed(), out)
+                aq.matmul_prepacked_into(&bq, out)
             }
             Form::Transient => {
                 let bq = QuantizedMat::quantize(b, bits).dequantize_with(&self.lut_b);
@@ -403,72 +342,12 @@ impl AnalogGemm {
             }
             Form::Grouped => {
                 let bq =
-                    GroupQuantizedMat::quantize(b, a.cols(), bits).dequantize_with(&self.lut_b);
+                    QuantizedMat::quantize_blocks(b, a.cols(), bits).dequantize_with(&self.lut_b);
                 aq.matmul_grouped_into(&bq, out)
             }
         };
         shapes.expect("operand shapes must agree");
-    }
-
-    /// The integer route: quantize both operands to codes with the f64
-    /// pipeline's scales (the cached form reuses the weight's memoized
-    /// code panels, the transient form packs per call, the grouped form
-    /// runs the grouped kernel), contract exactly in `i32`, and
-    /// dequantize once at the end: row `r` of the output is
-    /// `fl(f_r · acc)` with `f_r = fl(fl(s_a/m) · fl(s_b/m))`, `m` the
-    /// max code and `s_a`, `s_b` the scales that row was quantized with
-    /// (DESIGN.md §16).
-    fn int8_route(&self, form: Form, a: &Mat, b: &Mat, out: &mut Mat) {
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let bits = self.lut_a.bits();
-        let threads = default_threads();
-        let sc = &mut *self.scratch.borrow_mut();
-        if form.per_row() {
-            quant::quantize_blocks_i16(a, 1, bits, &mut sc.a_codes, &mut sc.a_scales);
-        } else {
-            let s = quant::quantize_tensor_i16(a.as_slice(), bits, &mut sc.a_codes);
-            sc.a_scales.clear();
-            sc.a_scales.push(s);
-        }
-        sc.acc.clear();
-        sc.acc.resize(m * n, 0);
-        sc.b_scales.clear();
-        match form {
-            Form::Solo | Form::Batch => {
-                let bq = self.cache.get_or_prepare(b, &self.lut_b);
-                assert_eq!(k, b.rows(), "inner dimensions must agree");
-                gemm_i8::gemm_i8_prepacked(&sc.a_codes, bq.packed_codes(), m, &mut sc.acc, threads);
-                sc.b_scales.push(bq.code_scale());
-            }
-            Form::Transient => {
-                assert_eq!(k, b.rows(), "inner dimensions must agree");
-                let s = quant::quantize_tensor_i16(b.as_slice(), bits, &mut sc.b_codes);
-                let packed = PackedBi8::pack(&sc.b_codes, k, n);
-                gemm_i8::gemm_i8_prepacked(&sc.a_codes, &packed, m, &mut sc.acc, threads);
-                sc.b_scales.push(s);
-            }
-            Form::Grouped => {
-                assert_eq!(b.rows(), m * k, "stacked operand row count");
-                quant::quantize_blocks_i16(b, k, bits, &mut sc.b_codes, &mut sc.b_scales);
-                gemm_i8::gemm_i8_grouped(&sc.a_codes, &sc.b_codes, m, k, n, &mut sc.acc, threads);
-            }
-        }
-        let mc = ((1i32 << (bits - 1)) - 1) as f64;
-        // A per-tensor scale list holds one entry; per-row and per-block
-        // lists hold one per output row.
-        let scale = |scales: &[f64], r: usize| scales[r.min(scales.len() - 1)] / mc;
-        out.resize(m, n);
-        let rows = out
-            .as_mut_slice()
-            .chunks_exact_mut(n)
-            .zip(sc.acc.chunks_exact(n));
-        for (r, (out_row, acc_row)) in rows.enumerate() {
-            let f = scale(&sc.a_scales, r) * scale(&sc.b_scales, r);
-            for (o, &v) in out_row.iter_mut().zip(acc_row) {
-                *o = f * v as f64;
-            }
-        }
+        crate::tap::observe(&self.name, op, a, b, out);
     }
 }
 
@@ -489,16 +368,18 @@ impl GemmBackend for AnalogGemm {
         self.run(Form::Transient, a, b, out);
     }
 
-    /// Per-row activation scales ([`RowQuantizedMat`]) against the
-    /// cached, prepacked weight conversion: the weight converts and packs
-    /// once per distinct matrix instead of once per sequence.
+    /// Per-row activation scales ([`QuantizedMat::quantize_blocks`] with
+    /// one-row blocks) against the cached, prepacked weight conversion:
+    /// the weight converts and packs once per distinct matrix instead of
+    /// once per sequence.
     fn matmul_batch_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
         self.run(Form::Batch, a, b, out);
     }
 
     /// Per-row activation scales and per-block operand scales
-    /// ([`GroupQuantizedMat`], one block per sequence), then one exact
-    /// grouped kernel. Cache-free like [`Self::matmul_transient_into`].
+    /// ([`QuantizedMat::quantize_blocks`], one block per sequence), then
+    /// one exact grouped kernel. Cache-free like
+    /// [`Self::matmul_transient_into`].
     fn matmul_grouped_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
         self.run(Form::Grouped, a, b, out);
     }
@@ -540,7 +421,6 @@ impl AsymmetricGemm {
 mod tests {
     use super::*;
     use pdac_core::edac::ElectricalDac;
-    use pdac_core::ideal::IdealDac;
     use pdac_core::pdac::PDac;
     use pdac_math::rng::SplitMix64;
     use pdac_math::stats::cosine_similarity;
@@ -548,6 +428,32 @@ mod tests {
     fn random_mat(rows: usize, cols: usize, seed: u64) -> Mat {
         let mut rng = SplitMix64::seed_from_u64(seed);
         Mat::from_fn(rows, cols, |_, _| rng.gen_range_f64(-1.0, 1.0))
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Shapes `(m, k, n)` on every branch of the prepacked kernel the
+    /// cached forms run: one row, fewer rows than a register tile, whole
+    /// tiles, and a product above `PAR_MIN_MACS` (pooled when threads > 1).
+    const CACHE_PATH_SHAPES: [(usize, usize, usize); 5] = [
+        (9, 13, 6),
+        (1, 512, 512),
+        (2, 13, 6),
+        (16, 64, 64),
+        (70, 64, 64),
+    ];
+
+    /// The direct analog pipeline: per-tensor quantize, per-element
+    /// scalar convert through each driver, reference triple-loop matmul.
+    fn direct_product(a: &Mat, b: &Mat, da: &dyn MzmDriver, db: &dyn MzmDriver) -> Mat {
+        let convert = |x: &Mat, d: &dyn MzmDriver| {
+            let q = QuantizedMat::quantize(x, d.bits());
+            let data = q.codes().iter().map(|&c| d.convert(c) * q.scales()[0]);
+            Mat::from_rows(x.rows(), x.cols(), data.collect()).unwrap()
+        };
+        convert(a, da).matmul_reference(&convert(b, db)).unwrap()
     }
 
     fn hybrid8(name: &str) -> AnalogGemm {
@@ -631,8 +537,7 @@ mod tests {
 
     /// One drive path is the diagonal case of two: `AnalogGemm::new(d)`
     /// and `AsymmetricGemm::new(d, d)` must agree bit for bit on every
-    /// analog entry point, on the f64 route (P-DAC) and on the integer
-    /// route (ideal driver).
+    /// analog entry point, for both physical drivers.
     #[test]
     fn one_path_is_the_diagonal_of_two() {
         type Entry = fn(&AnalogGemm, &Mat, &Mat, &mut Mat);
@@ -655,7 +560,6 @@ mod tests {
                     &grouped,
                 ),
             ];
-            let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let (mut x, mut y) = (Mat::zeros(1, 1), Mat::zeros(1, 1));
             for (entry, call, (a, b)) in entries {
                 call(&one, a, b, &mut x);
@@ -665,22 +569,23 @@ mod tests {
             }
         }
         check(PDac::with_optimal_approx(8).unwrap());
-        check(IdealDac::new(8).unwrap());
+        check(ElectricalDac::new(8).unwrap());
     }
 
     #[test]
     fn analog_lut_cache_path_is_bit_identical_to_direct() {
         // The LUT + weight-cache fast path must reproduce the naive
-        // quantize→scalar-convert→reference-matmul pipeline exactly.
-        let a = random_mat(9, 13, 31);
-        let b = random_mat(13, 6, 32);
+        // quantize→scalar-convert→reference-matmul pipeline exactly, on
+        // the converting call and on the cached repeat.
         let driver = PDac::with_optimal_approx(8).unwrap();
         let analog = AnalogGemm::new(driver.clone(), "p8");
-        let direct_a = QuantizedMat::quantize(&a, 8).dequantize_with(&driver);
-        let direct_b = QuantizedMat::quantize(&b, 8).dequantize_with(&driver);
-        let direct = direct_a.matmul_reference(&direct_b).unwrap();
-        assert_eq!(analog.matmul(&a, &b), direct);
-        assert_eq!(analog.matmul(&a, &b), direct);
+        for (i, &(m, k, n)) in CACHE_PATH_SHAPES.iter().enumerate() {
+            let a = random_mat(m, k, 31 + 2 * i as u64);
+            let b = random_mat(k, n, 32 + 2 * i as u64);
+            let direct = bits(&direct_product(&a, &b, &driver, &driver));
+            assert_eq!(bits(&analog.matmul(&a, &b)), direct, "{m}x{k}x{n}");
+            assert_eq!(bits(&analog.matmul(&a, &b)), direct, "{m}x{k}x{n} cached");
+        }
     }
 
     #[test]
@@ -697,18 +602,18 @@ mod tests {
 
     #[test]
     fn asymmetric_cache_path_is_bit_identical_to_direct() {
-        let a = random_mat(5, 11, 34);
-        let b = random_mat(11, 7, 35);
         let pdac = PDac::with_optimal_approx(8).unwrap();
         let edac = ElectricalDac::new(8).unwrap();
         let hybrid = AsymmetricGemm::new(pdac.clone(), edac, "hy");
-        let direct_a = QuantizedMat::quantize(&a, 8).dequantize_with(&pdac);
-        let direct_b = QuantizedMat::quantize(&b, 8).dequantize_with(&edac);
-        let direct = direct_a.matmul_reference(&direct_b).unwrap();
-        assert_eq!(hybrid.matmul(&a, &b), direct);
-        assert_eq!(hybrid.cache().misses(), 1);
-        let _ = hybrid.matmul(&a, &b);
-        assert_eq!(hybrid.cache().hits(), 1);
+        for (i, &(m, k, n)) in CACHE_PATH_SHAPES.iter().enumerate() {
+            let a = random_mat(m, k, 34 + 2 * i as u64);
+            let b = random_mat(k, n, 35 + 2 * i as u64);
+            let direct = bits(&direct_product(&a, &b, &pdac, &edac));
+            assert_eq!(bits(&hybrid.matmul(&a, &b)), direct, "{m}x{k}x{n}");
+            assert_eq!(hybrid.cache().misses(), i as u64 + 1);
+            assert_eq!(bits(&hybrid.matmul(&a, &b)), direct, "{m}x{k}x{n} cached");
+            assert_eq!(hybrid.cache().hits(), i as u64 + 1);
+        }
     }
 
     #[test]
@@ -910,86 +815,5 @@ mod tests {
         }
         assert_eq!(analog.cache().misses(), 1);
         assert_eq!(analog.cache().hits(), 4);
-    }
-
-    /// The ideal (code-linear) driver must take the integer route, and
-    /// its output must be **exactly** `fl(f · Σ ca·cb)` with
-    /// `f = fl(fl(s_a/m)·fl(s_b/m))` — the dequantize-at-the-end
-    /// contract, checked bit for bit against hand-rolled i32 loops.
-    #[test]
-    fn ideal_integer_route_matches_integer_reference_bitwise() {
-        let a = random_mat(7, 33, 201);
-        let b = random_mat(33, 11, 202);
-        let driver = IdealDac::new(8).unwrap();
-        assert!(ConverterLut::new(&driver).is_code_linear());
-        let ideal = AnalogGemm::new(driver, "ideal8");
-        let got = ideal.matmul(&a, &b);
-        let qa = QuantizedMat::quantize(&a, 8);
-        let qb = QuantizedMat::quantize(&b, 8);
-        let f = (qa.scale() / 127.0) * (qb.scale() / 127.0);
-        for r in 0..7 {
-            for c in 0..11 {
-                let mut acc = 0i32;
-                for kk in 0..33 {
-                    acc += qa.codes()[r * 33 + kk] * qb.codes()[kk * 11 + c];
-                }
-                let want = f * acc as f64;
-                assert!(
-                    got.row_slice(r)[c].to_bits() == want.to_bits(),
-                    "({r},{c}): {} vs {want}",
-                    got.row_slice(r)[c]
-                );
-            }
-        }
-    }
-
-    /// The integer route reorders only rounding (per-term f64 rounding
-    /// becomes exact i32 accumulation + one final multiply), so against
-    /// the f64 pipeline it must agree to ~1e-12 relative — not bitwise,
-    /// which is impossible across the two rounding orders.
-    #[test]
-    fn ideal_integer_route_tracks_f64_pipeline_tightly() {
-        let a = random_mat(6, 40, 203);
-        let b = random_mat(40, 9, 204);
-        let driver = IdealDac::new(8).unwrap();
-        let ideal = AnalogGemm::new(driver, "ideal8");
-        let got = ideal.matmul(&a, &b);
-        let direct_a = QuantizedMat::quantize(&a, 8).dequantize_with(&driver);
-        let direct_b = QuantizedMat::quantize(&b, 8).dequantize_with(&driver);
-        let direct = direct_a.matmul_reference(&direct_b).unwrap();
-        for (g, d) in got.as_slice().iter().zip(direct.as_slice()) {
-            let tol = 1e-12 * d.abs().max(1.0);
-            assert!((g - d).abs() <= tol, "{g} vs {d}");
-        }
-    }
-
-    /// All the backend invariants the f64 path guarantees must survive
-    /// the integer route: batch rows ≡ solo rows, transient ≡ cached,
-    /// grouped rows ≡ solo transients, `matmul_into` ≡ `matmul`.
-    #[test]
-    fn ideal_integer_route_preserves_backend_identities() {
-        let ideal = AnalogGemm::new(IdealDac::new(8).unwrap(), "ideal8");
-        let mut a = random_mat(5, 16, 205);
-        for (r, f) in [(0usize, 10.0), (1, 0.01)] {
-            for v in a.row_slice_mut(r) {
-                *v *= f;
-            }
-        }
-        let b = random_mat(16, 8, 206);
-        assert_batch_rows_match(&ideal, &a, &b);
-        let mut out = Mat::zeros(1, 1);
-        ideal.matmul_into(&a, &b, &mut out);
-        assert_eq!(out, ideal.matmul(&a, &b));
-        ideal.matmul_transient_into(&a, &b, &mut out);
-        assert_eq!(out, ideal.matmul(&a, &b));
-        let (g, k, n) = (4, 8, 6);
-        let ga = random_mat(g, k, 207);
-        let gb = random_mat(g * k, n, 208);
-        assert_grouped_rows_match(&ideal, &ga, &gb);
-        // Hybrid with both paths ideal routes through integers too.
-        let hybrid =
-            AsymmetricGemm::new(IdealDac::new(8).unwrap(), IdealDac::new(8).unwrap(), "ii");
-        assert_batch_rows_match(&hybrid, &a, &b);
-        assert_grouped_rows_match(&hybrid, &ga, &gb);
     }
 }

@@ -8,11 +8,12 @@
 //!
 //! * [`ops`] — softmax, layer norm, GELU and residual ops on
 //!   [`pdac_math::Mat`] activations;
-//! * [`quant`] — per-tensor symmetric quantization of activations and
-//!   weights onto the converter code grid;
-//! * [`prepared`] — pre-converted operands and the [`prepared::WeightCache`]
-//!   memo that lets a GEMM backend quantize+convert a weight matrix once
-//!   and reuse it across every decode step;
+//! * [`quant`] — symmetric quantization of activations and weights onto
+//!   the converter code grid, one scale per block of rows (per tensor,
+//!   per row or per stacked operand);
+//! * [`prepared`] — the [`prepared::WeightCache`] memo that lets a GEMM
+//!   backend quantize+convert+pack a weight matrix once and reuse the
+//!   packed panels across every decode step;
 //! * [`gemm`] — pluggable GEMM backends: exact `f64`, and an analog
 //!   backend that pushes every operand through an
 //!   [`pdac_core::MzmDriver`] (P-DAC or electrical DAC) before the —
@@ -65,4 +66,4 @@ pub use config::TransformerConfig;
 pub use gemm::{AnalogGemm, AsymmetricGemm, ExactGemm, GemmBackend};
 pub use inference::{KvCache, TransformerModel};
 pub use paged::{prefix_block_hashes, KvStats, PageAllocator, PageId, PagedConfig, PagedKvCache};
-pub use prepared::{PreparedOperand, WeightCache};
+pub use prepared::WeightCache;

@@ -1,13 +1,14 @@
-//! Prepared operands and the weight-conversion cache.
+//! The weight-conversion cache.
 //!
 //! Analog GEMM pays an operand-conversion tax on every call: quantize,
 //! then push each code through the converter. For activations that work
 //! is unavoidable (new values every call), but weight matrices are
 //! identical across every token of generative decoding — re-converting
-//! them per step is pure waste. [`PreparedOperand`] captures the result
-//! of quantize+convert once; [`WeightCache`] memoizes prepared operands
-//! behind the unchanged [`crate::gemm::GemmBackend`] call surface using
-//! interior mutability.
+//! them per step is pure waste. [`WeightCache`] memoizes each weight's
+//! quantize+convert result behind the unchanged
+//! [`crate::gemm::GemmBackend`] call surface using interior mutability.
+//! A cached weight is stored once, as packed GEMM panels ([`PackedB`]):
+//! the only form the analog kernels read.
 //!
 //! Cache keys combine the operand's data address, shape, driver bit
 //! width, and a 64-bit FNV-1a fingerprint of the element bits. The
@@ -22,16 +23,15 @@
 use crate::quant::QuantizedMat;
 use pdac_core::converter::MzmDriver;
 use pdac_math::gemm::PackedB;
-use pdac_math::gemm_i8::PackedBi8;
 use pdac_math::Mat;
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Default maximum number of cached prepared operands.
+/// Default maximum number of cached weights.
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
-/// Identity of a prepared operand: where it lived, its shape, the drive
+/// Identity of a cached weight: where it lived, its shape, the drive
 /// precision, and what its bits hashed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct OperandKey {
@@ -80,116 +80,30 @@ fn fingerprint(data: &[f64]) -> u64 {
     h
 }
 
-/// A matrix already quantized and pushed through a converter drive path,
-/// ready to enter a GEMM without further per-element physics.
+/// An LRU memo of converted, panel-packed weights keyed by operand
+/// identity, shared behind `&self` (interior mutability) so
+/// [`crate::gemm::GemmBackend`] implementations can consult it from
+/// their immutable `matmul`.
 ///
 /// # Examples
 ///
 /// ```
 /// use pdac_core::pdac::PDac;
 /// use pdac_math::Mat;
-/// use pdac_nn::prepared::PreparedOperand;
+/// use pdac_nn::prepared::WeightCache;
 ///
 /// let w = Mat::from_rows(2, 2, vec![0.5, -0.25, 0.125, 1.0])?;
 /// let pdac = PDac::with_optimal_approx(8).unwrap();
-/// let prepared = PreparedOperand::prepare(&w, &pdac);
-/// assert_eq!(prepared.converted().shape(), (2, 2));
+/// let cache = WeightCache::default();
+/// let packed = cache.get_or_prepare(&w, &pdac);
+/// assert_eq!((packed.k(), packed.n()), (2, 2));
+/// let _ = cache.get_or_prepare(&w, &pdac);
+/// assert_eq!((cache.misses(), cache.hits()), (1, 1));
 /// # Ok::<(), pdac_math::matrix::MatError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct PreparedOperand {
-    converted: Mat,
-    bits: u8,
-    /// Quantized codes (narrow storage; every `bits ≤ 16` code fits).
-    codes: Vec<i16>,
-    /// The per-tensor quantization scale behind `converted`.
-    scale: f64,
-    packed: OnceCell<PackedB>,
-    packed_codes: OnceCell<PackedBi8>,
-}
-
-impl PartialEq for PreparedOperand {
-    /// Equality on the converted contents; the lazily-packed panels are
-    /// derived data and excluded.
-    fn eq(&self, other: &Self) -> bool {
-        self.converted == other.converted && self.bits == other.bits
-    }
-}
-
-impl PreparedOperand {
-    /// Quantizes `mat` per-tensor at the driver's bit width and converts
-    /// every code through `driver` — the same transform
-    /// [`crate::gemm::AnalogGemm`] applies per call, done once.
-    pub fn prepare(mat: &Mat, driver: &dyn MzmDriver) -> Self {
-        let _span = pdac_telemetry::span("nn.gemm.prepare_operand");
-        let bits = driver.bits();
-        let quantized = QuantizedMat::quantize(mat, bits);
-        let codes = quantized.codes().iter().map(|&c| c as i16).collect();
-        let scale = quantized.scale();
-        Self {
-            converted: quantized.dequantize_with(driver),
-            bits,
-            codes,
-            scale,
-            packed: OnceCell::new(),
-            packed_codes: OnceCell::new(),
-        }
-    }
-
-    /// The converted matrix (scale · driver(code) per element).
-    pub fn converted(&self) -> &Mat {
-        &self.converted
-    }
-
-    /// The raw quantized codes, row-major.
-    pub fn codes(&self) -> &[i16] {
-        &self.codes
-    }
-
-    /// The per-tensor quantization scale the codes were produced with.
-    pub fn code_scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// The quantized codes packed into integer-GEMM panels, built on
-    /// first use and cached for the operand's lifetime — the weight side
-    /// of the byte-size integer fast path (`pdac_math::gemm_i8`).
-    pub fn packed_codes(&self) -> &PackedBi8 {
-        self.packed_codes.get_or_init(|| {
-            pdac_telemetry::counter_add("nn.gemm.weight_cache.packed_i8", 1);
-            PackedBi8::pack(&self.codes, self.converted.rows(), self.converted.cols())
-        })
-    }
-
-    /// The converted matrix packed into GEMM column panels, built on
-    /// first use and cached for the operand's lifetime — so the batched
-    /// decode hot path skips the per-call packing pass on every weight
-    /// multiply after the first. [`Mat::matmul_prepacked_into`] over
-    /// these panels is bit-identical to a plain matmul against
-    /// [`Self::converted`].
-    pub fn packed(&self) -> &PackedB {
-        self.packed.get_or_init(|| {
-            pdac_telemetry::counter_add("nn.gemm.weight_cache.packed", 1);
-            PackedB::pack(
-                self.converted.as_slice(),
-                self.converted.rows(),
-                self.converted.cols(),
-            )
-        })
-    }
-
-    /// The drive bit width the operand was prepared for.
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-}
-
-/// An LRU memo of [`PreparedOperand`]s keyed by operand identity, shared
-/// behind `&self` (interior mutability) so [`crate::gemm::GemmBackend`]
-/// implementations can consult it from their immutable `matmul`.
-#[derive(Debug, Clone)]
 pub struct WeightCache {
-    entries: RefCell<HashMap<OperandKey, (Rc<PreparedOperand>, u64)>>,
+    entries: RefCell<HashMap<OperandKey, (Rc<PackedB>, u64)>>,
     stamp: Cell<u64>,
     capacity: usize,
     hits: Cell<u64>,
@@ -203,7 +117,7 @@ impl Default for WeightCache {
 }
 
 impl WeightCache {
-    /// Creates a cache holding at most `capacity` prepared operands.
+    /// Creates a cache holding at most `capacity` weights.
     ///
     /// # Panics
     ///
@@ -219,21 +133,28 @@ impl WeightCache {
         }
     }
 
-    /// Returns the prepared form of `mat` under `driver`, converting on
-    /// first sight and answering repeats from the memo.
-    pub fn get_or_prepare(&self, mat: &Mat, driver: &dyn MzmDriver) -> Rc<PreparedOperand> {
+    /// Returns `mat` quantized per tensor at the driver's bit width,
+    /// converted through `driver` and packed into GEMM panels — built on
+    /// first sight, answered from the memo on repeats.
+    /// [`Mat::matmul_prepacked_into`] over the result is bit-identical to
+    /// a plain matmul against the converted matrix.
+    pub fn get_or_prepare(&self, mat: &Mat, driver: &dyn MzmDriver) -> Rc<PackedB> {
         let key = OperandKey::of(mat, driver.bits());
         let stamp = self.stamp.get().wrapping_add(1);
         self.stamp.set(stamp);
-        if let Some((prepared, last_used)) = self.entries.borrow_mut().get_mut(&key) {
+        if let Some((packed, last_used)) = self.entries.borrow_mut().get_mut(&key) {
             *last_used = stamp;
             self.hits.set(self.hits.get() + 1);
             pdac_telemetry::counter_add("nn.gemm.weight_cache.hit", 1);
-            return Rc::clone(prepared);
+            return Rc::clone(packed);
         }
         self.misses.set(self.misses.get() + 1);
         pdac_telemetry::counter_add("nn.gemm.weight_cache.miss", 1);
-        let prepared = Rc::new(PreparedOperand::prepare(mat, driver));
+        let packed = {
+            let _span = pdac_telemetry::span("nn.gemm.prepare_operand");
+            let converted = QuantizedMat::quantize(mat, key.bits).dequantize_with(driver);
+            Rc::new(PackedB::pack(converted.as_slice(), mat.rows(), mat.cols()))
+        };
         let mut entries = self.entries.borrow_mut();
         if entries.len() >= self.capacity {
             // Evict the least-recently-used entry.
@@ -246,16 +167,16 @@ impl WeightCache {
                 pdac_telemetry::counter_add("nn.gemm.weight_cache.evictions", 1);
             }
         }
-        entries.insert(key, (Rc::clone(&prepared), stamp));
-        prepared
+        entries.insert(key, (Rc::clone(&packed), stamp));
+        packed
     }
 
-    /// Maximum number of cached operands.
+    /// Maximum number of cached weights.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of currently cached operands.
+    /// Number of currently cached weights.
     pub fn len(&self) -> usize {
         self.entries.borrow().len()
     }
@@ -275,7 +196,7 @@ impl WeightCache {
         self.misses.get()
     }
 
-    /// Drops every cached operand (statistics are kept).
+    /// Drops every cached weight (statistics are kept).
     pub fn clear(&self) {
         self.entries.borrow_mut().clear();
     }
@@ -293,14 +214,18 @@ mod tests {
         Mat::from_fn(rows, cols, |_, _| rng.gen_range_f64(-1.0, 1.0))
     }
 
+    /// The uncached pipeline: quantize, scalar convert, pack.
+    fn direct(w: &Mat, driver: &dyn MzmDriver) -> PackedB {
+        let converted = QuantizedMat::quantize(w, driver.bits()).dequantize_with(driver);
+        PackedB::pack(converted.as_slice(), w.rows(), w.cols())
+    }
+
     #[test]
     fn prepare_matches_direct_quantize_convert() {
         let w = random_mat(6, 5, 1);
         let pdac = PDac::with_optimal_approx(8).unwrap();
-        let prepared = PreparedOperand::prepare(&w, &pdac);
-        let direct = QuantizedMat::quantize(&w, 8).dequantize_with(&pdac);
-        assert_eq!(prepared.converted(), &direct);
-        assert_eq!(prepared.bits(), 8);
+        let cache = WeightCache::default();
+        assert_eq!(*cache.get_or_prepare(&w, &pdac), direct(&w, &pdac));
     }
 
     #[test]
@@ -338,7 +263,8 @@ mod tests {
         w.as_mut_slice()[0] += 0.5;
         let after = cache.get_or_prepare(&w, &edac);
         assert_eq!(cache.misses(), 2);
-        assert_ne!(before.converted(), after.converted());
+        assert_ne!(before, after);
+        assert_eq!(*after, direct(&w, &edac));
     }
 
     #[test]
@@ -377,33 +303,15 @@ mod tests {
     }
 
     #[test]
-    fn prepared_codes_match_quantized_mat() {
-        let w = random_mat(7, 9, 57);
-        let edac = ElectricalDac::new(8).unwrap();
-        let prepared = PreparedOperand::prepare(&w, &edac);
-        let q = crate::quant::QuantizedMat::quantize(&w, 8);
-        assert_eq!(prepared.code_scale(), q.scale());
-        let as32: Vec<i32> = prepared.codes().iter().map(|&c| c as i32).collect();
-        assert_eq!(as32, q.codes());
-        // Packed code panels are memoized like the f64 panels.
-        let first = prepared.packed_codes() as *const _;
-        assert!(std::ptr::eq(prepared.packed_codes(), first));
-        assert_eq!(prepared.packed_codes().k(), 7);
-        assert_eq!(prepared.packed_codes().n(), 9);
-    }
-
-    #[test]
     fn packed_panels_match_plain_matmul() {
         let w = random_mat(12, 9, 55);
         let x = random_mat(3, 12, 56);
         let pdac = PDac::with_optimal_approx(8).unwrap();
-        let prepared = PreparedOperand::prepare(&w, &pdac);
+        let cache = WeightCache::default();
         let mut via_packed = Mat::zeros(1, 1);
-        x.matmul_prepacked_into(prepared.packed(), &mut via_packed)
+        x.matmul_prepacked_into(&cache.get_or_prepare(&w, &pdac), &mut via_packed)
             .unwrap();
-        assert_eq!(via_packed, x.matmul(prepared.converted()).unwrap());
-        // Second call reuses the cached panels (same address).
-        let again = prepared.packed() as *const _;
-        assert!(std::ptr::eq(prepared.packed(), again));
+        let converted = QuantizedMat::quantize(&w, 8).dequantize_with(&pdac);
+        assert_eq!(via_packed, x.matmul(&converted).unwrap());
     }
 }

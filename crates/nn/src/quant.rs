@@ -1,11 +1,12 @@
 //! Tensor quantization onto the converter code grid.
 //!
-//! Before modulation, activations and weights are quantized per-tensor
-//! with a symmetric scale (the largest magnitude maps to the full-scale
-//! code). Dequantization happens physically: the MZM emits
-//! `scale · driver.convert(code)` — so replacing the ideal driver with a
-//! P-DAC injects exactly the approximation error of paper Sec. III-C into
-//! every operand.
+//! Before modulation, activations and weights are quantized with a
+//! symmetric scale (the largest magnitude maps to the full-scale code),
+//! one scale per block of rows: the whole tensor, each row, or each
+//! stacked operand ([`QuantizedMat`]). Dequantization happens
+//! physically: the MZM emits `scale · driver.convert(code)` — so
+//! replacing the ideal driver with a P-DAC injects exactly the
+//! approximation error of paper Sec. III-C into every operand.
 
 use pdac_core::converter::MzmDriver;
 use pdac_math::quant::abs_max;
@@ -23,13 +24,33 @@ fn scale_of(xs: &[f64]) -> f64 {
     }
 }
 
-/// A tensor quantized to signed codes with one per-tensor scale.
+/// A tensor quantized to signed codes with one symmetric scale per
+/// block of rows.
+///
+/// Every analog operand is one of three block layouts:
+///
+/// * **per tensor** ([`Self::quantize`]) — one block: solo and transient
+///   operands, and cached weights;
+/// * **per row** (`quantize_blocks(x, 1, ..)`) — the batched decode
+///   engine stacks the current-token activations of S independent
+///   sequences into one S×hidden matrix; a shared scale would couple the
+///   sequences (one outlier row rescales all of them);
+/// * **grouped** (`quantize_blocks(x, k, ..)`) — grouped attention
+///   stacks each sequence's own transient `k × n` operand (a gathered Kᵀ
+///   or V) into one `(G·k) × n` matrix.
+///
+/// Each block gets exactly the per-tensor scale rule, so block `g` of
+/// [`Self::quantize_blocks`] + [`Self::dequantize_with`] is
+/// bit-identical to [`Self::quantize`] of block `g` alone (same scale,
+/// same codes, same conversion) — what keeps batched and grouped
+/// products equal to their solo twins row for row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMat {
     codes: Vec<i32>,
     rows: usize,
     cols: usize,
-    scale: f64,
+    block_rows: usize,
+    scales: Vec<f64>,
     bits: u8,
 }
 
@@ -41,48 +62,51 @@ impl QuantizedMat {
     ///
     /// Panics if `bits` is outside `2..=16`.
     pub fn quantize(x: &Mat, bits: u8) -> Self {
-        Self::quantize_with_scale(x, bits, scale_of(x.as_slice()))
+        // A 0-row matrix has nothing to scale, but a block needs a row.
+        Self::quantize_blocks(x, x.rows().max(1), bits)
     }
 
-    /// Quantizes with a percentile-clipped scale: the scale is the
-    /// `percentile`-th largest magnitude instead of the absolute max, and
-    /// outliers saturate. For heavy-tailed activations this pushes the
-    /// bulk of values toward full scale — where both the quantizer grid
-    /// is denser relative to the signal and the P-DAC is most accurate
-    /// (it is exact at ±1) — at the cost of clipping rare outliers.
+    /// Quantizes each `block_rows`-row block of `x` at `bits` precision
+    /// with that block's symmetric scale `max|block|` (scale 1 for an
+    /// all-zero block) — the per-tensor rule of [`Self::quantize`]
+    /// applied block by block.
     ///
     /// # Panics
     ///
-    /// Panics if `bits` is outside `2..=16` or `percentile` outside
-    /// `(0, 1]`.
-    pub fn quantize_clipped(x: &Mat, bits: u8, percentile: f64) -> Self {
-        assert!(
-            percentile > 0.0 && percentile <= 1.0,
-            "percentile must lie in (0, 1]"
+    /// Panics if `bits` is outside `2..=16`, `block_rows` is zero, or
+    /// `x.rows()` is not a multiple of `block_rows`.
+    pub fn quantize_blocks(x: &Mat, block_rows: usize, bits: u8) -> Self {
+        assert!(block_rows > 0, "block_rows must be nonzero");
+        assert_eq!(
+            x.rows() % block_rows,
+            0,
+            "row count must be a whole number of blocks"
         );
-        let mut mags: Vec<f64> = x.as_slice().iter().map(|v| v.abs()).collect();
-        mags.sort_by(|a, b| a.partial_cmp(b).expect("finite magnitudes"));
-        let idx = ((mags.len() as f64 * percentile).ceil() as usize).clamp(1, mags.len()) - 1;
-        let scale = if mags[idx] == 0.0 { 1.0 } else { mags[idx] };
-        Self::quantize_with_scale(x, bits, scale)
-    }
-
-    fn quantize_with_scale(x: &Mat, bits: u8, scale: f64) -> Self {
-        let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
-        let mut codes = Vec::new();
-        q.quantize_slice(x.as_slice(), &mut codes);
+        let block_len = block_rows * x.cols();
+        let blocks = x.rows() / block_rows;
+        let mut codes = Vec::with_capacity(x.rows() * x.cols());
+        let mut scales = Vec::with_capacity(blocks);
+        for g in 0..blocks {
+            let block = &x.as_slice()[g * block_len..(g + 1) * block_len];
+            let scale = scale_of(block);
+            let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
+            q.quantize_slice(block, &mut codes);
+            scales.push(scale);
+        }
         Self {
             codes,
             rows: x.rows(),
             cols: x.cols(),
-            scale,
+            block_rows,
+            scales,
             bits,
         }
     }
 
-    /// Per-tensor scale.
-    pub fn scale(&self) -> f64 {
-        self.scale
+    /// One scale per block, in row order (a single entry for a
+    /// per-tensor quantization).
+    pub fn scales(&self) -> &[f64] {
+        &self.scales
     }
 
     /// Bit precision.
@@ -102,13 +126,18 @@ impl QuantizedMat {
 
     /// Ideal dequantization (no converter error).
     pub fn dequantize_ideal(&self) -> Mat {
-        let q = Quantizer::new(self.bits, self.scale).expect("stored params are valid");
-        let data = self.codes.iter().map(|&c| q.dequantize(c)).collect();
+        let len = self.block_rows * self.cols;
+        let mut data = Vec::with_capacity(self.codes.len());
+        for (g, &scale) in self.scales.iter().enumerate() {
+            let q = Quantizer::new(self.bits, scale).expect("stored params are valid");
+            let codes = &self.codes[g * len..(g + 1) * len];
+            data.extend(codes.iter().map(|&c| q.dequantize(c)));
+        }
         Mat::from_rows(self.rows, self.cols, data).expect("shape preserved")
     }
 
     /// Physical dequantization through an MZM drive path: every element
-    /// becomes `scale · driver.convert(code)`.
+    /// of block `g` becomes `scales[g] · driver.convert(code)`.
     ///
     /// Converts the whole code slice with one [`MzmDriver::convert_all`]
     /// call — a single virtual dispatch instead of one per element, so
@@ -121,250 +150,13 @@ impl QuantizedMat {
     pub fn dequantize_with(&self, driver: &dyn MzmDriver) -> Mat {
         assert_eq!(driver.bits(), self.bits, "driver/tensor bit width mismatch");
         let mut data = driver.convert_all(&self.codes);
-        for v in &mut data {
-            *v *= self.scale;
-        }
-        Mat::from_rows(self.rows, self.cols, data).expect("shape preserved")
-    }
-}
-
-/// A tensor quantized to signed codes with one symmetric scale **per
-/// row**.
-///
-/// The batched decode engine stacks the current-token activations of S
-/// independent sequences into one S×hidden matrix. Quantizing that stack
-/// per-tensor would couple the sequences (one outlier row rescales all
-/// of them) and break the bit-identity between `decode_batch` and S
-/// separate `decode_step` calls. Per-row scales restore independence:
-/// row `r` of [`Self::quantize`] + [`Self::dequantize_with`] is
-/// bit-identical to [`QuantizedMat::quantize`] of the 1×cols matrix
-/// holding row `r` alone (same scale rule, same codes, same conversion).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowQuantizedMat {
-    codes: Vec<i32>,
-    rows: usize,
-    cols: usize,
-    scales: Vec<f64>,
-    bits: u8,
-}
-
-impl RowQuantizedMat {
-    /// Quantizes each row of `x` at `bits` precision with that row's
-    /// symmetric scale `max|row|` (scale 1 for an all-zero row) — the
-    /// exact per-tensor rule of [`QuantizedMat::quantize`] applied row
-    /// by row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `2..=16`.
-    pub fn quantize(x: &Mat, bits: u8) -> Self {
-        let mut codes = Vec::with_capacity(x.rows() * x.cols());
-        let mut scales = Vec::with_capacity(x.rows());
-        for r in 0..x.rows() {
-            let row = x.row_slice(r);
-            let scale = scale_of(row);
-            let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
-            q.quantize_slice(row, &mut codes);
-            scales.push(scale);
-        }
-        Self {
-            codes,
-            rows: x.rows(),
-            cols: x.cols(),
-            scales,
-            bits,
-        }
-    }
-
-    /// Per-row scales.
-    pub fn scales(&self) -> &[f64] {
-        &self.scales
-    }
-
-    /// Bit precision.
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// Shape as `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Raw codes, row-major.
-    pub fn codes(&self) -> &[i32] {
-        &self.codes
-    }
-
-    /// Physical dequantization through an MZM drive path: element
-    /// `(r, c)` becomes `scales[r] · driver.convert(code)`, matching
-    /// [`QuantizedMat::dequantize_with`] row for row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the driver's bit width differs from the tensor's.
-    pub fn dequantize_with(&self, driver: &dyn MzmDriver) -> Mat {
-        assert_eq!(driver.bits(), self.bits, "driver/tensor bit width mismatch");
-        let mut data = driver.convert_all(&self.codes);
-        for (row, &scale) in data.chunks_exact_mut(self.cols).zip(&self.scales) {
-            for v in row {
+        let len = self.block_rows * self.cols;
+        for (g, &scale) in self.scales.iter().enumerate() {
+            for v in &mut data[g * len..(g + 1) * len] {
                 *v *= scale;
             }
         }
         Mat::from_rows(self.rows, self.cols, data).expect("shape preserved")
-    }
-}
-
-/// A tensor quantized to signed codes with one symmetric scale **per
-/// block of rows**.
-///
-/// The grouped attention path stacks the transient right operands of G
-/// independent sequences (each `block_rows × cols`: a gathered Kᵀ or V
-/// matrix) into one `(G·block_rows) × cols` matrix. The solo decode path
-/// quantizes each of those operands per-tensor
-/// ([`QuantizedMat::quantize`]); per-block scales reproduce that exactly:
-/// block `g` of [`Self::quantize`] + [`Self::dequantize_with`] is
-/// bit-identical to [`QuantizedMat::quantize`] of block `g` alone (same
-/// scale rule, same codes, same conversion).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupQuantizedMat {
-    codes: Vec<i32>,
-    rows: usize,
-    cols: usize,
-    block_rows: usize,
-    scales: Vec<f64>,
-    bits: u8,
-}
-
-impl GroupQuantizedMat {
-    /// Quantizes each `block_rows`-row block of `x` at `bits` precision
-    /// with that block's symmetric scale `max|block|` (scale 1 for an
-    /// all-zero block) — the per-tensor rule of
-    /// [`QuantizedMat::quantize`] applied block by block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `2..=16`, `block_rows` is zero, or
-    /// `x.rows()` is not a multiple of `block_rows`.
-    pub fn quantize(x: &Mat, block_rows: usize, bits: u8) -> Self {
-        assert!(block_rows > 0, "block_rows must be nonzero");
-        assert_eq!(
-            x.rows() % block_rows,
-            0,
-            "row count must be a whole number of blocks"
-        );
-        let cols = x.cols();
-        let block_len = block_rows * cols;
-        let mut codes = Vec::with_capacity(x.rows() * cols);
-        let mut scales = Vec::with_capacity(x.rows() / block_rows);
-        for block in x.as_slice().chunks_exact(block_len) {
-            let scale = scale_of(block);
-            let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
-            q.quantize_slice(block, &mut codes);
-            scales.push(scale);
-        }
-        Self {
-            codes,
-            rows: x.rows(),
-            cols,
-            block_rows,
-            scales,
-            bits,
-        }
-    }
-
-    /// Per-block scales.
-    pub fn scales(&self) -> &[f64] {
-        &self.scales
-    }
-
-    /// Bit precision.
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// Shape as `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Rows per quantization block.
-    pub fn block_rows(&self) -> usize {
-        self.block_rows
-    }
-
-    /// Raw codes, row-major.
-    pub fn codes(&self) -> &[i32] {
-        &self.codes
-    }
-
-    /// Physical dequantization through an MZM drive path: every element
-    /// of block `g` becomes `scales[g] · driver.convert(code)`, matching
-    /// [`QuantizedMat::dequantize_with`] block for block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the driver's bit width differs from the tensor's.
-    pub fn dequantize_with(&self, driver: &dyn MzmDriver) -> Mat {
-        assert_eq!(driver.bits(), self.bits, "driver/tensor bit width mismatch");
-        let mut data = driver.convert_all(&self.codes);
-        let block_len = self.block_rows * self.cols;
-        for (block, &scale) in data.chunks_exact_mut(block_len).zip(&self.scales) {
-            for v in block {
-                *v *= scale;
-            }
-        }
-        Mat::from_rows(self.rows, self.cols, data).expect("shape preserved")
-    }
-}
-
-/// Quantizes `x` per-tensor into `i16` codes (the integer-GEMM operand
-/// form), returning the scale. Exactly [`QuantizedMat::quantize`]'s scale
-/// rule and code arithmetic — same codes, narrower storage. `codes` is
-/// clear-and-reused scratch.
-pub(crate) fn quantize_tensor_i16(xs: &[f64], bits: u8, codes: &mut Vec<i16>) -> f64 {
-    let scale = scale_of(xs);
-    let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
-    codes.clear();
-    codes.resize(xs.len(), 0);
-    q.quantize_slice_i16(xs, codes);
-    scale
-}
-
-/// Quantizes each `block_rows`-row block of `x` into `i16` codes with
-/// per-block scales — [`GroupQuantizedMat::quantize`]'s arithmetic
-/// (`block_rows == 1` gives [`RowQuantizedMat::quantize`]'s). `codes`
-/// and `scales` are clear-and-reused scratch.
-///
-/// # Panics
-///
-/// Panics if `x.rows()` is not a multiple of `block_rows`.
-pub(crate) fn quantize_blocks_i16(
-    x: &Mat,
-    block_rows: usize,
-    bits: u8,
-    codes: &mut Vec<i16>,
-    scales: &mut Vec<f64>,
-) {
-    assert!(block_rows > 0, "block_rows must be nonzero");
-    assert_eq!(
-        x.rows() % block_rows,
-        0,
-        "row count must be a whole number of blocks"
-    );
-    let block_len = block_rows * x.cols();
-    codes.clear();
-    codes.resize(x.rows() * x.cols(), 0);
-    scales.clear();
-    for (block, out) in x
-        .as_slice()
-        .chunks_exact(block_len)
-        .zip(codes.chunks_exact_mut(block_len))
-    {
-        let scale = scale_of(block);
-        let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
-        q.quantize_slice_i16(block, out);
-        scales.push(scale);
     }
 }
 
@@ -384,7 +176,8 @@ mod tests {
         let q = QuantizedMat::quantize(&x, 8);
         assert_eq!(q.shape(), (4, 4));
         assert_eq!(q.bits(), 8);
-        assert!((q.scale() - x.max_abs()).abs() < 1e-12);
+        assert_eq!(q.scales().len(), 1);
+        assert!((q.scales()[0] - x.max_abs()).abs() < 1e-12);
     }
 
     #[test]
@@ -392,7 +185,7 @@ mod tests {
         let x = ramp();
         let q = QuantizedMat::quantize(&x, 8);
         let back = q.dequantize_ideal();
-        let step = q.scale() / 127.0;
+        let step = q.scales()[0] / 127.0;
         for (a, b) in x.as_slice().iter().zip(back.as_slice()) {
             assert!((a - b).abs() <= step / 2.0 + 1e-12);
         }
@@ -440,56 +233,6 @@ mod tests {
         q.dequantize_with(&pdac);
     }
 
-    fn heavy_tailed() -> Mat {
-        // Mostly small values with one large outlier.
-        let mut data = vec![0.1; 63];
-        data.push(10.0);
-        Mat::from_rows(8, 8, data).unwrap()
-    }
-
-    #[test]
-    fn clipped_scale_ignores_outliers() {
-        let x = heavy_tailed();
-        let full = QuantizedMat::quantize(&x, 8);
-        let clipped = QuantizedMat::quantize_clipped(&x, 8, 0.95);
-        assert_eq!(full.scale(), 10.0);
-        assert!(clipped.scale() < 0.2, "clipped scale {}", clipped.scale());
-    }
-
-    #[test]
-    fn clipping_improves_bulk_reconstruction() {
-        // With a 10.0 outlier, the full-scale grid step is 10/127 ≈ 0.08
-        // — comparable to the 0.1 bulk values themselves. Clipping the
-        // scale to the bulk restores them nearly exactly.
-        let x = heavy_tailed();
-        let bulk_err = |q: &QuantizedMat| {
-            let back = q.dequantize_ideal();
-            x.as_slice()
-                .iter()
-                .zip(back.as_slice())
-                .filter(|(v, _)| v.abs() < 1.0)
-                .map(|(v, b)| (v - b).abs())
-                .fold(0.0f64, f64::max)
-        };
-        let full = QuantizedMat::quantize(&x, 8);
-        let clipped = QuantizedMat::quantize_clipped(&x, 8, 0.95);
-        assert!(bulk_err(&clipped) < bulk_err(&full) / 10.0);
-    }
-
-    #[test]
-    fn full_percentile_matches_plain_quantize() {
-        let x = ramp();
-        let a = QuantizedMat::quantize(&x, 8);
-        let b = QuantizedMat::quantize_clipped(&x, 8, 1.0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile")]
-    fn zero_percentile_rejected() {
-        QuantizedMat::quantize_clipped(&ramp(), 8, 0.0);
-    }
-
     #[test]
     fn row_quantize_rows_match_per_tensor_single_rows() {
         // The batching invariant: each row of the row-quantized stack is
@@ -497,13 +240,13 @@ mod tests {
         let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(77);
         let x = Mat::from_fn(5, 12, |_, _| rng.gen_range_f64(-3.0, 3.0));
         let pdac = PDac::with_optimal_approx(8).unwrap();
-        let batched = RowQuantizedMat::quantize(&x, 8);
+        let batched = QuantizedMat::quantize_blocks(&x, 1, 8);
         assert_eq!(batched.shape(), (5, 12));
         let deq = batched.dequantize_with(&pdac);
         for r in 0..x.rows() {
             let row = Mat::from_rows(1, 12, x.row_slice(r).to_vec()).unwrap();
             let single = QuantizedMat::quantize(&row, 8);
-            assert_eq!(batched.scales()[r], single.scale(), "row {r}");
+            assert_eq!(batched.scales()[r], single.scales()[0], "row {r}");
             let single_deq = single.dequantize_with(&pdac);
             assert_eq!(deq.row_slice(r), single_deq.row_slice(0), "row {r}");
         }
@@ -513,7 +256,7 @@ mod tests {
     fn row_quantize_zero_row_uses_unit_scale() {
         let mut x = Mat::from_fn(2, 4, |_, c| c as f64 + 1.0);
         x.row_slice_mut(1).fill(0.0);
-        let q = RowQuantizedMat::quantize(&x, 8);
+        let q = QuantizedMat::quantize_blocks(&x, 1, 8);
         assert_eq!(q.scales()[1], 1.0);
         assert_eq!(q.bits(), 8);
         assert!(q.codes()[4..].iter().all(|&c| c == 0));
@@ -531,7 +274,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bit width mismatch")]
     fn row_quantize_rejects_mismatched_driver_bits() {
-        let q = RowQuantizedMat::quantize(&ramp(), 8);
+        let q = QuantizedMat::quantize_blocks(&ramp(), 1, 8);
         q.dequantize_with(&PDac::with_optimal_approx(4).unwrap());
     }
 
@@ -555,9 +298,8 @@ mod tests {
             }
         }
         let pdac = PDac::with_optimal_approx(8).unwrap();
-        let stacked = GroupQuantizedMat::quantize(&x, block_rows, 8);
+        let stacked = QuantizedMat::quantize_blocks(&x, block_rows, 8);
         assert_eq!(stacked.shape(), (groups * block_rows, cols));
-        assert_eq!(stacked.block_rows(), block_rows);
         let deq = stacked.dequantize_with(&pdac);
         for g in 0..groups {
             let mut data = Vec::new();
@@ -566,7 +308,7 @@ mod tests {
             }
             let block = Mat::from_rows(block_rows, cols, data).unwrap();
             let single = QuantizedMat::quantize(&block, 8);
-            assert_eq!(stacked.scales()[g], single.scale(), "block {g}");
+            assert_eq!(stacked.scales()[g], single.scales()[0], "block {g}");
             let single_deq = single.dequantize_with(&pdac);
             for r in 0..block_rows {
                 assert_eq!(
@@ -583,7 +325,7 @@ mod tests {
         let mut x = Mat::from_fn(4, 3, |_, c| c as f64 + 1.0);
         x.row_slice_mut(2).fill(0.0);
         x.row_slice_mut(3).fill(0.0);
-        let q = GroupQuantizedMat::quantize(&x, 2, 8);
+        let q = QuantizedMat::quantize_blocks(&x, 2, 8);
         assert_eq!(q.scales()[1], 1.0);
         assert!(q.codes()[6..].iter().all(|&c| c == 0));
     }
@@ -591,32 +333,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole number of blocks")]
     fn group_quantize_rejects_ragged_blocks() {
-        GroupQuantizedMat::quantize(&ramp(), 3, 8);
-    }
-
-    #[test]
-    fn i16_helpers_emit_the_same_codes_as_the_public_types() {
-        let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(123);
-        let x = Mat::from_fn(6, 10, |_, _| rng.gen_range_f64(-4.0, 4.0));
-        let mut codes = vec![7i16; 3]; // stale scratch must be overwritten
-        let mut scales = vec![0.5f64];
-
-        let scale = quantize_tensor_i16(x.as_slice(), 8, &mut codes);
-        let tensor = QuantizedMat::quantize(&x, 8);
-        assert_eq!(scale, tensor.scale());
-        let as32: Vec<i32> = codes.iter().map(|&c| c as i32).collect();
-        assert_eq!(as32, tensor.codes());
-
-        quantize_blocks_i16(&x, 1, 8, &mut codes, &mut scales);
-        let rows = RowQuantizedMat::quantize(&x, 8);
-        assert_eq!(scales, rows.scales());
-        let as32: Vec<i32> = codes.iter().map(|&c| c as i32).collect();
-        assert_eq!(as32, rows.codes());
-
-        quantize_blocks_i16(&x, 3, 8, &mut codes, &mut scales);
-        let blocks = GroupQuantizedMat::quantize(&x, 3, 8);
-        assert_eq!(scales, blocks.scales());
-        let as32: Vec<i32> = codes.iter().map(|&c| c as i32).collect();
-        assert_eq!(as32, blocks.codes());
+        QuantizedMat::quantize_blocks(&ramp(), 3, 8);
     }
 }

@@ -99,7 +99,7 @@ fn quantized_round_trip_error_bounded() {
         let m = Mat::from_rows(1, len, vals).unwrap();
         let q = QuantizedMat::quantize(&m, bits);
         let back = q.dequantize_ideal();
-        let step = q.scale() / ((1i32 << (bits - 1)) - 1) as f64;
+        let step = q.scales()[0] / ((1i32 << (bits - 1)) - 1) as f64;
         for (a, b) in m.as_slice().iter().zip(back.as_slice()) {
             assert!((a - b).abs() <= step / 2.0 + 1e-12);
         }

@@ -4,11 +4,13 @@
 //! under capacity pressure, and counter accounting under interleaved
 //! weight streams.
 
+use pdac_core::converter::MzmDriver;
 use pdac_core::edac::ElectricalDac;
 use pdac_core::pdac::PDac;
+use pdac_math::gemm::PackedB;
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
-use pdac_nn::prepared::{PreparedOperand, WeightCache};
+use pdac_nn::prepared::WeightCache;
 use pdac_nn::quant::QuantizedMat;
 use std::rc::Rc;
 
@@ -17,8 +19,10 @@ fn random_mat(rows: usize, cols: usize, seed: u64) -> Mat {
     Mat::from_fn(rows, cols, |_, _| rng.gen_range_f64(-1.0, 1.0))
 }
 
-fn direct(mat: &Mat, driver: &ElectricalDac) -> Mat {
-    QuantizedMat::quantize(mat, 8).dequantize_with(driver)
+/// The uncached pipeline: quantize, convert, pack.
+fn direct(mat: &Mat, driver: &dyn MzmDriver) -> PackedB {
+    let converted = QuantizedMat::quantize(mat, driver.bits()).dequantize_with(driver);
+    PackedB::pack(converted.as_slice(), mat.rows(), mat.cols())
 }
 
 #[test]
@@ -35,8 +39,8 @@ fn mutate_then_revert_hits_with_correct_data() {
     w.as_mut_slice()[7] = original + 0.25;
     let mutated = cache.get_or_prepare(&w, &edac);
     assert_eq!(cache.misses(), 2, "mutation must defeat the address key");
-    assert_ne!(first.converted(), mutated.converted());
-    assert_eq!(mutated.converted(), &direct(&w, &edac));
+    assert_ne!(first, mutated);
+    assert_eq!(*mutated, direct(&w, &edac));
 
     w.as_mut_slice()[7] = original;
     let reverted = cache.get_or_prepare(&w, &edac);
@@ -46,7 +50,7 @@ fn mutate_then_revert_hits_with_correct_data() {
         "reverted contents restore the original key"
     );
     assert!(Rc::ptr_eq(&first, &reverted));
-    assert_eq!(reverted.converted(), &direct(&w, &edac));
+    assert_eq!(*reverted, direct(&w, &edac));
 }
 
 #[test]
@@ -77,7 +81,7 @@ fn equal_content_clone_misses_but_converts_identically() {
     assert_eq!(cache.hits(), 0);
     assert_eq!(cache.len(), 2);
     assert!(!Rc::ptr_eq(&a, &b));
-    assert_eq!(a.converted(), b.converted());
+    assert_eq!(a, b);
 }
 
 #[test]
@@ -89,10 +93,10 @@ fn allocation_reuse_never_serves_stale_data() {
     let edac = ElectricalDac::new(8).unwrap();
     for seed in 0..16u64 {
         let w = random_mat(6, 6, 100 + seed);
-        let prepared = cache.get_or_prepare(&w, &edac);
+        let packed = cache.get_or_prepare(&w, &edac);
         assert_eq!(
-            prepared.converted(),
-            &direct(&w, &edac),
+            *packed,
+            direct(&w, &edac),
             "stale cache entry served for seed {seed}"
         );
     }
@@ -169,12 +173,8 @@ fn interleaved_drivers_share_no_entries() {
     let via_p4 = cache.get_or_prepare(&w, &p4);
     assert_eq!(cache.misses(), 2);
     assert_eq!(cache.len(), 2);
-    assert_eq!(via_e8.bits(), 8);
-    assert_eq!(via_p4.bits(), 4);
-    assert_eq!(
-        via_p4.converted(),
-        PreparedOperand::prepare(&w, &p4).converted()
-    );
+    assert_eq!(*via_e8, direct(&w, &e8));
+    assert_eq!(*via_p4, direct(&w, &p4));
     let _ = cache.get_or_prepare(&w, &e8);
     let _ = cache.get_or_prepare(&w, &p4);
     assert_eq!(cache.hits(), 2, "both entries answer their own driver");

@@ -6,8 +6,8 @@
 //!
 //! * **Bit identity** — blocked/threaded kernels vs the reference triple
 //!   loop, [`ConverterLut`] vs the scalar drive path, cached
-//!   ([`WeightCache`]/[`PreparedOperand`]) vs uncached conversion. These
-//!   paths advertise *exact* equivalence; one differing bit fails.
+//!   ([`WeightCache`]) vs uncached conversion. These paths advertise
+//!   *exact* equivalence; one differing bit fails.
 //! * **Error budgets** — the P-DAC's per-element relative reconstruction
 //!   error against the paper's ≈8.5% bound (Eq. 18), and configurable
 //!   end-to-end GEMM tolerances for the analog and functional backends.
@@ -16,7 +16,6 @@
 //!   quarantined into the `verify.fault.*` telemetry histograms.
 //!
 //! [`WeightCache`]: pdac_nn::prepared::WeightCache
-//! [`PreparedOperand`]: pdac_nn::prepared::PreparedOperand
 
 use crate::faults::{FaultSpec, FaultyPDac, SlotFault};
 use crate::report::{CheckKind, CheckResult, ConformanceReport};
@@ -24,7 +23,6 @@ use pdac_accel::config::{AccelConfig, DriverChoice};
 use pdac_accel::functional::FunctionalGemm;
 use pdac_core::converter::MzmDriver;
 use pdac_core::edac::ElectricalDac;
-use pdac_core::ideal::IdealDac;
 use pdac_core::lut::ConverterLut;
 use pdac_core::pdac::PDac;
 use pdac_math::gemm::{gemm, gemm_prepacked, gemm_scoped, PackedB};
@@ -809,7 +807,58 @@ fn cached_gemm_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         diffs,
         "P-DAC activations + electrical weights vs direct pipeline".into(),
     ));
+
+    // The cached forms multiply against prepacked panels; the shapes
+    // above stay below `PAR_MIN_MACS`, so walk every kernel branch: one
+    // row, fewer rows than a register tile, whole tiles, and pooled.
+    let branch_shapes = [(1, 512, 512), (2, 13, 6), (16, 64, 64), (70, 64, 64)];
+    let pairs: [(&AnalogGemm, &dyn MzmDriver); 2] = [(&pdac_backend, &pdac), (&hybrid, &edac)];
+    let mut diffs = 0usize;
+    for (backend, weight_driver) in pairs {
+        for &(m, k, n) in &branch_shapes {
+            let a = random_mat(m, k, &mut rng);
+            let b = random_mat(k, n, &mut rng);
+            let golden = direct_analog_gemm(&a, &b, &pdac, weight_driver);
+            diffs += differing_bits(&backend.matmul(&a, &b), &golden);
+            diffs += differing_bits(&backend.matmul(&a, &b), &golden);
+        }
+    }
+    checks.push(bit_identity_check(
+        "gemm.analog.cached_kernel_branches_vs_direct",
+        diffs,
+        format!("P-DAC and hybrid, converting and cached calls, shapes {branch_shapes:?}"),
+    ));
     checks
+}
+
+/// Full-sequence forward passes keep attention products out of the
+/// weight cache: on a model whose per-pass products outnumber the cache,
+/// only the weights may enter it, so a second pass hits every weight.
+fn forward_cache_checks() -> Vec<CheckResult> {
+    let config = TransformerConfig {
+        name: "deep-narrow".into(),
+        layers: 12,
+        hidden: 48,
+        heads: 12,
+        ff_mult: 4,
+        seq_len: 4,
+    };
+    let model = TransformerModel::random(config, 4, 0xF0);
+    let backend = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pdac8");
+    let input = model.random_input(0xF1);
+    let _ = model.forward(&input, &backend);
+    let _ = model.forward(&input, &backend);
+    let weights = 12 * 6;
+    let cache = backend.cache();
+    vec![invariant_check(
+        "forward.weights_converted_once",
+        cache.misses() == weights && cache.hits() == weights,
+        format!(
+            "two forwards, 12 layers x 12 heads: cache hits={} misses={} (want {weights} each)",
+            cache.hits(),
+            cache.misses()
+        ),
+    )]
 }
 
 /// End-to-end analog accuracy budgets: nn-level [`AnalogGemm`] and the
@@ -1028,59 +1077,6 @@ fn fault_gemm_check(cfg: &ConformanceConfig) -> CheckResult {
     )
 }
 
-/// Integer-domain routing conformance (DESIGN.md §16), one row each:
-///
-/// * `gemm.int8.ideal.vs_integer_reference` — the code-linear ideal
-///   driver's automatic integer route must equal a hand-rolled exact
-///   `i32` triple loop with the dequantize-at-the-end factor, bitwise.
-/// * `gemm.int8.ideal.vs_f64_path` — against the f64 pipeline the
-///   integer route only reorders rounding (per-term rounding becomes
-///   exact accumulation + one final multiply), so it carries a tight
-///   documented tolerance instead of bit identity.
-fn int8_route_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
-    let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x18_D0);
-    let mut checks = Vec::new();
-    let ideal_driver = IdealDac::new(8).unwrap();
-    let ideal = AnalogGemm::new(ideal_driver, "ideal8");
-    let mut ref_diffs = 0usize;
-    let mut worst_rel = 0.0f64;
-    for &(m, k, n) in &cfg.gemm_shapes {
-        let a = random_mat(m, k, &mut rng);
-        let b = random_mat(k, n, &mut rng);
-        let got = ideal.matmul(&a, &b);
-        let qa = QuantizedMat::quantize(&a, 8);
-        let qb = QuantizedMat::quantize(&b, 8);
-        let f = (qa.scale() / 127.0) * (qb.scale() / 127.0);
-        let want = Mat::from_fn(m, n, |r, c| {
-            let mut acc = 0i32;
-            for kk in 0..k {
-                acc += qa.codes()[r * k + kk] * qb.codes()[kk * n + c];
-            }
-            f * acc as f64
-        });
-        ref_diffs += differing_bits(&got, &want);
-        let direct = qa
-            .dequantize_with(&ideal_driver)
-            .matmul_reference(&qb.dequantize_with(&ideal_driver))
-            .unwrap();
-        for (g, d) in got.as_slice().iter().zip(direct.as_slice()) {
-            worst_rel = worst_rel.max((g - d).abs() / d.abs().max(1.0));
-        }
-    }
-    checks.push(bit_identity_check(
-        "gemm.int8.ideal.vs_integer_reference",
-        ref_diffs,
-        "integer route vs exact i32 triple loop + dequantize-at-end factor".into(),
-    ));
-    checks.push(tolerance_check(
-        "gemm.int8.ideal.vs_f64_path",
-        worst_rel,
-        1e-12,
-        "integer route vs f64 pipeline; differs only by rounding reorder (DESIGN.md §16)".into(),
-    ));
-    checks
-}
-
 /// Runs the backend-pair conformance matrix (no fault injection).
 pub fn run_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
     let _span = pdac_telemetry::span("verify.conformance");
@@ -1091,7 +1087,7 @@ pub fn run_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
     report.extend(per_element_budget_checks(cfg));
     report.extend(fault_layer_conformance(cfg));
     report.extend(cached_gemm_checks(cfg));
-    report.extend(int8_route_checks(cfg));
+    report.extend(forward_cache_checks());
     report.extend(end_to_end_budget_checks(cfg));
     report.extend(decode_workload_checks(cfg));
     report.extend(decode_row_checks(cfg));

@@ -159,21 +159,6 @@ PDAC_BENCH_OUT="$(pwd)/target/BENCH_sentinel.fresh.json" \
 PDAC_BENCH_MS=40 PDAC_BENCH_MAX_DIM=256 PDAC_BENCH_OUT="$(pwd)/target/BENCH_gemm.fresh.json" \
     cargo bench --features microbench -p pdac-bench --bench gemm_engine
 
-echo "==> integer-route floor (analog_int8 >= 2x analog_lut_cache at 256^3)"
-if command -v python3 >/dev/null 2>&1; then
-    python3 -c "
-import json
-doc = json.load(open('target/BENCH_gemm.fresh.json'))
-ratios = [r['analog_int8_over_lut_cache'] for r in doc['results']
-          if r.get('size') == 256 and 'analog_int8_over_lut_cache' in r]
-assert ratios, 'no 256^3 analog_int8_over_lut_cache record in fresh bench'
-assert ratios[0] >= 2.0, f'integer route below 2x floor: {ratios[0]:.2f}x'
-print(f'int8 floor OK: {ratios[0]:.2f}x >= 2.0x over analog_lut_cache')
-"
-else
-    echo "note: python3 unavailable, relying on the in-bench assertion"
-fi
-
 PDAC_BENCH_MS=40 PDAC_BENCH_OUT="$(pwd)/target/BENCH_pool.fresh.json" \
     cargo bench --features microbench -p pdac-bench --bench pool_vs_scope
 PDAC_BENCH_OUT="$(pwd)/target/BENCH_energy.fresh.json" \
