@@ -10,10 +10,20 @@
 //! (default 1 — with N > 1 each batched/sequential time is the minimum
 //! of N interleaved pairs, cancelling clock drift on busy machines),
 //! and `_FLOOR` (assert every measured speedup ≥ this ratio — the CI
-//! smoke uses it to fail any batch size slower than sequential). The
-//! batch-8 speedup floors (P-DAC ≥3×, exact ≥2× over sequential) are
-//! asserted only at the default configuration.
+//! smoke uses it to fail any batch size slower than sequential).
+//!
+//! When both backends run, each P-DAC record also carries
+//! `pdac_batched_over_exact_batched`: P-DAC batched tokens/s over exact
+//! batched tokens/s at the same batch size — what the analog operand
+//! path costs a served batch. Two batch-8 floors are asserted only at
+//! the default configuration: exact batched ≥2× exact sequential, and
+//! `pdac_batched_over_exact_batched` ≥0.5. P-DAC batched over P-DAC
+//! sequential is reported but has no floor: weights are converted once
+//! and looked up by matrix id, so sequential P-DAC decode pays no
+//! per-call weight cost for batching to amortize, and the ratio says
+//! little about the analog path.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use pdac_core::pdac::PDac;
@@ -141,7 +151,8 @@ fn main() {
     .collect();
 
     let mut records = Vec::new();
-    let mut pdac_batch8_speedup = None;
+    let mut exact_batched_tps = HashMap::new();
+    let mut pdac_batch8_over_exact = None;
     let mut exact_batch8_speedup = None;
     for (label, backend) in &backends {
         for &s in &batches {
@@ -184,14 +195,7 @@ fn main() {
                      below the {floor}x floor"
                 );
             }
-            if s == 8 {
-                match *label {
-                    "pdac" => pdac_batch8_speedup = Some(speedup),
-                    "exact" => exact_batch8_speedup = Some(speedup),
-                    _ => {}
-                }
-            }
-            records.push(Json::Obj(vec![
+            let mut record = vec![
                 ("backend".into(), Json::Str((*label).into())),
                 ("batch".into(), Json::Int(s as u64)),
                 ("tokens".into(), Json::Int(total_tokens as u64)),
@@ -200,7 +204,29 @@ fn main() {
                 ("batched_tokens_per_s".into(), Json::Num(batched_tps)),
                 ("sequential_tokens_per_s".into(), Json::Num(sequential_tps)),
                 ("speedup".into(), Json::Num(speedup)),
-            ]));
+            ];
+            match *label {
+                "exact" => {
+                    exact_batched_tps.insert(s, batched_tps);
+                    if s == 8 {
+                        exact_batch8_speedup = Some(speedup);
+                    }
+                }
+                "pdac" => {
+                    if let Some(&exact_tps) = exact_batched_tps.get(&s) {
+                        let ratio = batched_tps / f64::max(exact_tps, 1e-12);
+                        println!(
+                            "decode_engine/pdac/batch{s}: batched {ratio:.2}x of exact batched"
+                        );
+                        record.push(("pdac_batched_over_exact_batched".into(), Json::Num(ratio)));
+                        if s == 8 {
+                            pdac_batch8_over_exact = Some(ratio);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            records.push(Json::Obj(record));
         }
     }
 
@@ -220,12 +246,14 @@ fn main() {
     println!("decode_engine: wrote {out_path}");
 
     if default_run {
-        if let Some(speedup) = pdac_batch8_speedup {
+        if let Some(ratio) = pdac_batch8_over_exact {
             assert!(
-                speedup >= 3.0,
-                "P-DAC batch-8 speedup {speedup:.2}x below the 3x floor"
+                ratio >= 0.5,
+                "P-DAC batch-8 at {ratio:.2}x of exact batched, below the 0.5x floor"
             );
-            println!("decode_engine: P-DAC batch-8 speedup {speedup:.2}x (floor 3x) OK");
+            println!(
+                "decode_engine: P-DAC batch-8 at {ratio:.2}x of exact batched (floor 0.5x) OK"
+            );
         }
         if let Some(speedup) = exact_batch8_speedup {
             assert!(

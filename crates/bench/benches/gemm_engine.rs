@@ -2,19 +2,28 @@
 //! triple loop, and the analog pipeline with/without the converter LUT
 //! and the weight-conversion cache.
 //!
+//! Square products (m = k = n) show kernel throughput, but there any
+//! per-call O(k·n) cost is only 1/m of the work. So two decode shapes,
+//! (m, k, n) = (1, 256, 1024) and (8, 256, 1024), time the batched
+//! analog call against an already-cached weight next to the exact
+//! batched call with a prepacked weight, and report
+//! `analog_cached_over_exact` (exact mean time over analog mean time).
+//! A per-call pass over the weight shows up there as a ratio far below 1.
+//!
 //! Emits `BENCH_gemm.json` (override the path with `PDAC_BENCH_OUT`)
 //! with per-variant throughput and the speedup of the full fast path
 //! over the seed scalar path. Knobs: `PDAC_BENCH_MS` (wall-clock budget
-//! per bench), `PDAC_BENCH_MAX_DIM` (largest cube; default 512).
+//! per bench), `PDAC_BENCH_MAX_DIM` (largest cube; default 512; the
+//! decode shapes always run).
 
 use pdac_bench::microbench::{bench, black_box, BenchResult};
 use pdac_core::converter::MzmDriver;
 use pdac_core::lut::ConverterLut;
 use pdac_core::pdac::PDac;
-use pdac_math::gemm::default_threads;
+use pdac_math::gemm::{default_threads, PackedB};
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
-use pdac_nn::gemm::{AnalogGemm, GemmBackend};
+use pdac_nn::gemm::{AnalogGemm, ExactGemm, GemmBackend};
 use pdac_nn::quant::QuantizedMat;
 use pdac_telemetry::Json;
 
@@ -23,20 +32,34 @@ fn random_mat(rows: usize, cols: usize, seed: u64) -> Mat {
     Mat::from_fn(rows, cols, |_, _| rng.gen_range_f64(-1.0, 1.0))
 }
 
-/// One measured variant at one size, with derived throughput.
-fn record(size: usize, result: &BenchResult) -> Json {
-    let macs = (size * size * size) as f64;
-    Json::Obj(vec![
-        ("name".into(), Json::Str(result.name.clone())),
-        ("size".into(), Json::Int(size as u64)),
+/// One measured variant at one shape (`size`, or `m`/`k`/`n`), with
+/// derived throughput.
+fn record(shape: &[(&str, usize)], macs: usize, result: &BenchResult) -> Json {
+    let mut fields = vec![("name".into(), Json::Str(result.name.clone()))];
+    fields.extend(
+        shape
+            .iter()
+            .map(|&(key, v)| (key.into(), Json::Int(v as u64))),
+    );
+    fields.extend([
         ("iters".into(), Json::Int(result.iters)),
         ("mean_ns".into(), Json::Num(result.mean_ns)),
         ("min_ns".into(), Json::Num(result.min_ns)),
         (
             "gmacs_per_s".into(),
-            Json::Num(macs / result.mean_ns.max(1.0)),
+            Json::Num(macs as f64 / result.mean_ns.max(1.0)),
         ),
-    ])
+    ]);
+    Json::Obj(fields)
+}
+
+/// The run with the lower mean time.
+fn faster(x: BenchResult, y: BenchResult) -> BenchResult {
+    if x.mean_ns <= y.mean_ns {
+        x
+    } else {
+        y
+    }
 }
 
 fn main() {
@@ -111,7 +134,7 @@ fn main() {
             &analog_lut,
             &analog_cached,
         ] {
-            records.push(record(size, r));
+            records.push(record(&[("size", size)], size * size * size, r));
         }
         let speedup = Json::Obj(vec![
             ("size".into(), Json::Int(size as u64)),
@@ -131,6 +154,54 @@ fn main() {
         // per-size ratio records are cross-run comparable).
         records.push(speedup.clone());
         speedups.push(speedup);
+    }
+
+    // The decode shapes (see the module docs) run at any max dim.
+    for (m, k, n) in [(1usize, 256usize, 1024usize), (8, 256, 1024)] {
+        let a = random_mat(m, k, 3 * m as u64);
+        let w = random_mat(k, n, 3 * m as u64 + 1);
+        let packed = PackedB::pack(w.as_slice(), k, n);
+        let (mut exact_out, mut analog_out) = (Mat::zeros(1, 1), Mat::zeros(1, 1));
+        let mut time_exact = || {
+            bench(&format!("gemm_engine/{m}x{k}x{n}/exact_prepacked"), || {
+                ExactGemm.matmul_batch_packed_into(
+                    black_box(&a),
+                    black_box(&w),
+                    &|| &packed,
+                    &mut exact_out,
+                );
+            })
+        };
+        let backend = AnalogGemm::new(driver.clone(), "pdac8");
+        // Convert and pack the weight once, outside the timed region.
+        backend.matmul_batch_into(&a, &w, &mut analog_out);
+        let mut time_analog = || {
+            bench(&format!("gemm_engine/{m}x{k}x{n}/analog_cached"), || {
+                backend.matmul_batch_into(black_box(&a), black_box(&w), &mut analog_out);
+            })
+        };
+        // Two rounds in ABBA order, keeping each side's faster mean: on a
+        // shared host a burst of noise inside one short bench window
+        // would otherwise set the ratio.
+        let (e1, a1, a2, e2) = (time_exact(), time_analog(), time_analog(), time_exact());
+        let (exact, analog) = (faster(e1, e2), faster(a1, a2));
+        let ratio = exact.mean_ns / analog.mean_ns.max(1.0);
+        println!(
+            "gemm_engine/{m}x{k}x{n}: analog cached/exact {ratio:.2}x \
+             (cache hits {}, misses {})",
+            backend.cache().hits(),
+            backend.cache().misses(),
+        );
+        let shape = [("m", m), ("k", k), ("n", n)];
+        for r in [&exact, &analog] {
+            records.push(record(&shape, m * k * n, r));
+        }
+        records.push(Json::Obj(vec![
+            ("m".into(), Json::Int(m as u64)),
+            ("k".into(), Json::Int(k as u64)),
+            ("n".into(), Json::Int(n as u64)),
+            ("analog_cached_over_exact".into(), Json::Num(ratio)),
+        ]));
     }
 
     let doc = Json::Obj(vec![

@@ -12,6 +12,7 @@
 use crate::complex::Complex64;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Errors produced by matrix constructors and operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +55,36 @@ impl fmt::Display for MatError {
 
 impl std::error::Error for MatError {}
 
+/// The source of matrix ids; starts at 1 so 0 can mean "none drawn".
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+/// A matrix's content id: 0 until `id()` draws one, back to 0 on every
+/// `&mut` access. An atomic so `&self` can draw it while matrices stay
+/// `Sync`. Clones copy it (a clone holds the same content) and equality
+/// ignores it (it names content, it is not content).
+#[derive(Debug, Default)]
+struct Version(AtomicU64);
+
+impl Version {
+    /// Forgets the id: a plain store through `&mut`, no atomic op.
+    #[inline]
+    fn reset(&mut self) {
+        *self.0.get_mut() = 0;
+    }
+}
+
+impl Clone for Version {
+    fn clone(&self) -> Self {
+        Self(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+impl PartialEq for Version {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 macro_rules! impl_matrix {
     ($name:ident, $elem:ty, $zero:expr, $one:expr, $doc:expr) => {
         #[doc = $doc]
@@ -62,6 +93,7 @@ macro_rules! impl_matrix {
             rows: usize,
             cols: usize,
             data: Vec<$elem>,
+            version: Version,
         }
 
         impl $name {
@@ -76,6 +108,7 @@ macro_rules! impl_matrix {
                     rows,
                     cols,
                     data: vec![$zero; rows * cols],
+                    version: Version::default(),
                 }
             }
 
@@ -100,7 +133,12 @@ macro_rules! impl_matrix {
                         actual: data.len(),
                     });
                 }
-                Ok(Self { rows, cols, data })
+                Ok(Self {
+                    rows,
+                    cols,
+                    data,
+                    version: Version::default(),
+                })
             }
 
             /// Creates a matrix by evaluating `f(row, col)` for every element.
@@ -145,7 +183,34 @@ macro_rules! impl_matrix {
             /// Mutably borrows the row-major element slice.
             #[inline]
             pub fn as_mut_slice(&mut self) -> &mut [$elem] {
+                self.version.reset();
                 &mut self.data
+            }
+
+            /// An id naming this exact content: drawn from a process-wide
+            /// counter on first call, then stable until the next `&mut`
+            /// access, which drops it. Ids are never reused, and a clone
+            /// keeps its source's id, so two matrices that report the same
+            /// id hold the same elements and shape — the key a memo of
+            /// per-matrix work needs.
+            pub fn id(&self) -> u64 {
+                // Relaxed suffices: the id publishes no data. The elements
+                // change only through `&mut`, which already orders every
+                // write before any later `&self` reader on any thread.
+                let id = self.version.0.load(Ordering::Relaxed);
+                if id != 0 {
+                    return id;
+                }
+                let fresh = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+                match self.version.0.compare_exchange(
+                    0,
+                    fresh,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => fresh,
+                    Err(raced) => raced,
+                }
             }
 
             /// Returns a copy of row `r`.
@@ -188,11 +253,15 @@ macro_rules! impl_matrix {
                     });
                 }
                 let mut out = Self::zeros(self.rows, rhs.cols);
+                // Slices up front: a matrix holds an atomic, so `&Self`
+                // does not tell the optimizer its fields survive the
+                // stores below, and indexing through it would reload them.
+                let (n, b, acc) = (rhs.cols, rhs.as_slice(), &mut out.data[..]);
                 for r in 0..self.rows {
                     for k in 0..self.cols {
                         let a = self[(r, k)];
-                        for c in 0..rhs.cols {
-                            out[(r, c)] += a * rhs[(k, c)];
+                        for c in 0..n {
+                            acc[r * n + c] += a * b[k * n + c];
                         }
                     }
                 }
@@ -228,6 +297,7 @@ macro_rules! impl_matrix {
                     rows: self.rows,
                     cols: self.cols,
                     data: self.data.iter().map(|&x| f(x)).collect(),
+                    version: Version::default(),
                 }
             }
         }
@@ -245,6 +315,7 @@ macro_rules! impl_matrix {
             #[inline]
             fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut $elem {
                 debug_assert!(r < self.rows && c < self.cols);
+                self.version.reset();
                 &mut self.data[r * self.cols + c]
             }
         }
@@ -262,6 +333,7 @@ macro_rules! impl_matrix {
                         .zip(&rhs.data)
                         .map(|(&a, &b)| a + b)
                         .collect(),
+                    version: Version::default(),
                 }
             }
         }
@@ -279,6 +351,7 @@ macro_rules! impl_matrix {
                         .zip(&rhs.data)
                         .map(|(&a, &b)| a - b)
                         .collect(),
+                    version: Version::default(),
                 }
             }
         }
@@ -389,6 +462,7 @@ impl Mat {
                 right: rhs.shape(),
             });
         }
+        out.version.reset();
         out.rows = self.rows;
         out.cols = rhs.cols;
         out.data.clear();
@@ -482,6 +556,7 @@ impl Mat {
     /// Panics if `rows == 0` or `cols == 0`.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be nonzero");
+        self.version.reset();
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
@@ -512,6 +587,7 @@ impl Mat {
     #[inline]
     pub fn row_slice_mut(&mut self, r: usize) -> &mut [f64] {
         assert!(r < self.rows, "row index out of bounds");
+        self.version.reset();
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -995,5 +1071,64 @@ mod tests {
         let a = Mat::from_rows(1, 3, vec![1.0, -2.0, 3.0]).unwrap();
         let b = a.map(f64::abs);
         assert_eq!(b.as_slice(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn fresh_matrices_get_distinct_stable_ids() {
+        let a = Mat::zeros(2, 2);
+        let b = Mat::zeros(2, 2);
+        assert_ne!(a.id(), 0);
+        assert_ne!(b.id(), 0);
+        assert_ne!(a.id(), b.id());
+        assert_eq!(a.id(), a.id());
+    }
+
+    #[test]
+    fn every_mut_path_draws_a_new_id() {
+        type Mutation = fn(&mut Mat);
+        let paths: [(&str, Mutation); 7] = [
+            ("as_mut_slice", |m| m.as_mut_slice()[0] = 1.0),
+            ("row_slice_mut", |m| m.row_slice_mut(0)[0] = 1.0),
+            ("index_mut", |m| m[(0, 0)] = 1.0),
+            ("resize", |m| m.resize(2, 2)),
+            ("matmul_into", |m| {
+                Mat::identity(2).matmul_into(&m.clone(), m).unwrap();
+            }),
+            ("matmul_prepacked_into", |m| {
+                let packed = crate::gemm::PackedB::pack(m.as_slice(), 2, 2);
+                Mat::identity(2).matmul_prepacked_into(&packed, m).unwrap();
+            }),
+            ("matmul_grouped_into", |m| {
+                let ones = Mat::from_rows(2, 1, vec![1.0, 1.0]).unwrap();
+                ones.matmul_grouped_into(&m.clone(), m).unwrap();
+            }),
+        ];
+        for (name, mutate) in paths {
+            let mut m = Mat::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+            let (id, before) = (m.id(), m.clone());
+            mutate(&mut m);
+            // Every path leaves the contents as they were; the id must
+            // change anyway, because `&mut` was all the matrix saw.
+            assert_eq!(m, before, "{name}");
+            assert_ne!(m.id(), 0, "{name}");
+            assert_ne!(m.id(), id, "{name}");
+        }
+    }
+
+    #[test]
+    fn clone_keeps_the_id_and_equality_ignores_it() {
+        let a = Mat::from_rows(1, 2, vec![1.0, 2.0]).unwrap();
+        let id = a.id();
+        let mut b = a.clone();
+        assert_eq!(b.id(), id);
+        b.as_mut_slice()[0] = 1.0;
+        assert_ne!(a.id(), b.id());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn mat_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Mat>();
     }
 }

@@ -15,7 +15,7 @@
 //! The [`GemmBackend`] trait lets the same transformer forward pass run in
 //! any regime; the fidelity study diffs their outputs.
 
-use crate::prepared::WeightCache;
+use crate::prepared::{WeightCache, DEFAULT_CACHE_CAPACITY};
 use crate::quant::QuantizedMat;
 use pdac_core::converter::MzmDriver;
 use pdac_core::lut::ConverterLut;
@@ -269,15 +269,15 @@ impl Form {
 /// have a table. [`Self::new`] tabulates one driver for both paths;
 /// [`AsymmetricGemm::new`] tabulates one driver per path — the hybrid
 /// design with P-DAC activations and electrical weights. Per-call
-/// conversion is then an array read rather than a drive-path evaluation,
-/// and `b` of cached calls is memoized in a [`WeightCache`] as packed
-/// panels, so repeated multiplies against the same weights — every
-/// decode step of generative inference — skip quantize+convert+pack
-/// entirely. Both shortcuts are bit-identical to the direct path.
+/// conversion is then an array read rather than a drive-path evaluation.
+/// The weight table lives in the [`WeightCache`], which memoizes `b` of
+/// cached calls as packed panels, so repeated multiplies against the
+/// same weights — every decode step of generative inference — skip
+/// quantize+convert+pack entirely. Both shortcuts are bit-identical to
+/// the direct path.
 #[derive(Debug, Clone)]
 pub struct AnalogGemm {
     lut_a: ConverterLut,
-    lut_b: ConverterLut,
     cache: WeightCache,
     name: String,
 }
@@ -302,8 +302,7 @@ impl AnalogGemm {
         );
         Self {
             lut_a,
-            lut_b,
-            cache: WeightCache::default(),
+            cache: WeightCache::new(lut_b, DEFAULT_CACHE_CAPACITY),
             name: name.into(),
         }
     }
@@ -314,9 +313,9 @@ impl AnalogGemm {
     }
 
     /// Every analog entry point: dequantize `a` through the activation
-    /// table and `b` through the weight table, then one exact f64 GEMM,
-    /// under one span and the MAC counter, with the drift tap on the
-    /// finished output. The cache-free forms apply exactly the
+    /// table and `b` through the cache's weight table, then one exact
+    /// f64 GEMM, under one span and the MAC counter, with the drift tap
+    /// on the finished output. The cache-free forms apply exactly the
     /// quantize→dequantize transform `WeightCache::get_or_prepare`
     /// memoizes, so skipping the cache for dead-after-this-call operands
     /// cannot change a bit.
@@ -324,7 +323,7 @@ impl AnalogGemm {
         let (span, op) = form.names();
         let _span = pdac_telemetry::span(span);
         pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        let bits = self.lut_a.bits();
+        let (bits, lut_b) = (self.lut_a.bits(), self.cache.lut());
         let aq = if form.per_row() {
             QuantizedMat::quantize_blocks(a, 1, bits)
         } else {
@@ -333,16 +332,15 @@ impl AnalogGemm {
         .dequantize_with(&self.lut_a);
         let shapes = match form {
             Form::Solo | Form::Batch => {
-                let bq = self.cache.get_or_prepare(b, &self.lut_b);
+                let bq = self.cache.get_or_prepare(b);
                 aq.matmul_prepacked_into(&bq, out)
             }
             Form::Transient => {
-                let bq = QuantizedMat::quantize(b, bits).dequantize_with(&self.lut_b);
+                let bq = QuantizedMat::quantize(b, bits).dequantize_with(lut_b);
                 aq.matmul_into(&bq, out)
             }
             Form::Grouped => {
-                let bq =
-                    QuantizedMat::quantize_blocks(b, a.cols(), bits).dequantize_with(&self.lut_b);
+                let bq = QuantizedMat::quantize_blocks(b, a.cols(), bits).dequantize_with(lut_b);
                 aq.matmul_grouped_into(&bq, out)
             }
         };
