@@ -10,6 +10,13 @@
 //! `analog_cached_over_exact` (exact mean time over analog mean time).
 //! A per-call pass over the weight shows up there as a ratio far below 1.
 //!
+//! One 2 MiB weight stays hot in L2, a regime no served step runs in. So
+//! two more records push m = 1 and m = 8 rows through all 12 weights of
+//! the serve-bench model (hidden 256, ff 1024, 2 layers: 12 MiB of f64)
+//! per iteration, and report `analog_cached_over_exact` (fastest mean of
+//! four interleaved windows per side) next to the weight bytes each side
+//! streams per step, computed from the shapes.
+//!
 //! Emits `BENCH_gemm.json` (override the path with `PDAC_BENCH_OUT`)
 //! with per-variant throughput and the speedup of the full fast path
 //! over the seed scalar path. Knobs: `PDAC_BENCH_MS` (wall-clock budget
@@ -200,6 +207,100 @@ fn main() {
             ("m".into(), Json::Int(m as u64)),
             ("k".into(), Json::Int(k as u64)),
             ("n".into(), Json::Int(n as u64)),
+            ("analog_cached_over_exact".into(), Json::Num(ratio)),
+        ]));
+    }
+
+    // A decode step over the served model's weights (see the module
+    // docs), always run.
+    let (hidden, ff, layers) = (256usize, 1024usize, 2usize);
+    let layer = [(hidden, hidden); 4]
+        .into_iter()
+        .chain([(hidden, ff), (ff, hidden)]);
+    let shapes: Vec<(usize, usize)> = layer.cycle().take(6 * layers).collect();
+    let weights: Vec<Mat> = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(k, n))| random_mat(k, n, 500 + i as u64))
+        .collect();
+    let packs: Vec<PackedB> = weights
+        .iter()
+        .map(|w| PackedB::pack(w.as_slice(), w.rows(), w.cols()))
+        .collect();
+    let f64_bytes: usize = shapes.iter().map(|&(k, n)| k * n * 8).sum();
+    let macs_per_row: usize = shapes.iter().map(|&(k, n)| k * n).sum();
+    for m in [1usize, 8] {
+        let inputs: Vec<Mat> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(k, _))| random_mat(m, k, 600 + (m * 16 + i) as u64))
+            .collect();
+        let mut out = Mat::zeros(1, 1);
+        let mut time_exact = || {
+            bench(
+                &format!("gemm_engine/serve_step_m{m}/exact_prepacked"),
+                || {
+                    for ((a, w), pack) in inputs.iter().zip(&weights).zip(&packs) {
+                        ExactGemm.matmul_batch_packed_into(
+                            black_box(a),
+                            black_box(w),
+                            &|| pack,
+                            &mut out,
+                        );
+                    }
+                },
+            )
+        };
+        let backend = AnalogGemm::new(driver.clone(), "pdac8");
+        // Convert every weight once, outside the timed region.
+        let mut analog_out = Mat::zeros(1, 1);
+        for (a, w) in inputs.iter().zip(&weights) {
+            backend.matmul_batch_into(a, w, &mut analog_out);
+        }
+        let mut time_analog = || {
+            bench(
+                &format!("gemm_engine/serve_step_m{m}/analog_cached"),
+                || {
+                    for (a, w) in inputs.iter().zip(&weights) {
+                        backend.matmul_batch_into(black_box(a), black_box(w), &mut analog_out);
+                    }
+                },
+            )
+        };
+        // ABBA twice, fastest mean per side: a step takes ~1 ms, so one
+        // burst of host noise inside a 40 ms window moves a mean more
+        // than it does for the single decode shapes.
+        let (mut exact, mut analog) = (time_exact(), time_analog());
+        for round in 0..3 {
+            if round % 2 == 0 {
+                analog = faster(analog, time_analog());
+                exact = faster(exact, time_exact());
+            } else {
+                exact = faster(exact, time_exact());
+                analog = faster(analog, time_analog());
+            }
+        }
+        let ratio = exact.mean_ns / analog.mean_ns.max(1.0);
+        // Weight bytes streamed per step: one row is a vecmat over the f64
+        // weight; more rows stream the f64 panels once per 4-row tile
+        // block and the code panels once per 8-row pass.
+        let exact_bytes = f64_bytes * m.div_ceil(4);
+        let analog_bytes = backend.cache().resident_bytes() * m.div_ceil(8);
+        println!(
+            "gemm_engine/serve_step_m{m}: analog cached/exact {ratio:.2}x, \
+             weight bytes per step exact {exact_bytes} analog {analog_bytes} \
+             (cache misses {})",
+            backend.cache().misses(),
+        );
+        for r in [&exact, &analog] {
+            records.push(record(&[("m", m)], m * macs_per_row, r));
+        }
+        records.push(Json::Obj(vec![
+            ("step".into(), Json::Str("serve_bench".into())),
+            ("m".into(), Json::Int(m as u64)),
+            ("weights".into(), Json::Int(shapes.len() as u64)),
+            ("exact_weight_bytes".into(), Json::Int(exact_bytes as u64)),
+            ("analog_weight_bytes".into(), Json::Int(analog_bytes as u64)),
             ("analog_cached_over_exact".into(), Json::Num(ratio)),
         ]));
     }

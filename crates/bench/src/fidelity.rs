@@ -15,7 +15,8 @@ use pdac_nn::{AnalogGemm, ExactGemm};
 ///
 /// # Panics
 ///
-/// Panics if `samples == 0` or any width is outside `2..=16`.
+/// Panics if `samples == 0` or any width is outside `2..=8` (cached
+/// analog weights are byte codes).
 pub fn run(config: TransformerConfig, bits: &[u8], samples: usize) -> Vec<FidelityReport> {
     let classes = 16;
     let model = TransformerModel::random(config, classes, 2024);

@@ -27,8 +27,15 @@
 //! saves below [`PAR_MIN_MACS`] multiply-adds). Weight matrices that are
 //! multiplied repeatedly can be packed once into a [`PackedB`] and fed to
 //! [`gemm_prepacked`], skipping the per-call packing pass entirely.
+//!
+//! A matrix whose elements take at most [`LEVELS`] distinct values (a
+//! quantized, converted weight) can instead be packed as one byte per
+//! element plus a level table ([`PackedCodes`]): [`gemm_codes`] decodes
+//! `levels[code]` as it streams the panels, so each product sees the
+//! same f64 the f64 panels would hold, in the same per-cell order.
 
 use crate::pool::WorkerPool;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Register-tile rows: the micro-kernel produces `MR × NR` output cells
@@ -412,6 +419,247 @@ pub fn gemm_prepacked(a: &[f64], b: &PackedB, m: usize, out: &mut [f64], threads
     gemm_packed_pooled(a, &b.bp, m, k, n, out, threads);
 }
 
+/// Entries in a [`PackedCodes`] level table: one per `u8` code, so a code
+/// indexes the table with no bounds check.
+pub const LEVELS: usize = 256;
+
+/// Rows one pass over [`PackedCodes`] serves: each `B` stripe is decoded
+/// once per pass, so at decode batch sizes (≤ 8 rows) it is decoded once
+/// per call.
+const CODE_ROWS: usize = 8;
+
+/// `B` stored in [`PackedB`]'s `NR`-column panel layout as one byte per
+/// element — an index into a per-matrix table of at most [`LEVELS`] f64
+/// values — for matrices built from a small value set (quantized,
+/// converted weights). An 8-byte f64 panel element becomes a 1-byte code.
+///
+/// [`gemm_codes`] over a `PackedCodes` is bit-identical to
+/// [`gemm_prepacked`] over [`Self::decode`]: each decoded element is the
+/// table's f64, and each output cell keeps its ascending-`k` reduction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedCodes {
+    codes: Vec<u8>,
+    levels: Box<[f64; LEVELS]>,
+    k: usize,
+    n: usize,
+}
+
+impl PackedCodes {
+    /// Packs row-major `b` (`k × n`) in one pass: element `x` is stored as
+    /// `code(x)`, an index into `levels` (entries past `levels.len()` are
+    /// `0.0`). Lanes of a ragged last panel hold code 0; no kernel copies
+    /// them out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k * n` or `levels` has more than [`LEVELS`]
+    /// entries.
+    pub fn pack_with(
+        b: &[f64],
+        k: usize,
+        n: usize,
+        levels: &[f64],
+        code: impl Fn(f64) -> u8,
+    ) -> Self {
+        assert_eq!(b.len(), k * n, "rhs length");
+        assert!(
+            levels.len() <= LEVELS,
+            "a level table holds at most {LEVELS} entries, got {}",
+            levels.len()
+        );
+        let mut table = Box::new([0.0; LEVELS]);
+        table[..levels.len()].copy_from_slice(levels);
+        let mut codes = vec![0u8; n.div_ceil(NR) * k * NR];
+        for (kk, b_row) in b.chunks_exact(n).enumerate() {
+            for (p, cols) in b_row.chunks(NR).enumerate() {
+                let at = p * k * NR + kk * NR;
+                for (slot, &x) in codes[at..at + cols.len()].iter_mut().zip(cols) {
+                    *slot = code(x);
+                }
+            }
+        }
+        Self {
+            codes,
+            levels: table,
+            k,
+            n,
+        }
+    }
+
+    /// Inner (contraction) dimension of the packed matrix.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Column count of the packed matrix.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Bytes held: one per panel element (ragged lanes included) plus
+    /// the level table.
+    pub fn resident_bytes(&self) -> usize {
+        self.codes.len() + std::mem::size_of::<[f64; LEVELS]>()
+    }
+
+    /// The f64 panels these codes stand for: [`PackedB::pack`] of the
+    /// decoded row-major matrix.
+    pub fn decode(&self) -> PackedB {
+        let (k, n) = (self.k, self.n);
+        let mut b = vec![0.0; k * n];
+        for (kk, b_row) in b.chunks_exact_mut(n).enumerate() {
+            for (c, x) in b_row.iter_mut().enumerate() {
+                let code = self.codes[(c / NR) * k * NR + kk * NR + c % NR];
+                *x = self.levels[usize::from(code)];
+            }
+        }
+        PackedB::pack(&b, k, n)
+    }
+}
+
+/// `R` rows of `A` (row-major `R × k`, `R` in `1..=8`) against `P`
+/// adjacent code panels (`panels` holds `P · k` stripes). Each stripe
+/// decodes as `levels[code]` and the rows accumulate against it exactly
+/// like [`micro_kernel`] (ascending `k`, one `mul` + one `add`, from
+/// `0.0`), so each cell is bit-identical to the f64 panels. A single
+/// row takes four panels per pass: more independent accumulator chains
+/// to overlap the table loads with.
+#[inline]
+fn code_tile<const R: usize, const P: usize>(
+    a: &[f64],
+    k: usize,
+    panels: &[u8],
+    levels: &[f64; LEVELS],
+) -> [[[f64; NR]; R]; P] {
+    // Slicing once here lets the compiler drop the bounds checks inside
+    // the loop (`kk < k` is each slice's length).
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let panels: [&[u8]; P] = std::array::from_fn(|q| &panels[q * k * NR..(q + 1) * k * NR]);
+    let mut acc = [[[0.0f64; NR]; R]; P];
+    for kk in 0..k {
+        for (acc, panel) in acc.iter_mut().zip(&panels) {
+            let stripe = &panel[kk * NR..kk * NR + NR];
+            let b: [f64; NR] = std::array::from_fn(|j| levels[usize::from(stripe[j])]);
+            for (acc_row, row) in acc.iter_mut().zip(&rows) {
+                let x = row[kk];
+                for (cell, &bv) in acc_row.iter_mut().zip(&b) {
+                    *cell += x * bv;
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// All `m` rows of `A` against code panels `panels`, in passes of up to
+/// [`CODE_ROWS`] rows. Each finished tile row goes to
+/// `store(row, col, values)`.
+fn gemm_codes_range(
+    a: &[f64],
+    b: &PackedCodes,
+    m: usize,
+    panels: Range<usize>,
+    store: &mut impl FnMut(usize, usize, &[f64]),
+) {
+    /// Runs the `R`-row tile on every panel of the range, `P` panels at
+    /// a time while `P` remain.
+    fn pass<const R: usize, const P: usize>(
+        a: &[f64],
+        b: &PackedCodes,
+        r0: usize,
+        panels: Range<usize>,
+        store: &mut impl FnMut(usize, usize, &[f64]),
+    ) {
+        let (k, n) = (b.k, b.n);
+        let rows = &a[r0 * k..(r0 + R) * k];
+        let mut p = panels.start;
+        let mut emit = |p: usize, tile: &[[f64; NR]; R]| {
+            let c = p * NR;
+            for (i, acc_row) in tile.iter().enumerate() {
+                // A whole panel stores a fixed-length row (no memcpy call).
+                if c + NR <= n {
+                    store(r0 + i, c, acc_row);
+                } else {
+                    store(r0 + i, c, &acc_row[..n - c]);
+                }
+            }
+        };
+        while p + P <= panels.end {
+            let codes = &b.codes[p * k * NR..(p + P) * k * NR];
+            for (q, tile) in code_tile::<R, P>(rows, k, codes, &b.levels)
+                .iter()
+                .enumerate()
+            {
+                emit(p + q, tile);
+            }
+            p += P;
+        }
+        for p in p..panels.end {
+            let codes = &b.codes[p * k * NR..(p + 1) * k * NR];
+            emit(p, &code_tile::<R, 1>(rows, k, codes, &b.levels)[0]);
+        }
+    }
+    let mut r0 = 0;
+    while r0 + CODE_ROWS <= m {
+        pass::<CODE_ROWS, 1>(a, b, r0, panels.clone(), store);
+        r0 += CODE_ROWS;
+    }
+    match m - r0 {
+        0 => {}
+        1 => pass::<1, 4>(a, b, r0, panels, store),
+        2 => pass::<2, 1>(a, b, r0, panels, store),
+        3 => pass::<3, 1>(a, b, r0, panels, store),
+        4 => pass::<4, 1>(a, b, r0, panels, store),
+        5 => pass::<5, 1>(a, b, r0, panels, store),
+        6 => pass::<6, 1>(a, b, r0, panels, store),
+        7 => pass::<7, 1>(a, b, r0, panels, store),
+        _ => unreachable!("fewer than CODE_ROWS rows remain"),
+    }
+}
+
+/// Computes the `m × n` product of row-major `a` (`m × k`) and code-packed
+/// `B` into `out` (fully overwritten), bit-identical to
+/// [`gemm_prepacked`] over [`PackedCodes::decode`]. One pass over `B`
+/// serves up to 8 rows. With more than one row, at or above
+/// [`PAR_MIN_MACS`], the column panels split across up to `threads` pool
+/// workers; one row stays on the calling thread, as in
+/// [`gemm_prepacked`].
+///
+/// # Panics
+///
+/// Panics if slice lengths disagree with the given dimensions.
+pub fn gemm_codes(a: &[f64], b: &PackedCodes, m: usize, out: &mut [f64], threads: usize) {
+    let (k, n) = (b.k, b.n);
+    assert_eq!(a.len(), m * k, "lhs length");
+    assert_eq!(out.len(), m * n, "output length");
+    let panels = n.div_ceil(NR);
+    let threads = if m > 1 && m * k * n >= PAR_MIN_MACS {
+        threads.clamp(1, panels.max(1))
+    } else {
+        1
+    };
+    if threads == 1 {
+        gemm_codes_range(a, b, m, 0..panels, &mut |r, c, v| {
+            out[r * n + c..r * n + c + v.len()].copy_from_slice(v);
+        });
+        return;
+    }
+    let per = panels.div_ceil(threads);
+    let tasks = panels.div_ceil(per);
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    WorkerPool::global().run(tasks, &move |t| {
+        let range = t * per..((t + 1) * per).min(panels);
+        gemm_codes_range(a, b, m, range, &mut |r, c, v| {
+            // SAFETY: each task owns the columns of its panel range in
+            // every row, so no two tasks write the same elements, and
+            // `r * n + c + v.len() <= m * n`.
+            let dst =
+                unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r * n + c), v.len()) };
+            dst.copy_from_slice(v);
+        });
+    });
+}
+
 /// Grouped row-vector products: row `g` of `a` (`groups × k`, row-major)
 /// times block `g` of `b` (`groups` stacked contiguous `k × n` row-major
 /// blocks, so `b` is `(groups·k) × n`) into row `g` of `out`
@@ -667,6 +915,95 @@ mod tests {
         let mut out: Vec<f64> = vec![];
         gemm_grouped(&[], &[], 0, 4, 4, &mut out, 4);
         assert!(out.is_empty());
+    }
+
+    /// A random `k × n` matrix drawn from a random `levels`-entry table,
+    /// packed as codes.
+    fn random_codes(k: usize, n: usize, levels: usize, seed: u64) -> PackedCodes {
+        let table = random(levels, seed);
+        let mut rng = SplitMix64::seed_from_u64(seed + 1);
+        let b: Vec<f64> = (0..k * n)
+            .map(|_| table[rng.next_u64() as usize % levels])
+            .collect();
+        PackedCodes::pack_with(&b, k, n, &table, |x| {
+            table
+                .iter()
+                .position(|&l| l == x)
+                .expect("drawn from the table") as u8
+        })
+    }
+
+    /// Shapes `(m, k, n)` on every branch of the code kernel: one row,
+    /// each tail of 2..=7 rows, whole 8-row passes, passes plus a tail,
+    /// ragged panels, `k = 1`, and products past `PAR_MIN_MACS`.
+    const CODE_SHAPES: [(usize, usize, usize); 14] = [
+        (1, 64, 64),
+        (2, 13, 6),
+        (3, 7, 16),
+        (4, 16, 16),
+        (5, 256, 1024),
+        (6, 9, 8),
+        (7, 5, 3),
+        (8, 33, 40),
+        (9, 13, 6),
+        (19, 17, 29),
+        (5, 1, 9),
+        (1, 256, 1024),
+        (16, 64, 512),
+        (70, 64, 64),
+    ];
+
+    #[test]
+    fn code_kernel_matches_decoded_panels_bitwise() {
+        for (i, &(m, k, n)) in CODE_SHAPES.iter().enumerate() {
+            let levels = if i % 2 == 0 { 255 } else { 15 };
+            let packed = random_codes(k, n, levels, 90 + i as u64);
+            let decoded = packed.decode();
+            let a = random(m * k, 190 + i as u64);
+            let mut want = vec![f64::NAN; m * n];
+            gemm_prepacked(&a, &decoded, m, &mut want, 1);
+            for threads in [1, 2, 7] {
+                let mut got = vec![f64::NAN; m * n];
+                gemm_codes(&a, &packed, m, &mut got, threads);
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "m={m} k={k} n={n} levels={levels} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn all_zero_code_weight_gives_signed_zero_sums_like_the_panels() {
+        // Every element decodes to the table's 0.0, so each cell is a sum
+        // of signed zeros; the kernel must produce the panels' exact bits.
+        let (m, k, n) = (3, 10, 11);
+        let table = [0.5, 0.0, -0.5];
+        let packed = PackedCodes::pack_with(&vec![0.0; k * n], k, n, &table, |_| 1);
+        let a = random(m * k, 77);
+        let (mut got, mut want) = (vec![f64::NAN; m * n], vec![f64::NAN; m * n]);
+        gemm_codes(&a, &packed, m, &mut got, 1);
+        gemm_prepacked(&a, &PackedB::pack(&vec![0.0; k * n], k, n), m, &mut want, 1);
+        assert_eq!(
+            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn code_panels_hold_one_byte_per_element_plus_the_table() {
+        let packed = random_codes(256, 1024, 255, 5);
+        assert_eq!((packed.k(), packed.n()), (256, 1024));
+        assert_eq!(packed.resident_bytes(), 256 * 1024 + 256 * 8);
+        // A ragged last panel is stored whole.
+        assert_eq!(random_codes(3, 9, 4, 6).resident_bytes(), 2 * 3 * 8 + 2048);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 entries")]
+    fn code_tables_wider_than_a_byte_are_rejected() {
+        PackedCodes::pack_with(&[0.0], 1, 1, &[0.0; 257], |_| 0);
     }
 
     #[test]

@@ -515,6 +515,40 @@ impl Mat {
         Ok(())
     }
 
+    /// Matrix-matrix product against a byte-coded right operand (see
+    /// [`crate::gemm::PackedCodes`]), into a caller-owned output matrix.
+    /// Bit-identical to [`Self::matmul_prepacked_into`] with the decoded
+    /// panels.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatError::DimMismatch`] when `self.cols() != packed.k()`.
+    pub fn matmul_codes_into(
+        &self,
+        packed: &crate::gemm::PackedCodes,
+        out: &mut Self,
+    ) -> Result<(), MatError> {
+        if self.cols != packed.k() {
+            return Err(MatError::DimMismatch {
+                left: self.shape(),
+                right: (packed.k(), packed.n()),
+            });
+        }
+        out.resize(self.rows, packed.n());
+        pdac_telemetry::counter_add(
+            "math.gemm.macs",
+            (self.rows * self.cols * packed.n()) as u64,
+        );
+        crate::gemm::gemm_codes(
+            &self.data,
+            packed,
+            self.rows,
+            &mut out.data,
+            crate::gemm::default_threads(),
+        );
+        Ok(())
+    }
+
     /// Grouped row products against a stacked right operand (see
     /// [`crate::gemm::gemm_grouped`]): row `g` of `self` (`G × k`) times
     /// block `g` of `rhs` (`G` stacked `k × n` blocks, i.e. `rhs` is
@@ -1047,6 +1081,29 @@ mod tests {
     }
 
     #[test]
+    fn matmul_codes_into_matches_decoded_panels() {
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(62);
+        let levels: Vec<f64> = (0..7).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
+        let codes: Vec<u8> = (0..24 * 9).map(|i| (i * 5 % 7) as u8).collect();
+        let b: Vec<f64> = codes.iter().map(|&c| levels[usize::from(c)]).collect();
+        let packed = crate::gemm::PackedCodes::pack_with(&b, 24, 9, &levels, |x| {
+            levels.iter().position(|&l| l == x).unwrap() as u8
+        });
+        let a = Mat::from_fn(7, 24, |_, _| rng.gen_range_f64(-1.0, 1.0));
+        let mut out = Mat::zeros(1, 1);
+        a.matmul_codes_into(&packed, &mut out).unwrap();
+        let mut want = Mat::zeros(1, 1);
+        a.matmul_prepacked_into(&packed.decode(), &mut want)
+            .unwrap();
+        assert_eq!(out, want);
+        let bad = Mat::zeros(3, 5);
+        assert!(matches!(
+            bad.matmul_codes_into(&packed, &mut out),
+            Err(MatError::DimMismatch { .. })
+        ));
+    }
+
+    #[test]
     fn resize_reuses_allocation() {
         let mut m = Mat::zeros(8, 8);
         let cap = m.capacity();
@@ -1086,7 +1143,7 @@ mod tests {
     #[test]
     fn every_mut_path_draws_a_new_id() {
         type Mutation = fn(&mut Mat);
-        let paths: [(&str, Mutation); 7] = [
+        let paths: [(&str, Mutation); 8] = [
             ("as_mut_slice", |m| m.as_mut_slice()[0] = 1.0),
             ("row_slice_mut", |m| m.row_slice_mut(0)[0] = 1.0),
             ("index_mut", |m| m[(0, 0)] = 1.0),
@@ -1097,6 +1154,14 @@ mod tests {
             ("matmul_prepacked_into", |m| {
                 let packed = crate::gemm::PackedB::pack(m.as_slice(), 2, 2);
                 Mat::identity(2).matmul_prepacked_into(&packed, m).unwrap();
+            }),
+            ("matmul_codes_into", |m| {
+                let levels = [1.0, 2.0, 3.0, 4.0];
+                let packed =
+                    crate::gemm::PackedCodes::pack_with(m.as_slice(), 2, 2, &levels, |x| {
+                        x as u8 - 1
+                    });
+                Mat::identity(2).matmul_codes_into(&packed, m).unwrap();
             }),
             ("matmul_grouped_into", |m| {
                 let ones = Mat::from_rows(2, 1, vec![1.0, 1.0]).unwrap();

@@ -88,6 +88,8 @@ impl Quantizer {
     }
 
     /// Quantizes `x` (round-to-nearest, saturating at the code range).
+    /// The one statement of the code rule: every bulk quantizer calls it.
+    #[inline]
     pub fn quantize(&self, x: f64) -> i32 {
         let m = self.max_code() as f64;
         let code = (x / self.scale * m).round();
@@ -119,20 +121,12 @@ impl Quantizer {
         -m..=m
     }
 
-    /// Quantizes a whole slice in one tight pass, appending to `out`.
-    ///
-    /// Per element this is exactly [`Quantizer::quantize`] (same divide,
-    /// multiply, round, clamp — bit-identical codes); the slice form
-    /// exists so the divide/round/clamp/convert chain vectorizes instead
-    /// of round-tripping through a per-element call.
+    /// Quantizes a whole slice in one tight pass, appending to `out`:
+    /// [`Quantizer::quantize`] per element, inlined so the
+    /// divide/round/clamp chain vectorizes.
     pub fn quantize_slice(&self, xs: &[f64], out: &mut Vec<i32>) {
-        let m = self.max_code() as f64;
-        let scale = self.scale;
         out.reserve(xs.len());
-        out.extend(xs.iter().map(|&x| {
-            let code = (x / scale * m).round();
-            code.clamp(-m, m) as i32
-        }));
+        out.extend(xs.iter().map(|&x| self.quantize(x)));
     }
 }
 

@@ -83,7 +83,8 @@ impl ConverterKind {
 ///
 /// # Panics
 ///
-/// Panics if `samples == 0` or `bits` outside `2..=16`.
+/// Panics if `samples == 0` or `bits` outside `2..=8` (cached analog
+/// weights are byte codes).
 pub fn teacher_accuracy(
     model: &TransformerModel,
     kind: ConverterKind,

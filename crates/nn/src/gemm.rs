@@ -10,7 +10,8 @@
 //!   the analog error is entirely in the operand modulation — exactly the
 //!   paper's error model. Every analog multiply takes the same route:
 //!   quantize, dequantize through the path's table, one exact f64 GEMM
-//!   (DESIGN.md §16).
+//!   (DESIGN.md §16). Cached weights stay in byte form (codes plus a
+//!   level table) and are dequantized inside the GEMM kernel.
 //!
 //! The [`GemmBackend`] trait lets the same transformer forward pass run in
 //! any regime; the fidelity study diffs their outputs.
@@ -94,8 +95,9 @@ pub trait GemmBackend {
     /// so backends that cannot use it never force the packing.
     ///
     /// The default ignores the offer and delegates (analog backends
-    /// already keep packed *converted* weights in their [`WeightCache`];
-    /// a pack of the unconverted values is useless to them).
+    /// already keep each *converted* weight in their [`WeightCache`], as
+    /// byte codes in the same panel layout plus a level table; a pack of
+    /// the unconverted values is useless to them).
     /// [`ExactGemm`] overrides it: the pack skips the per-call
     /// `B`-panel-packing pass that otherwise dominates small batched
     /// GEMMs. Batch ≡ solo, as for [`Self::matmul_batch_into`].
@@ -271,10 +273,17 @@ impl Form {
 /// design with P-DAC activations and electrical weights. Per-call
 /// conversion is then an array read rather than a drive-path evaluation.
 /// The weight table lives in the [`WeightCache`], which memoizes `b` of
-/// cached calls as packed panels, so repeated multiplies against the
-/// same weights — every decode step of generative inference — skip
-/// quantize+convert+pack entirely. Both shortcuts are bit-identical to
-/// the direct path.
+/// cached calls in byte form — one code per element in GEMM panel order
+/// plus the weight's table of levels — so repeated multiplies against
+/// the same weights (every decode step of generative inference) skip
+/// quantize+convert entirely and stream one byte per weight element;
+/// the kernel decodes `levels[code]` as it goes. Both shortcuts are
+/// bit-identical to the direct path.
+///
+/// # Panics
+///
+/// The constructors panic if the weight-path table has more than 256
+/// levels (bits above 8): cached weights are byte codes.
 #[derive(Debug, Clone)]
 pub struct AnalogGemm {
     lut_a: ConverterLut,
@@ -284,6 +293,10 @@ pub struct AnalogGemm {
 
 impl AnalogGemm {
     /// Tabulates `driver` once and uses the table for both operands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `driver` has more than 8 bits.
     pub fn new(driver: impl MzmDriver, name: impl Into<String>) -> Self {
         let lut = ConverterLut::new(&driver);
         Self::with_luts(lut.clone(), lut, name)
@@ -293,7 +306,8 @@ impl AnalogGemm {
     ///
     /// # Panics
     ///
-    /// Panics if the tables' bit widths differ.
+    /// Panics if the tables' bit widths differ, or if the weight-path
+    /// table has more levels than a byte code indexes.
     fn with_luts(lut_a: ConverterLut, lut_b: ConverterLut, name: impl Into<String>) -> Self {
         assert_eq!(
             lut_a.bits(),
@@ -315,10 +329,10 @@ impl AnalogGemm {
     /// Every analog entry point: dequantize `a` through the activation
     /// table and `b` through the cache's weight table, then one exact
     /// f64 GEMM, under one span and the MAC counter, with the drift tap
-    /// on the finished output. The cache-free forms apply exactly the
-    /// quantize→dequantize transform `WeightCache::get_or_prepare`
-    /// memoizes, so skipping the cache for dead-after-this-call operands
-    /// cannot change a bit.
+    /// on the finished output. The cached forms dequantize `b` inside
+    /// the kernel (`levels[code]`); the cache-free forms apply the same
+    /// quantize→dequantize transform up front, so skipping the cache for
+    /// dead-after-this-call operands cannot change a bit.
     fn run(&self, form: Form, a: &Mat, b: &Mat, out: &mut Mat) {
         let (span, op) = form.names();
         let _span = pdac_telemetry::span(span);
@@ -333,7 +347,7 @@ impl AnalogGemm {
         let shapes = match form {
             Form::Solo | Form::Batch => {
                 let bq = self.cache.get_or_prepare(b);
-                aq.matmul_prepacked_into(&bq, out)
+                aq.matmul_codes_into(&bq, out)
             }
             Form::Transient => {
                 let bq = QuantizedMat::quantize(b, bits).dequantize_with(lut_b);
@@ -367,9 +381,9 @@ impl GemmBackend for AnalogGemm {
     }
 
     /// Per-row activation scales ([`QuantizedMat::quantize_blocks`] with
-    /// one-row blocks) against the cached, prepacked weight conversion:
-    /// the weight converts and packs once per distinct matrix instead of
-    /// once per sequence.
+    /// one-row blocks) against the cached byte-form weight: the weight
+    /// converts once per distinct matrix instead of once per sequence,
+    /// and one pass over its codes serves up to 8 rows.
     fn matmul_batch_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
         self.run(Form::Batch, a, b, out);
     }
@@ -400,7 +414,7 @@ impl AsymmetricGemm {
     ///
     /// # Panics
     ///
-    /// Panics if the drivers' bit widths differ.
+    /// Panics if the drivers' bit widths differ or exceed 8.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(
         driver_a: impl MzmDriver,
@@ -531,6 +545,12 @@ mod tests {
             ElectricalDac::new(4).unwrap(),
             "bad",
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "use at most 8 bits")]
+    fn nine_bit_drivers_rejected() {
+        AnalogGemm::new(ElectricalDac::new(9).unwrap(), "e9");
     }
 
     /// One drive path is the diagonal case of two: `AnalogGemm::new(d)`
@@ -786,8 +806,8 @@ mod tests {
 
     #[test]
     fn batch_packed_default_ignores_the_pack() {
-        // Analog backends keep packed *converted* weights in their own
-        // cache; the raw-value pack must be ignored, not misused.
+        // Analog backends keep *converted* weights in byte form in their
+        // own cache; the raw-value pack must be ignored, not misused.
         let a = random_mat(4, 12, 109);
         let b = random_mat(12, 5, 110);
         let packed = pdac_math::gemm::PackedB::pack(b.as_slice(), 12, 5);

@@ -7,8 +7,17 @@
 //! them per step is pure waste. [`WeightCache`] memoizes each weight's
 //! quantize+convert result behind the unchanged
 //! [`crate::gemm::GemmBackend`] call surface using interior mutability.
-//! A cached weight is stored once, as packed GEMM panels ([`PackedB`]):
-//! the only form the analog kernels read.
+//!
+//! A cached weight is stored once, in byte form ([`PackedCodes`]): its
+//! converter codes, one byte per element in GEMM panel order, plus one
+//! table of the 2·max_code + 1 levels they stand for (the weight-path
+//! table times the weight's scale). That is the form the analog kernel
+//! reads: it decodes `levels[code]` as it streams the panels, which is
+//! the f64 a converted, packed weight would hold, so products are
+//! bit-identical to converting in f64. A weight costs one byte per
+//! element instead of eight; [`WeightCache::resident_bytes`] reports one
+//! cache's total, and the `nn.gemm.weight_cache.bytes` gauge the sum over
+//! every live cache.
 //!
 //! One cache serves one weight-path table: it owns the
 //! [`ConverterLut`] it converts through, so an entry can never be served
@@ -22,20 +31,37 @@
 //! locally and on the `nn.gemm.weight_cache.{hit,miss}` telemetry
 //! counters.
 
-use crate::quant::QuantizedMat;
+use crate::quant::quantize_packed;
 use pdac_core::converter::MzmDriver;
 use pdac_core::lut::ConverterLut;
-use pdac_math::gemm::PackedB;
+use pdac_math::gemm::{PackedCodes, LEVELS};
 use pdac_math::Mat;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default maximum number of cached weights.
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
-/// An LRU memo of weights converted through one table and packed into
-/// panels, keyed by [`Mat::id`] and shared behind `&self` (interior
+/// Sum of [`WeightCache::resident_bytes`] over every live cache (a clone
+/// counts the entries it shares with its source once more), published as
+/// the `nn.gemm.weight_cache.bytes` gauge.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Moves one cache's share of [`LIVE_BYTES`] from `old` to `new` bytes
+/// and publishes the total.
+fn publish(old: usize, new: usize) {
+    let total = if new >= old {
+        LIVE_BYTES.fetch_add(new - old, Ordering::Relaxed) + (new - old)
+    } else {
+        LIVE_BYTES.fetch_sub(old - new, Ordering::Relaxed) - (old - new)
+    };
+    pdac_telemetry::gauge_set("nn.gemm.weight_cache.bytes", total as f64);
+}
+
+/// An LRU memo of weights converted through one table and kept in byte
+/// form, keyed by [`Mat::id`] and shared behind `&self` (interior
 /// mutability) so [`crate::gemm::GemmBackend`] implementations can
 /// consult it from their immutable `matmul`.
 ///
@@ -50,18 +76,21 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 /// let w = Mat::from_rows(2, 2, vec![0.5, -0.25, 0.125, 1.0])?;
 /// let lut = ConverterLut::new(&PDac::with_optimal_approx(8).unwrap());
 /// let cache = WeightCache::new(lut, DEFAULT_CACHE_CAPACITY);
-/// let packed = cache.get_or_prepare(&w);
-/// assert_eq!((packed.k(), packed.n()), (2, 2));
+/// let codes = cache.get_or_prepare(&w);
+/// assert_eq!((codes.k(), codes.n()), (2, 2));
 /// let _ = cache.get_or_prepare(&w);
 /// assert_eq!((cache.misses(), cache.hits()), (1, 1));
+/// // One 8-byte panel stripe of codes plus a 256-entry f64 level table.
+/// assert_eq!(cache.resident_bytes(), 2 * 8 + 256 * 8);
 /// # Ok::<(), pdac_math::matrix::MatError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WeightCache {
     lut: ConverterLut,
-    entries: RefCell<HashMap<u64, (Rc<PackedB>, u64)>>,
+    entries: RefCell<HashMap<u64, (Rc<PackedCodes>, u64)>>,
     stamp: Cell<u64>,
     capacity: usize,
+    resident: Cell<usize>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -72,14 +101,23 @@ impl WeightCache {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0`, or if `lut` has more levels than a byte
+    /// can index (bits above 8).
     pub fn new(lut: ConverterLut, capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be nonzero");
+        assert!(
+            lut.len() <= LEVELS,
+            "cached weights are stored as byte codes: a {}-bit table has {} levels, \
+             more than the {LEVELS} a byte indexes (use at most 8 bits)",
+            lut.bits(),
+            lut.len()
+        );
         Self {
             lut,
             entries: RefCell::new(HashMap::new()),
             stamp: Cell::new(0),
             capacity,
+            resident: Cell::new(0),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
@@ -90,29 +128,29 @@ impl WeightCache {
         &self.lut
     }
 
-    /// Returns `mat` quantized per tensor at the table's bit width,
-    /// converted through the table and packed into GEMM panels — built on
-    /// first sight of `mat.id()`, answered from the memo on repeats.
-    /// [`Mat::matmul_prepacked_into`] over the result is bit-identical to
-    /// a plain matmul against the converted matrix.
-    pub fn get_or_prepare(&self, mat: &Mat) -> Rc<PackedB> {
+    /// Returns `mat` quantized per tensor at the table's bit width and
+    /// kept in byte form (codes in GEMM panels plus their level table) —
+    /// built on first sight of `mat.id()`, answered from the memo on
+    /// repeats. [`Mat::matmul_codes_into`] over the result is
+    /// bit-identical to a plain matmul against the converted matrix.
+    pub fn get_or_prepare(&self, mat: &Mat) -> Rc<PackedCodes> {
         let key = mat.id();
         let stamp = self.stamp.get().wrapping_add(1);
         self.stamp.set(stamp);
-        if let Some((packed, last_used)) = self.entries.borrow_mut().get_mut(&key) {
+        if let Some((codes, last_used)) = self.entries.borrow_mut().get_mut(&key) {
             *last_used = stamp;
             self.hits.set(self.hits.get() + 1);
             pdac_telemetry::counter_add("nn.gemm.weight_cache.hit", 1);
-            return Rc::clone(packed);
+            return Rc::clone(codes);
         }
         self.misses.set(self.misses.get() + 1);
         pdac_telemetry::counter_add("nn.gemm.weight_cache.miss", 1);
-        let packed = {
+        let codes = {
             let _span = pdac_telemetry::span("nn.gemm.prepare_operand");
-            let converted = QuantizedMat::quantize(mat, self.lut.bits()).dequantize_with(&self.lut);
-            Rc::new(PackedB::pack(converted.as_slice(), mat.rows(), mat.cols()))
+            Rc::new(quantize_packed(mat, &self.lut))
         };
         let mut entries = self.entries.borrow_mut();
+        let mut resident = self.resident.get() + codes.resident_bytes();
         if entries.len() >= self.capacity {
             // Evict the least-recently-used entry.
             if let Some(oldest) = entries
@@ -120,12 +158,20 @@ impl WeightCache {
                 .min_by_key(|(_, (_, used))| *used)
                 .map(|(k, _)| *k)
             {
-                entries.remove(&oldest);
+                if let Some((evicted, _)) = entries.remove(&oldest) {
+                    resident -= evicted.resident_bytes();
+                }
                 pdac_telemetry::counter_add("nn.gemm.weight_cache.evictions", 1);
             }
         }
-        entries.insert(key, (Rc::clone(&packed), stamp));
-        packed
+        entries.insert(key, (Rc::clone(&codes), stamp));
+        publish(self.resident.replace(resident), resident);
+        codes
+    }
+
+    /// Bytes the cached weights hold: codes plus level tables.
+    pub fn resident_bytes(&self) -> usize {
+        self.resident.get()
     }
 
     /// Number of currently cached weights.
@@ -149,11 +195,36 @@ impl WeightCache {
     }
 }
 
+impl Clone for WeightCache {
+    /// A cache holding the same entries (shared, not copied), whose bytes
+    /// the gauge counts as well.
+    fn clone(&self) -> Self {
+        publish(0, self.resident.get());
+        Self {
+            lut: self.lut.clone(),
+            entries: self.entries.clone(),
+            stamp: self.stamp.clone(),
+            capacity: self.capacity,
+            resident: self.resident.clone(),
+            hits: self.hits.clone(),
+            misses: self.misses.clone(),
+        }
+    }
+}
+
+impl Drop for WeightCache {
+    fn drop(&mut self) {
+        publish(self.resident.get(), 0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::QuantizedMat;
     use pdac_core::edac::ElectricalDac;
     use pdac_core::pdac::PDac;
+    use pdac_math::gemm::PackedB;
     use pdac_math::rng::SplitMix64;
 
     fn random_mat(rows: usize, cols: usize, seed: u64) -> Mat {
@@ -166,10 +237,17 @@ mod tests {
         WeightCache::new(ConverterLut::new(driver), DEFAULT_CACHE_CAPACITY)
     }
 
+    /// Panel values rendered with `Debug`, which prints every f64 in
+    /// shortest round-trip form and keeps the sign of zero: equal
+    /// renderings mean equal bits.
+    fn panel_bits(packed: &PackedB) -> String {
+        format!("{packed:?}")
+    }
+
     /// The uncached pipeline: quantize, scalar convert, pack.
-    fn direct(w: &Mat, driver: &dyn MzmDriver) -> PackedB {
+    fn direct(w: &Mat, driver: &dyn MzmDriver) -> String {
         let converted = QuantizedMat::quantize(w, driver.bits()).dequantize_with(driver);
-        PackedB::pack(converted.as_slice(), w.rows(), w.cols())
+        panel_bits(&PackedB::pack(converted.as_slice(), w.rows(), w.cols()))
     }
 
     #[test]
@@ -177,7 +255,10 @@ mod tests {
         let w = random_mat(6, 5, 1);
         let pdac = PDac::with_optimal_approx(8).unwrap();
         let cache = cache_for(&pdac);
-        assert_eq!(*cache.get_or_prepare(&w), direct(&w, &pdac));
+        assert_eq!(
+            panel_bits(&cache.get_or_prepare(&w).decode()),
+            direct(&w, &pdac)
+        );
     }
 
     #[test]
@@ -204,7 +285,7 @@ mod tests {
         let after = cache.get_or_prepare(&w);
         assert_eq!(cache.misses(), 2);
         assert_ne!(before, after);
-        assert_eq!(*after, direct(&w, &edac));
+        assert_eq!(panel_bits(&after.decode()), direct(&w, &edac));
     }
 
     #[test]
@@ -230,15 +311,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "use at most 8 bits")]
+    fn tables_wider_than_a_byte_rejected() {
+        WeightCache::new(
+            ConverterLut::new(&ElectricalDac::new(9).unwrap()),
+            DEFAULT_CACHE_CAPACITY,
+        );
+    }
+
+    #[test]
+    fn resident_bytes_count_codes_and_tables_through_eviction() {
+        let cache = WeightCache::new(ConverterLut::new(&ElectricalDac::new(8).unwrap()), 2);
+        assert_eq!(cache.resident_bytes(), 0);
+        let wide = random_mat(256, 1024, 13);
+        let _ = cache.get_or_prepare(&wide);
+        assert_eq!(cache.resident_bytes(), 262_144 + 2_048);
+        // A hit adds nothing; a 3×9 weight pads to two 8-column panels.
+        let _ = cache.get_or_prepare(&wide);
+        let ragged = random_mat(3, 9, 14);
+        let _ = cache.get_or_prepare(&ragged);
+        assert_eq!(cache.resident_bytes(), 262_144 + 2_048 + 2 * 3 * 8 + 2_048);
+        // Evicting the wide weight (least recently used) returns its bytes.
+        let _ = cache.get_or_prepare(&random_mat(2, 8, 15));
+        assert_eq!(
+            cache.resident_bytes(),
+            (2 * 3 * 8 + 2_048) + (2 * 8 + 2_048)
+        );
+    }
+
+    #[test]
     fn packed_panels_match_plain_matmul() {
         let w = random_mat(12, 9, 55);
         let x = random_mat(3, 12, 56);
         let pdac = PDac::with_optimal_approx(8).unwrap();
         let cache = cache_for(&pdac);
-        let mut via_packed = Mat::zeros(1, 1);
-        x.matmul_prepacked_into(&cache.get_or_prepare(&w), &mut via_packed)
+        let mut via_codes = Mat::zeros(1, 1);
+        x.matmul_codes_into(&cache.get_or_prepare(&w), &mut via_codes)
             .unwrap();
         let converted = QuantizedMat::quantize(&w, 8).dequantize_with(&pdac);
-        assert_eq!(via_packed, x.matmul(&converted).unwrap());
+        assert_eq!(via_codes, x.matmul(&converted).unwrap());
     }
 }

@@ -7,8 +7,14 @@
 //! physically: the MZM emits `scale · driver.convert(code)` — so
 //! replacing the ideal driver with a P-DAC injects exactly the
 //! approximation error of paper Sec. III-C into every operand.
+//!
+//! A cached weight skips the dequantized matrix: [`quantize_packed`]
+//! keeps its codes as bytes in GEMM panels next to the table of levels
+//! they stand for, and the kernel reads `levels[code]`.
 
 use pdac_core::converter::MzmDriver;
+use pdac_core::lut::ConverterLut;
+use pdac_math::gemm::PackedCodes;
 use pdac_math::quant::abs_max;
 use pdac_math::{Mat, Quantizer};
 
@@ -158,6 +164,30 @@ impl QuantizedMat {
         }
         Mat::from_rows(self.rows, self.cols, data).expect("shape preserved")
     }
+}
+
+/// Quantizes `x` per tensor at `lut`'s bit width and writes each code,
+/// offset to `code + max_code`, straight into byte-coded GEMM panels
+/// whose level table is `lut.table()[i] · scale`. Level `i` is exactly
+/// what [`QuantizedMat::dequantize_with`] gives code `i − max_code`, so
+/// [`PackedCodes::decode`] equals the packed [`QuantizedMat::quantize`] +
+/// `dequantize_with(lut)` bit for bit.
+///
+/// One pass after the abs-max: no code vector, no converted matrix, no
+/// f64 panels.
+///
+/// # Panics
+///
+/// Panics if `lut` has more than 256 levels (bits above 8).
+pub fn quantize_packed(x: &Mat, lut: &ConverterLut) -> PackedCodes {
+    let scale = scale_of(x.as_slice());
+    let q = Quantizer::new(lut.bits(), scale).expect("validated bit width and positive scale");
+    let max_code = q.max_code();
+    let levels: Vec<f64> = lut.table().iter().map(|&level| level * scale).collect();
+    PackedCodes::pack_with(x.as_slice(), x.rows(), x.cols(), &levels, |v| {
+        // In 0..=2·max_code, which is below 256 when the table fits.
+        (q.quantize(v) + max_code) as u8
+    })
 }
 
 #[cfg(test)]
@@ -334,5 +364,43 @@ mod tests {
     #[should_panic(expected = "whole number of blocks")]
     fn group_quantize_rejects_ragged_blocks() {
         QuantizedMat::quantize_blocks(&ramp(), 3, 8);
+    }
+
+    /// Bits of `PackedB` panels (`Debug` prints every f64 in shortest
+    /// round-trip form with the sign of zero).
+    fn panel_bits(p: &pdac_math::gemm::PackedB) -> String {
+        format!("{p:?}")
+    }
+
+    #[test]
+    fn packed_codes_decode_to_the_dequantized_matrix() {
+        let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(93);
+        let cases = [
+            (PDac::with_optimal_approx(8).unwrap(), 6, 5),
+            (PDac::with_optimal_approx(4).unwrap(), 3, 17),
+            (PDac::with_optimal_approx(8).unwrap(), 1, 1),
+        ];
+        for (driver, rows, cols) in cases {
+            let lut = ConverterLut::new(&driver);
+            let random = Mat::from_fn(rows, cols, |_, _| rng.gen_range_f64(-2.0, 2.0));
+            for x in [random, Mat::zeros(rows, cols)] {
+                let want = QuantizedMat::quantize(&x, lut.bits()).dequantize_with(&lut);
+                let want = pdac_math::gemm::PackedB::pack(want.as_slice(), rows, cols);
+                let got = quantize_packed(&x, &lut);
+                assert_eq!((got.k(), got.n()), (rows, cols));
+                assert_eq!(
+                    panel_bits(&got.decode()),
+                    panel_bits(&want),
+                    "{rows}x{cols}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 entries")]
+    fn packed_codes_reject_tables_wider_than_a_byte() {
+        let lut = ConverterLut::new(&ElectricalDac::new(9).unwrap());
+        quantize_packed(&ramp(), &lut);
     }
 }

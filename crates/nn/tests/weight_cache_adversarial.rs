@@ -8,7 +8,7 @@ use pdac_core::converter::MzmDriver;
 use pdac_core::edac::ElectricalDac;
 use pdac_core::lut::ConverterLut;
 use pdac_core::pdac::PDac;
-use pdac_math::gemm::PackedB;
+use pdac_math::gemm::{PackedB, PackedCodes};
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
 use pdac_nn::prepared::{WeightCache, DEFAULT_CACHE_CAPACITY};
@@ -30,10 +30,22 @@ fn edac_cache(capacity: usize) -> WeightCache {
     cache_for(&ElectricalDac::new(8).unwrap(), capacity)
 }
 
+/// Panels rendered with `Debug`, which prints every f64 in shortest
+/// round-trip form and keeps the sign of zero: equal renderings mean
+/// equal bits.
+fn panel_bits(packed: &PackedB) -> String {
+    format!("{packed:?}")
+}
+
 /// The uncached pipeline: quantize, convert, pack.
-fn direct(mat: &Mat, driver: &dyn MzmDriver) -> PackedB {
+fn direct(mat: &Mat, driver: &dyn MzmDriver) -> String {
     let converted = QuantizedMat::quantize(mat, driver.bits()).dequantize_with(driver);
-    PackedB::pack(converted.as_slice(), mat.rows(), mat.cols())
+    panel_bits(&PackedB::pack(converted.as_slice(), mat.rows(), mat.cols()))
+}
+
+/// A cache entry's decoded values, rendered like [`direct`].
+fn decoded(codes: &PackedCodes) -> String {
+    panel_bits(&codes.decode())
 }
 
 #[test]
@@ -51,14 +63,14 @@ fn mutate_then_revert_misses_with_correct_data() {
     let mutated = cache.get_or_prepare(&w);
     assert_eq!(cache.misses(), 2, "mutation must defeat the id key");
     assert_ne!(first, mutated);
-    assert_eq!(*mutated, direct(&w, &edac));
+    assert_eq!(decoded(&mutated), direct(&w, &edac));
 
     w.as_mut_slice()[7] = original;
     let reverted = cache.get_or_prepare(&w);
     assert_eq!((cache.misses(), cache.hits()), (3, 0));
     assert!(!Rc::ptr_eq(&first, &reverted));
     assert_eq!(reverted, first);
-    assert_eq!(*reverted, direct(&w, &edac));
+    assert_eq!(decoded(&reverted), direct(&w, &edac));
 }
 
 #[test]
@@ -92,7 +104,7 @@ fn equal_content_clone_shares_one_entry_until_mutated() {
     clone.as_mut_slice()[0] += 0.5;
     let c = cache.get_or_prepare(&clone);
     assert_eq!(cache.misses(), 2, "the mutated clone must miss");
-    assert_eq!(*c, direct(&clone, &edac));
+    assert_eq!(decoded(&c), direct(&clone, &edac));
     let d = cache.get_or_prepare(&w);
     assert_eq!(cache.hits(), 2, "the original must still hit");
     assert!(Rc::ptr_eq(&a, &d));
@@ -107,9 +119,9 @@ fn allocation_reuse_never_serves_stale_data() {
     let edac = ElectricalDac::new(8).unwrap();
     for seed in 0..16u64 {
         let w = random_mat(6, 6, 100 + seed);
-        let packed = cache.get_or_prepare(&w);
+        let codes = cache.get_or_prepare(&w);
         assert_eq!(
-            *packed,
+            decoded(&codes),
             direct(&w, &edac),
             "stale cache entry served for seed {seed}"
         );
@@ -173,13 +185,6 @@ fn interleaved_streams_thrash_at_capacity_one_and_hit_at_two() {
     assert_eq!(cache.len(), 2);
 }
 
-/// Panels rendered with `Debug`, which prints every f64 in shortest
-/// round-trip form and keeps the sign of zero: equal renderings mean
-/// equal bits.
-fn panel_bits(packed: &PackedB) -> String {
-    format!("{packed:?}")
-}
-
 #[test]
 fn each_cache_serves_its_own_driver() {
     // One matrix through caches bound to drivers that share a bit width
@@ -195,9 +200,9 @@ fn each_cache_serves_its_own_driver() {
     let mut seen: Vec<String> = Vec::new();
     for (name, driver) in &drivers {
         let cache = cache_for(driver.as_ref(), DEFAULT_CACHE_CAPACITY);
-        let want = panel_bits(&direct(&w, driver.as_ref()));
-        assert_eq!(panel_bits(&cache.get_or_prepare(&w)), want, "{name} miss");
-        assert_eq!(panel_bits(&cache.get_or_prepare(&w)), want, "{name} hit");
+        let want = direct(&w, driver.as_ref());
+        assert_eq!(decoded(&cache.get_or_prepare(&w)), want, "{name} miss");
+        assert_eq!(decoded(&cache.get_or_prepare(&w)), want, "{name} hit");
         assert_eq!((cache.misses(), cache.hits()), (1, 1), "{name}");
         assert!(!seen.contains(&want), "{name} converts like another driver");
         seen.push(want);

@@ -808,10 +808,18 @@ fn cached_gemm_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         "P-DAC activations + electrical weights vs direct pipeline".into(),
     ));
 
-    // The cached forms multiply against prepacked panels; the shapes
+    // The cached forms multiply against byte-coded panels; the shapes
     // above stay below `PAR_MIN_MACS`, so walk every kernel branch: one
-    // row, fewer rows than a register tile, whole tiles, and pooled.
-    let branch_shapes = [(1, 512, 512), (2, 13, 6), (16, 64, 64), (70, 64, 64)];
+    // row (four panels per pass), a short pass, whole 8-row passes, a
+    // pass plus a one-row tail, and pooled column splits.
+    let branch_shapes = [
+        (1, 512, 512),
+        (2, 13, 6),
+        (16, 64, 64),
+        (70, 64, 64),
+        (5, 256, 1024),
+        (9, 13, 6),
+    ];
     let pairs: [(&AnalogGemm, &dyn MzmDriver); 2] = [(&pdac_backend, &pdac), (&hybrid, &edac)];
     let mut diffs = 0usize;
     for (backend, weight_driver) in pairs {
