@@ -49,7 +49,7 @@ impl RunStats {
     /// Publishes these counters into the global telemetry collector under
     /// the `accel.stats.*` namespace, so the analytical layer and any
     /// functional run share one metrics view. No-op when telemetry is
-    /// disabled (or compiled out).
+    /// disabled.
     pub fn record_telemetry(&self) {
         pdac_telemetry::counter_add("accel.stats.macs", self.macs);
         pdac_telemetry::counter_add("accel.stats.core_cycles", self.core_cycles);

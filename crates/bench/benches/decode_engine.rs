@@ -26,6 +26,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use pdac_bench::microbench::{env_opt, env_usize, out_path};
 use pdac_core::pdac::PDac;
 use pdac_math::Mat;
 use pdac_nn::{
@@ -34,17 +35,6 @@ use pdac_nn::{
 };
 use pdac_serve::feedback_embedding;
 use pdac_telemetry::Json;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
 
 fn prompt_tokens(model: &TransformerModel, s: usize, len: usize, seed: u64) -> Vec<Mat> {
     let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(seed);
@@ -122,7 +112,7 @@ fn main() {
     let backend_names =
         std::env::var("PDAC_BENCH_DECODE_BACKENDS").unwrap_or_else(|_| "exact,pdac".to_string());
     let reps = env_usize("PDAC_BENCH_DECODE_REPS", 1).max(1);
-    let floor = env_f64("PDAC_BENCH_DECODE_FLOOR");
+    let floor = env_opt::<f64>("PDAC_BENCH_DECODE_FLOOR");
     let default_run = hidden == 256 && layers == 4 && prompt_len == 8 && gen == 24;
 
     let config = TransformerConfig {
@@ -240,10 +230,12 @@ fn main() {
         ("reps".into(), Json::Int(reps as u64)),
         ("results".into(), Json::Arr(records)),
     ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decode.json").into());
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("decode_engine: wrote {out_path}");
+    let path = out_path(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_decode.json"
+    ));
+    std::fs::write(&path, doc.render() + "\n").expect("write bench json");
+    println!("decode_engine: wrote {path}");
 
     if default_run {
         if let Some(ratio) = pdac_batch8_over_exact {

@@ -29,6 +29,7 @@
 
 use std::time::Instant;
 
+use pdac_bench::microbench::{env_f64, env_usize, out_path};
 use pdac_math::Mat;
 use pdac_nn::{ExactGemm, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel};
 use pdac_power::meter::EnergyMeter;
@@ -36,20 +37,6 @@ use pdac_power::model::{DriverKind, PowerModel};
 use pdac_power::{ArchConfig, EnergyModel, TechParams};
 use pdac_serve::feedback_embedding;
 use pdac_telemetry::Json;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn energy_model(driver: DriverKind) -> EnergyModel {
     EnergyModel::new(PowerModel::new(
@@ -186,10 +173,12 @@ fn main() {
         ("generated".into(), Json::Int(gen as u64)),
         ("results".into(), Json::Arr(records)),
     ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_energy.json").into());
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("energy_ledger: wrote {out_path}");
+    let path = out_path(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_energy.json"
+    ));
+    std::fs::write(&path, doc.render() + "\n").expect("write bench json");
+    println!("energy_ledger: wrote {path}");
 
     // The drive-path claim only shows at scale: below ~2K hidden the
     // driver-independent terms dominate and the ratio stops being a

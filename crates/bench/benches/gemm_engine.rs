@@ -23,7 +23,7 @@
 //! per bench), `PDAC_BENCH_MAX_DIM` (largest cube; default 512; the
 //! decode shapes always run).
 
-use pdac_bench::microbench::{bench, black_box, BenchResult};
+use pdac_bench::microbench::{bench, black_box, env_usize, out_path, BenchResult};
 use pdac_core::converter::MzmDriver;
 use pdac_core::lut::ConverterLut;
 use pdac_core::pdac::PDac;
@@ -70,10 +70,7 @@ fn faster(x: BenchResult, y: BenchResult) -> BenchResult {
 }
 
 fn main() {
-    let max_dim = std::env::var("PDAC_BENCH_MAX_DIM")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(512);
+    let max_dim = env_usize("PDAC_BENCH_MAX_DIM", 512);
     let bits = 8;
     let driver = PDac::with_optimal_approx(bits).unwrap();
     let lut = ConverterLut::new(&driver);
@@ -313,8 +310,10 @@ fn main() {
         ("results".into(), Json::Arr(records)),
         ("speedups".into(), Json::Arr(speedups)),
     ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json").into());
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("gemm_engine: wrote {out_path}");
+    let path = out_path(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_gemm.json"
+    ));
+    std::fs::write(&path, doc.render() + "\n").expect("write bench json");
+    println!("gemm_engine: wrote {path}");
 }

@@ -29,6 +29,7 @@
 
 use std::time::Instant;
 
+use pdac_bench::microbench::{env_usize, out_path};
 use pdac_core::pdac::PDac;
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
@@ -38,13 +39,6 @@ use pdac_nn::{
 };
 use pdac_serve::feedback_embedding;
 use pdac_telemetry::Json;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Per-step token matrices for `s` sequences sharing the first `shared`
 /// prompt positions; divergent tails and per-sequence rows are seeded
@@ -285,8 +279,7 @@ fn main() {
         ("reps".into(), Json::Int(reps as u64)),
         ("results".into(), Json::Arr(records)),
     ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kv.json").into());
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("kv_paged: wrote {out_path}");
+    let path = out_path(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kv.json"));
+    std::fs::write(&path, doc.render() + "\n").expect("write bench json");
+    println!("kv_paged: wrote {path}");
 }

@@ -12,7 +12,7 @@
 //!
 //! [`WorkerPool`]: pdac_math::pool::WorkerPool
 
-use pdac_bench::microbench::{bench, black_box, BenchResult};
+use pdac_bench::microbench::{bench, black_box, out_path, BenchResult};
 use pdac_math::gemm::{gemm, gemm_scoped};
 use pdac_math::pool::WorkerPool;
 use pdac_math::rng::SplitMix64;
@@ -135,8 +135,10 @@ fn main() {
         ("results".into(), Json::Arr(records)),
         ("comparisons".into(), Json::Arr(comparisons)),
     ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pool.json").into());
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("pool_vs_scope: wrote {out_path}");
+    let path = out_path(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_pool.json"
+    ));
+    std::fs::write(&path, doc.render() + "\n").expect("write bench json");
+    println!("pool_vs_scope: wrote {path}");
 }

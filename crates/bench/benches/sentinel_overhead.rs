@@ -24,6 +24,7 @@
 
 use std::time::Instant;
 
+use pdac_bench::microbench::{env_f64, env_usize, out_path};
 use pdac_math::Mat;
 use pdac_nn::{
     AnalogGemm, GemmBackend, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel,
@@ -31,20 +32,6 @@ use pdac_nn::{
 use pdac_serve::feedback_embedding;
 use pdac_telemetry::Json;
 use pdac_verify::sentinel::{Sentinel, SentinelConfig, SentinelHandle};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -205,11 +192,12 @@ fn main() {
         ("generated".into(), Json::Int(gen as u64)),
         ("results".into(), Json::Arr(records)),
     ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sentinel.json").into()
-    });
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("sentinel_overhead: wrote {out_path}");
+    let path = out_path(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_sentinel.json"
+    ));
+    std::fs::write(&path, doc.render() + "\n").expect("write bench json");
+    println!("sentinel_overhead: wrote {path}");
 
     if s == 8 {
         assert!(

@@ -5,7 +5,7 @@
 //!
 //! Emits `BENCH_verify.json` (override the path with `PDAC_BENCH_OUT`).
 
-use pdac_bench::microbench::{bench, black_box, BenchResult};
+use pdac_bench::microbench::{bench, black_box, out_path, BenchResult};
 use pdac_core::converter::MzmDriver;
 use pdac_core::lut::ConverterLut;
 use pdac_core::pdac::PDac;
@@ -62,17 +62,16 @@ fn main() {
     });
     records.push(record(&result));
 
-    let out_path =
-        std::env::var("PDAC_BENCH_OUT").unwrap_or_else(|_| "BENCH_verify.json".to_string());
+    let path = out_path("BENCH_verify.json");
     let doc = Json::Obj(vec![
         ("bench".into(), Json::Str("verify".into())),
         ("records".into(), Json::Arr(records)),
     ]);
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
+    if let Some(parent) = std::path::Path::new(&path).parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).expect("create bench artifact dir");
         }
     }
-    std::fs::write(&out_path, doc.render()).expect("write bench artifact");
-    println!("verify: wrote {out_path}");
+    std::fs::write(&path, doc.render()).expect("write bench artifact");
+    println!("verify: wrote {path}");
 }

@@ -15,13 +15,7 @@
 //!   fractions; default 0.04.
 
 use pdac_bench::gate::gate;
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use pdac_bench::microbench::env_f64;
 
 fn load(path: &str) -> pdac_telemetry::Json {
     let text = std::fs::read_to_string(path)

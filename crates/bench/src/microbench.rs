@@ -6,7 +6,9 @@
 //! `harness = false` and are gated behind the off-by-default `microbench`
 //! feature so `cargo test -q` never pays for them.
 
+use std::any::type_name;
 pub use std::hint::black_box;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// Per-benchmark result.
@@ -32,13 +34,37 @@ impl BenchResult {
     }
 }
 
+/// Environment knob `name` parsed as a `T`, or `None` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable and the value, when `name` is set but
+/// does not parse: a typo must not quietly run the default.
+pub fn env_opt<T: FromStr>(name: &str) -> Option<T> {
+    let raw = std::env::var_os(name)?;
+    let value = raw.to_str().and_then(|v| v.parse().ok());
+    Some(value.unwrap_or_else(|| panic!("{name}={raw:?} does not parse as {}", type_name::<T>())))
+}
+
+/// Count knob `name`, or `default` when unset (see [`env_opt`]).
+pub fn env_usize(name: &str, default: usize) -> usize {
+    env_opt(name).unwrap_or(default)
+}
+
+/// Real-valued knob `name`, or `default` when unset (see [`env_opt`]).
+pub fn env_f64(name: &str, default: f64) -> f64 {
+    env_opt(name).unwrap_or(default)
+}
+
+/// Where a bench writes its JSON: `PDAC_BENCH_OUT` when set, else
+/// `default`.
+pub fn out_path(default: &str) -> String {
+    env_opt("PDAC_BENCH_OUT").unwrap_or_else(|| default.to_string())
+}
+
 /// Wall-clock budget per benchmark. Override with `PDAC_BENCH_MS`.
 fn budget() -> Duration {
-    let ms = std::env::var("PDAC_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(200);
-    Duration::from_millis(ms)
+    Duration::from_millis(env_opt("PDAC_BENCH_MS").unwrap_or(200))
 }
 
 /// Time `f` in batches until the budget is spent; prints and returns the
@@ -95,5 +121,23 @@ mod tests {
         assert!(r.iters > 0);
         assert!(r.mean_ns > 0.0);
         assert!(r.min_ns <= r.mean_ns * 1.5);
+    }
+
+    #[test]
+    fn env_knobs_take_defaults_and_parse_set_values() {
+        std::env::remove_var("PDAC_BENCH_TEST_UNSET");
+        assert_eq!(env_usize("PDAC_BENCH_TEST_UNSET", 7), 7);
+        assert_eq!(env_f64("PDAC_BENCH_TEST_UNSET", 0.5), 0.5);
+        std::env::set_var("PDAC_BENCH_TEST_COUNT", "12");
+        assert_eq!(env_usize("PDAC_BENCH_TEST_COUNT", 7), 12);
+        std::env::set_var("PDAC_BENCH_TEST_FRAC", "0.03");
+        assert_eq!(env_f64("PDAC_BENCH_TEST_FRAC", 0.5), 0.03);
+    }
+
+    #[test]
+    #[should_panic(expected = "PDAC_BENCH_TEST_BAD=\"12k\"")]
+    fn env_knob_set_but_malformed_panics_with_its_name() {
+        std::env::set_var("PDAC_BENCH_TEST_BAD", "12k");
+        env_usize("PDAC_BENCH_TEST_BAD", 7);
     }
 }

@@ -3,7 +3,6 @@
 //! Lives in its own integration-test process because the gauge is a
 //! process-global total: parallel lib tests building caches concurrently
 //! would move it under the exact assertions.
-#![cfg(feature = "telemetry")]
 
 use pdac_core::edac::ElectricalDac;
 use pdac_core::lut::ConverterLut;

@@ -5,7 +5,11 @@
 //! cargo run --release -p pdac-serve --bin serve
 //! ```
 //!
-//! Environment knobs (all optional):
+//! Environment knobs (all optional). A malformed value — a count that
+//! is not a non-negative integer, or a bad `PDAC_KV_*`,
+//! `PDAC_POWER_BUDGET_W`, `PDAC_SENTINEL_RATE`, `PDAC_SENTINEL_FAULT`,
+//! backend or meter — exits 2 with a message naming the variable and
+//! the value, never falling back to the default:
 //!
 //! * `PDAC_SERVE_REQUESTS` — number of requests in the trace (default 8)
 //! * `PDAC_SERVE_PROMPT` — prompt length per request (default 4)
@@ -16,7 +20,7 @@
 //!   weights on the e-DAC path)
 //! * `PDAC_KV_BLOCK_TOKENS` / `PDAC_KV_BUDGET_BYTES` — page size in
 //!   tokens (default 16) and byte budget (default unbounded) of the
-//!   paged KV cache; a malformed value exits 2
+//!   paged KV cache
 //! * `PDAC_SERVE_SHARED_PROMPT` — first N prompt tokens identical
 //!   across all requests (default 0), so the run exercises hash-consed
 //!   prefix sharing
@@ -25,8 +29,8 @@
 //! * `PDAC_SERVE_METER` — `auto` | `pdac` | `edac` | `hybrid` | `off`:
 //!   the [`pdac_power::meter`] driver pricing the live energy ledger
 //!   (default `auto`: matched to the backend, P-DAC for `exact`)
-//! * `PDAC_POWER_BUDGET_W` — arms the meter's modeled power budget;
-//!   over-budget steps shed admissions (`serve.load_shed`)
+//! * `PDAC_POWER_BUDGET_W` — arms the meter's modeled power budget, in
+//!   watts (> 0); over-budget steps shed admissions (`serve.load_shed`)
 //! * `PDAC_SERVE_METRICS_OUT` (or `--metrics-out <path>`) — write the
 //!   Prometheus exposition (the same text `/metrics` serves) to a file
 //! * `PDAC_SERVE_TRACE_OUT` (or `--trace-out <path>`) — write a
@@ -79,11 +83,24 @@ use pdac_power::model::{DriverKind, PowerModel};
 use pdac_power::{ArchConfig, EnergyModel, OpClass, TechParams};
 use pdac_serve::{solo_reference, Request, TokenServer};
 
+/// Prints why a knob was rejected and exits 2.
+fn bad_knob(msg: &str) -> ! {
+    eprintln!("serve: {msg}");
+    std::process::exit(2);
+}
+
+/// A count knob's rule on its raw value (`None` = unset): unset takes
+/// `default`; a set value must be a non-negative integer.
+fn parse_count(name: &str, raw: Option<&str>, default: usize) -> Result<usize, String> {
+    raw.map_or(Ok(default), |raw| {
+        raw.parse()
+            .map_err(|_| format!("{name}={raw:?} is not a non-negative integer"))
+    })
+}
+
 fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_count(name, raw.as_deref(), default).unwrap_or_else(|e| bad_knob(&e))
 }
 
 /// `--flag value` from argv, falling back to the environment variable.
@@ -216,10 +233,7 @@ fn main() {
     let layers = env_usize("PDAC_SERVE_LAYERS", 2);
     let heads = env_usize("PDAC_SERVE_HEADS", 4);
     let backend_name = std::env::var("PDAC_SERVE_BACKEND").unwrap_or_else(|_| "pdac".to_string());
-    let kv_config = PagedConfig::from_env().unwrap_or_else(|e| {
-        eprintln!("serve: {e}");
-        std::process::exit(2);
-    });
+    let kv_config = PagedConfig::from_env().unwrap_or_else(|e| bad_knob(&e));
     let shared_prompt = env_usize("PDAC_SERVE_SHARED_PROMPT", 0).min(prompt_len);
 
     let config = TransformerConfig {
@@ -248,10 +262,9 @@ fn main() {
             ElectricalDac::new(8).expect("8-bit edac"),
             "hybrid-8b",
         )),
-        other => {
-            eprintln!("unknown PDAC_SERVE_BACKEND {other:?} (use exact|pdac|edac|hybrid)");
-            std::process::exit(2);
-        }
+        other => bad_knob(&format!(
+            "unknown PDAC_SERVE_BACKEND {other:?} (use exact|pdac|edac|hybrid)"
+        )),
     };
 
     // Deterministic fault injection for the sentinel smoke: wrap the
@@ -262,15 +275,11 @@ fn main() {
     let backend: Box<dyn GemmBackend> = match std::env::var("PDAC_SENTINEL_FAULT") {
         Err(_) => backend,
         Ok(raw) => match pdac_serve::sentinel::fault_spec(&raw) {
-            Err(msg) => {
-                eprintln!("serve: {msg}");
-                std::process::exit(2);
-            }
+            Err(msg) => bad_knob(&msg),
             Ok(None) => backend,
             Ok(Some(spec)) => {
                 if backend_name != "pdac" {
-                    eprintln!("serve: PDAC_SENTINEL_FAULT requires PDAC_SERVE_BACKEND=pdac");
-                    std::process::exit(2);
+                    bad_knob("PDAC_SENTINEL_FAULT requires PDAC_SERVE_BACKEND=pdac");
                 }
                 println!("serve: sentinel fault injected: {raw}");
                 Box::new(AnalogGemm::new(
@@ -299,14 +308,16 @@ fn main() {
             // `pdac`, and `exact` standing in for the modeled target.
             _ => DriverKind::PhotonicDac,
         }),
-        other => {
-            eprintln!("unknown PDAC_SERVE_METER {other:?} (use auto|pdac|edac|hybrid|off)");
-            std::process::exit(2);
-        }
+        other => bad_knob(&format!(
+            "unknown PDAC_SERVE_METER {other:?} (use auto|pdac|edac|hybrid|off)"
+        )),
     };
     let meter = meter_driver.map(|driver| {
         let pm = PowerModel::new(ArchConfig::lt_b(), TechParams::calibrated(), driver);
-        pdac_power::meter::install(EnergyMeter::new(EnergyModel::new(pm), 8).with_budget_env())
+        let meter = EnergyMeter::new(EnergyModel::new(pm), 8)
+            .with_budget_env()
+            .unwrap_or_else(|e| bad_knob(&e));
+        pdac_power::meter::install(meter)
     });
 
     let trace_out = arg_or_env("--trace-out", "PDAC_SERVE_TRACE_OUT");
@@ -322,7 +333,7 @@ fn main() {
     // telemetry snapshot below, so its gauges and alerts land in every
     // exporter.
     #[cfg(feature = "sentinel")]
-    let sentinel = pdac_serve::sentinel::install_from_env();
+    let sentinel = pdac_serve::sentinel::install_from_env().unwrap_or_else(|e| bad_knob(&e));
 
     #[cfg(feature = "http")]
     let _http = arg_or_env("--http", "PDAC_SERVE_HTTP").map(|addr| {
@@ -570,4 +581,32 @@ fn main() {
         }
     }
     println!("serve: OK — all {requests} requests retired");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_count;
+
+    #[test]
+    fn count_parse_accepts_unset_and_non_negative_integers() {
+        assert_eq!(parse_count("PDAC_SERVE_BATCH", None, 4), Ok(4));
+        for (raw, n) in [("0", 0), ("8", 8), ("65536", 65536)] {
+            assert_eq!(
+                parse_count("PDAC_SERVE_BATCH", Some(raw), 4),
+                Ok(n),
+                "{raw}"
+            );
+        }
+    }
+
+    #[test]
+    fn count_parse_names_the_variable_and_the_bad_value() {
+        for raw in ["", "-1", "4.0", "8 ", "eight", "1e3"] {
+            let err = parse_count("PDAC_SERVE_BATCH", Some(raw), 4).expect_err(raw);
+            assert!(
+                err.contains("PDAC_SERVE_BATCH") && err.contains(&format!("{raw:?}")),
+                "{err}"
+            );
+        }
+    }
 }

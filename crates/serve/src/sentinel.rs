@@ -24,15 +24,15 @@ pub use pdac_verify::{FaultSpec, FaultyPDac, SlotFault};
 
 /// Installs a [`Sentinel`] configured from the environment
 /// (`PDAC_SENTINEL_RATE`; see [`SentinelConfig::from_env`]) and returns
-/// the handle owning its scoring worker. Returns `None` when the
+/// the handle owning its scoring worker. Returns `Ok(None)` when the
 /// resolved rate is zero — nothing would ever be sampled, so no tap or
-/// worker is worth paying for.
-pub fn install_from_env() -> Option<SentinelHandle> {
-    let cfg = SentinelConfig::from_env();
+/// worker is worth paying for — and `Err` for a malformed rate.
+pub fn install_from_env() -> Result<Option<SentinelHandle>, String> {
+    let cfg = SentinelConfig::from_env()?;
     if cfg.rate <= 0.0 {
-        return None;
+        return Ok(None);
     }
-    Some(Sentinel::install(cfg))
+    Ok(Some(Sentinel::install(cfg)))
 }
 
 /// Parses a `PDAC_SENTINEL_FAULT` value into the fault to inject.

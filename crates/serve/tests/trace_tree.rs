@@ -7,8 +7,6 @@
 //! single `#[test]` — this test binary must not share the global with
 //! other telemetry-mutating tests.
 
-#![cfg(feature = "telemetry")]
-
 use std::collections::HashMap;
 
 use pdac_nn::{ExactGemm, PagedConfig, TransformerConfig, TransformerModel};

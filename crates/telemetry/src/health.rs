@@ -97,8 +97,7 @@ pub struct HealthLedger {
     critical_latched: AtomicBool,
 }
 
-/// Default alert-ring capacity (overridable at first use via
-/// `PDAC_HEALTH_ALERT_CAPACITY` on the global ledger).
+/// Alert-ring capacity of the global ledger.
 pub const DEFAULT_ALERT_CAPACITY: usize = 256;
 
 impl HealthLedger {
@@ -232,16 +231,10 @@ impl HealthLedger {
 
 static LEDGER: OnceLock<HealthLedger> = OnceLock::new();
 
-/// The process-wide ledger (capacity honours `PDAC_HEALTH_ALERT_CAPACITY`
-/// at first use).
+/// The process-wide ledger, holding the newest [`DEFAULT_ALERT_CAPACITY`]
+/// alerts.
 pub fn ledger() -> &'static HealthLedger {
-    LEDGER.get_or_init(|| {
-        let capacity = std::env::var("PDAC_HEALTH_ALERT_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_ALERT_CAPACITY);
-        HealthLedger::new(capacity)
-    })
+    LEDGER.get_or_init(|| HealthLedger::new(DEFAULT_ALERT_CAPACITY))
 }
 
 /// Raise an alert on the global ledger and bump the matching

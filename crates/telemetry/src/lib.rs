@@ -6,15 +6,13 @@
 //! injectable [`Clock`] (monotonic or deterministic), and snapshot sinks
 //! (in-memory, stderr table, JSONL with a hand-rolled serializer).
 //!
-//! # Two levels of "off"
+//! # One switch, three levels
 //!
-//! * **Compile time** — building with `default-features = false` (no
-//!   `enabled` feature) replaces the whole hot-path API with inlineable
-//!   zero-sized no-ops, so instrumented library code costs literally
-//!   nothing.
-//! * **Run time** — with the feature on, the global collector starts
-//!   *disabled*; every entry point is a single relaxed atomic load until
-//!   [`enable`] is called.
+//! Collection is switched at run time only. The global collector starts
+//! *off*: every hot-path entry point is then one relaxed atomic load and
+//! records nothing. [`enable`] turns on *full* collection (metrics and
+//! span events); [`set_tracing`]`(false)` drops to *metrics-only*, where
+//! counters, gauges and histograms still record but no span event does.
 //!
 //! # Quickstart
 //!
@@ -31,47 +29,28 @@
 //! # pdac_telemetry::reset();
 //! ```
 
-#[cfg(feature = "enabled")]
 pub mod clock;
-#[cfg(feature = "enabled")]
 pub mod export;
-#[cfg(feature = "enabled")]
 pub mod health;
-#[cfg(all(feature = "enabled", feature = "serve-http"))]
+#[cfg(feature = "serve-http")]
 pub mod http;
-#[cfg(feature = "enabled")]
 pub mod json;
-#[cfg(feature = "enabled")]
 pub mod metrics;
-#[cfg(feature = "enabled")]
 pub mod registry;
-#[cfg(feature = "enabled")]
 pub mod sink;
-#[cfg(feature = "enabled")]
 pub mod span;
-#[cfg(feature = "enabled")]
 pub mod trace;
 
-#[cfg(feature = "enabled")]
 pub use clock::{Clock, ManualClock, MonotonicClock};
-#[cfg(feature = "enabled")]
 pub use export::{chrome_trace, prometheus_text};
-#[cfg(feature = "enabled")]
 pub use health::{AlertRecord, HealthLedger, HealthStatus, Severity};
-#[cfg(feature = "enabled")]
 pub use json::Json;
-#[cfg(feature = "enabled")]
 pub use metrics::{Counter, Gauge, Histogram};
-#[cfg(feature = "enabled")]
 pub use registry::{Collector, HistogramSummary, Snapshot, SpanEvent};
-#[cfg(feature = "enabled")]
 pub use sink::{JsonlSink, MemorySink, Sink, StderrTableSink};
-#[cfg(feature = "enabled")]
 pub use span::{OwnedSpan, Span, TraceCtx};
-#[cfg(feature = "enabled")]
 pub use trace::TraceBuffer;
 
-#[cfg(feature = "enabled")]
 mod global {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::OnceLock;
@@ -229,7 +208,6 @@ mod global {
     }
 }
 
-#[cfg(feature = "enabled")]
 pub use global::{
     counter_add, current_ctx, disable, enable, gauge_set, global, is_enabled, is_tracing, now_ns,
     observe, open_span, record_span, reset, set_tracing, snapshot, span, span_under,
@@ -238,161 +216,7 @@ pub use global::{
 /// Whether the global health ledger has latched a critical drift alert
 /// (see [`health`]). One relaxed atomic load; `false` until the sentinel
 /// raises a critical alert.
-#[cfg(feature = "enabled")]
 #[inline]
 pub fn health_critical() -> bool {
     health::critical_latched()
 }
-
-// ---------------------------------------------------------------------------
-// Compile-time no-op surface (feature `enabled` off). Mirrors the hot-path
-// API exactly so instrumented crates build unchanged; everything inlines to
-// nothing.
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "enabled"))]
-mod noop {
-    /// Inert span guard (compile-time disabled build).
-    #[must_use]
-    pub struct Span;
-
-    impl Span {
-        #[inline(always)]
-        pub fn noop() -> Self {
-            Span
-        }
-
-        #[inline(always)]
-        pub fn is_recording(&self) -> bool {
-            false
-        }
-
-        #[inline(always)]
-        pub fn ctx(&self) -> TraceCtx {
-            TraceCtx::NONE
-        }
-    }
-
-    /// Inert span context (compile-time disabled build).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub struct TraceCtx;
-
-    impl TraceCtx {
-        pub const NONE: TraceCtx = TraceCtx;
-
-        #[inline(always)]
-        pub fn id(&self) -> u64 {
-            0
-        }
-
-        #[inline(always)]
-        pub fn is_none(&self) -> bool {
-            true
-        }
-    }
-
-    /// Inert long-lived span (compile-time disabled build). Carries a
-    /// phantom lifetime so `OwnedSpan<'static>` struct fields type-check
-    /// identically in both builds.
-    #[must_use]
-    pub struct OwnedSpan<'a>(core::marker::PhantomData<&'a ()>);
-
-    impl OwnedSpan<'_> {
-        #[inline(always)]
-        pub fn noop() -> Self {
-            OwnedSpan(core::marker::PhantomData)
-        }
-
-        #[inline(always)]
-        pub fn is_recording(&self) -> bool {
-            false
-        }
-
-        #[inline(always)]
-        pub fn ctx(&self) -> TraceCtx {
-            TraceCtx::NONE
-        }
-
-        #[inline(always)]
-        pub fn end(self) {}
-    }
-
-    #[inline(always)]
-    pub fn enable() {}
-
-    #[inline(always)]
-    pub fn disable() {}
-
-    #[inline(always)]
-    pub fn is_enabled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> Span {
-        Span
-    }
-
-    #[inline(always)]
-    pub fn span_under(_name: &'static str, _ctx: TraceCtx) -> Span {
-        Span
-    }
-
-    #[inline(always)]
-    pub fn open_span(
-        _name: &'static str,
-        _parent: TraceCtx,
-        _arg: Option<u64>,
-    ) -> OwnedSpan<'static> {
-        OwnedSpan::noop()
-    }
-
-    #[inline(always)]
-    pub fn record_span(
-        _name: &'static str,
-        _start_ns: u64,
-        _end_ns: u64,
-        _parent: TraceCtx,
-        _arg: Option<u64>,
-    ) {
-    }
-
-    #[inline(always)]
-    pub fn now_ns() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn current_ctx() -> TraceCtx {
-        TraceCtx
-    }
-
-    #[inline(always)]
-    pub fn set_tracing(_on: bool) {}
-
-    #[inline(always)]
-    pub fn is_tracing() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn counter_add(_name: &'static str, _delta: u64) {}
-
-    #[inline(always)]
-    pub fn gauge_set(_name: &'static str, _value: f64) {}
-
-    #[inline(always)]
-    pub fn observe(_name: &'static str, _value: f64) {}
-
-    #[inline(always)]
-    pub fn health_critical() -> bool {
-        false
-    }
-}
-
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    counter_add, current_ctx, disable, enable, gauge_set, health_critical, is_enabled, is_tracing,
-    now_ns, observe, open_span, record_span, set_tracing, span, span_under, OwnedSpan, Span,
-    TraceCtx,
-};

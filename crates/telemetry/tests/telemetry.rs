@@ -1,8 +1,6 @@
 //! Integration tests for `pdac-telemetry`: histogram boundaries, span
 //! nesting, deterministic clocks, JSONL round trips and concurrency.
 
-#![cfg(feature = "enabled")]
-
 use std::sync::Arc;
 use std::thread;
 

@@ -132,18 +132,30 @@ impl Default for SentinelConfig {
 }
 
 impl SentinelConfig {
-    /// Defaults with the sampling rate taken from `PDAC_SENTINEL_RATE`
-    /// (unset, empty or unparsable values keep [`DEFAULT_RATE`]).
-    pub fn from_env() -> Self {
+    /// Defaults with the sampling rate taken from `PDAC_SENTINEL_RATE`.
+    /// Unset keeps [`DEFAULT_RATE`]; a set rate must be a finite number
+    /// ≥ 0 (`0` disables sampling), and anything else is an error naming
+    /// the variable and the value, never a silent default.
+    pub fn from_env() -> Result<Self, String> {
+        let raw = std::env::var_os("PDAC_SENTINEL_RATE").map(|v| v.to_string_lossy().into_owned());
+        Self::parse(raw.as_deref())
+    }
+
+    /// [`Self::from_env`] on the raw rate (`None` = unset), so the rule
+    /// is testable without touching the process environment.
+    fn parse(rate: Option<&str>) -> Result<Self, String> {
         let mut cfg = Self::default();
-        if let Ok(raw) = std::env::var("PDAC_SENTINEL_RATE") {
-            if let Ok(rate) = raw.trim().parse::<f64>() {
-                if rate.is_finite() && rate >= 0.0 {
-                    cfg.rate = rate;
-                }
-            }
+        if let Some(raw) = rate {
+            cfg.rate = raw
+                .trim()
+                .parse::<f64>()
+                .ok()
+                .filter(|r| r.is_finite() && *r >= 0.0)
+                .ok_or_else(|| {
+                    format!("PDAC_SENTINEL_RATE={raw:?} is not a finite sampling rate ≥ 0")
+                })?;
         }
-        cfg
+        Ok(cfg)
     }
 }
 
@@ -551,6 +563,32 @@ mod tests {
             let a = random_mat(8, 48, &mut rng);
             let b = random_mat(48, 12, &mut rng);
             backend.matmul_into(&a, &b, &mut out);
+        }
+    }
+
+    #[test]
+    fn rate_parse_accepts_unset_and_finite_nonnegative_rates() {
+        assert_eq!(
+            SentinelConfig::parse(None).map(|c| c.rate),
+            Ok(DEFAULT_RATE)
+        );
+        for (raw, rate) in [("0", 0.0), ("0.5", 0.5), ("1.0", 1.0), (" 0.25 ", 0.25)] {
+            assert_eq!(
+                SentinelConfig::parse(Some(raw)).map(|c| c.rate),
+                Ok(rate),
+                "{raw}"
+            );
+        }
+    }
+
+    #[test]
+    fn rate_parse_names_the_variable_and_the_bad_value() {
+        for raw in ["off", "", "2%", "-0.1", "inf", "NaN"] {
+            let err = SentinelConfig::parse(Some(raw)).expect_err(raw);
+            assert!(
+                err.contains("PDAC_SENTINEL_RATE") && err.contains(&format!("{raw:?}")),
+                "{err}"
+            );
         }
     }
 

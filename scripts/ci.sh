@@ -7,17 +7,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (telemetry on)"
+echo "==> cargo clippy (default features)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy (telemetry off)"
+echo "==> cargo clippy (no default features: pdac-serve without the sentinel)"
 cargo clippy --workspace --all-targets --no-default-features -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release --workspace
-
-echo "==> cargo build --release --no-default-features (compile-time no-op telemetry)"
-cargo build --release -p pdac --no-default-features
 
 echo "==> cargo test -q"
 cargo test -q --workspace
@@ -97,6 +94,16 @@ if [ "$status" -ne 2 ]; then
     exit 1
 fi
 
+echo "==> serve rejects a malformed power budget (exit 2, not silently unbudgeted)"
+status=0
+PDAC_POWER_BUDGET_W=1kW cargo run --release -q -p pdac-serve --bin serve \
+    > target/serve.bad_budget.log 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "FAIL: PDAC_POWER_BUDGET_W=1kW made serve exit $status, expected 2"
+    cat target/serve.bad_budget.log
+    exit 1
+fi
+
 echo "==> drift sentinel smoke (clean serve green; injected fault latches critical)"
 PDAC_SERVE_REQUESTS=6 PDAC_SERVE_PROMPT=3 PDAC_SERVE_MAX_NEW=4 PDAC_SERVE_BATCH=4 \
     PDAC_SERVE_HIDDEN=32 PDAC_SERVE_LAYERS=2 PDAC_SERVE_HEADS=4 \
@@ -120,9 +127,6 @@ fi
 grep -q "health status=critical" target/sentinel.fault.log \
     || { echo "FAIL: fault run exited nonzero without a critical verdict"; \
          cat target/sentinel.fault.log; exit 1; }
-
-echo "==> telemetry-off feature check (serve/nn/power compile with the no-op mirror)"
-cargo check --release -q -p pdac-serve -p pdac-nn -p pdac-power --no-default-features
 
 echo "==> serve http feature check (/metrics + /trace endpoint compiles and tests)"
 cargo test -q -p pdac-telemetry --features serve-http --lib

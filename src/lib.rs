@@ -24,8 +24,8 @@
 //!   transformer with pluggable analog GEMM backends;
 //! * [`accel`] — the Lightening-Transformer accelerator simulator;
 //! * [`telemetry`] — zero-dependency counters, histograms, span timers
-//!   and sinks instrumenting all of the above (no-op unless the
-//!   `telemetry` feature is on and the collector is enabled).
+//!   and sinks instrumenting all of the above (no-op until
+//!   `telemetry::enable()`).
 //!
 //! # Quickstart
 //!
