@@ -7,15 +7,20 @@
 //! for CI smoke runs: `PDAC_BENCH_DECODE_HIDDEN` / `_LAYERS` / `_HEADS`
 //! (default 256/4/4), `_PROMPT` / `_TOKENS` (default 8/24), `_BATCHES`
 //! (default `1,4,8,16`), `_BACKENDS` (default `exact,pdac`), `_REPS`
-//! (default 1 — with N > 1 each batched/sequential time is the minimum
-//! of N interleaved pairs, cancelling clock drift on busy machines),
-//! and `_FLOOR` (assert every measured speedup ≥ this ratio — the CI
-//! smoke uses it to fail any batch size slower than sequential).
+//! (default 1 — each batched/sequential time is the fastest of N
+//! interleaved rounds of two runs per backend, cancelling clock drift
+//! on busy machines), and `_FLOOR` (assert every measured speedup ≥
+//! this ratio — the CI smoke uses it to fail any batch size slower than
+//! sequential).
 //!
 //! When both backends run, each P-DAC record also carries
 //! `pdac_batched_over_exact_batched`: P-DAC batched tokens/s over exact
 //! batched tokens/s at the same batch size — what the analog operand
-//! path costs a served batch. Two batch-8 floors are asserted only at
+//! path costs a served batch. Both sides of that ratio are timed side by
+//! side: each rep runs the backends' batched decodes in ABBA order (BAAB
+//! on odd reps), and likewise their sequential decodes, and each side
+//! keeps its fastest run, so host noise that comes and goes between
+//! runs cannot set the ratio. Two batch-8 floors are asserted only at
 //! the default configuration: exact batched ≥2× exact sequential, and
 //! `pdac_batched_over_exact_batched` ≥0.5. P-DAC batched over P-DAC
 //! sequential is reported but has no floor: weights are converted once
@@ -23,7 +28,6 @@
 //! per-call weight cost for batching to amortize, and the ratio says
 //! little about the analog path.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use pdac_bench::microbench::{env_opt, env_usize, out_path};
@@ -46,6 +50,9 @@ fn prompt_tokens(model: &TransformerModel, s: usize, len: usize, seed: u64) -> V
         })
         .collect()
 }
+
+/// A timed decode of `prompt.len() + gen` steps; returns elapsed seconds.
+type Runner = fn(&TransformerModel, &dyn GemmBackend, &[Mat], usize) -> f64;
 
 /// Decodes `s` sequences for `prompt.len() + gen` steps through the
 /// batched engine; returns elapsed seconds.
@@ -141,36 +148,47 @@ fn main() {
     .collect();
 
     let mut records = Vec::new();
-    let mut exact_batched_tps = HashMap::new();
     let mut pdac_batch8_over_exact = None;
     let mut exact_batch8_speedup = None;
-    for (label, backend) in &backends {
-        for &s in &batches {
-            let prompt = prompt_tokens(&model, s, prompt_len, 7 * s as u64 + 1);
-            let total_tokens = (s * (prompt_len + gen)) as f64;
-            // One warm pass primes weight caches and packs out of the
-            // timed region.
+    for &s in &batches {
+        let prompt = prompt_tokens(&model, s, prompt_len, 7 * s as u64 + 1);
+        let total_tokens = (s * (prompt_len + gen)) as f64;
+        // One warm pass per backend primes weight caches and packs out
+        // of the timed region.
+        for (_, backend) in &backends {
             let _ = run_batched(&model, backend.as_ref(), &prompt, 1.min(gen));
-            // Interleaved pairs, minimum of `reps`: both sides see the
-            // same thermal/clock conditions, and the min discards
-            // scheduler hiccups that would otherwise swing the ratio.
-            let mut batched_s = f64::INFINITY;
-            let mut sequential_s = f64::INFINITY;
-            for rep in 0..reps {
-                // Alternate which side runs first: a one-directional
-                // clock ramp inside each pair would otherwise bias the
-                // ratio the same way every rep, and the min never
-                // cancels it.
-                if rep % 2 == 0 {
-                    batched_s = batched_s.min(run_batched(&model, backend.as_ref(), &prompt, gen));
-                    sequential_s =
-                        sequential_s.min(run_sequential(&model, backend.as_ref(), &prompt, gen));
-                } else {
-                    sequential_s =
-                        sequential_s.min(run_sequential(&model, backend.as_ref(), &prompt, gen));
-                    batched_s = batched_s.min(run_batched(&model, backend.as_ref(), &prompt, gen));
-                }
+        }
+        // Each side's fastest run over `reps` interleaved rounds: runs
+        // side by side see the same thermal/clock conditions, and the min
+        // discards scheduler hiccups that would otherwise swing the
+        // ratios.
+        let mut batched_s = vec![f64::INFINITY; backends.len()];
+        let mut sequential_s = vec![f64::INFINITY; backends.len()];
+        let mut order: Vec<usize> = (0..backends.len()).collect();
+        for rep in 0..reps {
+            // Even reps run the backends in ABBA order, odd reps in
+            // BAAB, and batched and sequential swap which runs first. A
+            // one-directional clock ramp would otherwise bias each ratio
+            // the same way every rep, and the min never cancels it.
+            if rep > 0 {
+                order.reverse();
             }
+            let round = |run: Runner, best: &mut [f64]| {
+                for &b in order.iter().chain(order.iter().rev()) {
+                    best[b] = best[b].min(run(&model, backends[b].1.as_ref(), &prompt, gen));
+                }
+            };
+            if rep % 2 == 0 {
+                round(run_batched, &mut batched_s);
+                round(run_sequential, &mut sequential_s);
+            } else {
+                round(run_sequential, &mut sequential_s);
+                round(run_batched, &mut batched_s);
+            }
+        }
+        let mut exact_batched_tps = None;
+        for (b, (label, _)) in backends.iter().enumerate() {
+            let (batched_s, sequential_s) = (batched_s[b], sequential_s[b]);
             let batched_tps = total_tokens / batched_s.max(1e-12);
             let sequential_tps = total_tokens / sequential_s.max(1e-12);
             let speedup = batched_tps / sequential_tps.max(1e-12);
@@ -197,13 +215,13 @@ fn main() {
             ];
             match *label {
                 "exact" => {
-                    exact_batched_tps.insert(s, batched_tps);
+                    exact_batched_tps = Some(batched_tps);
                     if s == 8 {
                         exact_batch8_speedup = Some(speedup);
                     }
                 }
                 "pdac" => {
-                    if let Some(&exact_tps) = exact_batched_tps.get(&s) {
+                    if let Some(exact_tps) = exact_batched_tps {
                         let ratio = batched_tps / f64::max(exact_tps, 1e-12);
                         println!(
                             "decode_engine/pdac/batch{s}: batched {ratio:.2}x of exact batched"

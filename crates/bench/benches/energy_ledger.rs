@@ -13,8 +13,9 @@
 //! `edac_over_pdac_j_per_tok` / `edac_over_hybrid_j_per_tok` ratios and
 //! `tokens_per_s`; the batch-8 record adds `meter_overhead`, the
 //! tokens/s cost of metering measured from interleaved meter-off /
-//! meter-on trials (min-of-N over at least 4 pairs, so a transient
-//! stall on either side does not read as metering cost). Knobs:
+//! meter-on trials (min-of-N over at least 4 pairs, each side first in
+//! every other pair, so neither a transient stall nor a clock ramp
+//! inside a pair reads as metering cost). Knobs:
 //! `PDAC_BENCH_ENERGY_HIDDEN` / `_LAYERS` /
 //! `_HEADS` (default 3072/1/16), `_PROMPT` / `_TOKENS` (default 2/4),
 //! `_TRIALS` (default 2), `_MAX_RATIO` (default 0.55), `_MAX_OVERHEAD`
@@ -112,16 +113,26 @@ fn main() {
         // throughput numbers: a single transient stall on either side
         // would otherwise read as metering cost (or mask it).
         let reps = if s == 8 { trials.max(4) } else { trials };
-        for _ in 0..reps {
-            // Interleave off→on at batch 8 so ambient noise hits both
-            // sides of the overhead measurement equally.
-            if s == 8 {
-                pdac_power::meter::uninstall();
-                best_off = best_off.min(run(&model, &prompt, gen));
-                pdac_power::meter::install_shared(meter.clone());
+        let mut time_off = || {
+            pdac_power::meter::uninstall();
+            best_off = best_off.min(run(&model, &prompt, gen));
+            pdac_power::meter::install_shared(meter.clone());
+        };
+        for rep in 0..reps {
+            // Interleave meter-off and meter-on runs at batch 8 so ambient
+            // noise hits both sides of the overhead measurement equally,
+            // and alternate which runs first: a clock ramp inside each
+            // pair would otherwise bias the overhead the same way every
+            // rep, and the min never cancels it.
+            let off_first = rep % 2 == 0;
+            if s == 8 && off_first {
+                time_off();
             }
             meter.reset();
             best_on = best_on.min(run(&model, &prompt, gen));
+            if s == 8 && !off_first {
+                time_off();
+            }
         }
         let trace = meter.counts();
         pdac_power::meter::uninstall();

@@ -620,10 +620,9 @@ fn gemm_codes_range(
 /// Computes the `m × n` product of row-major `a` (`m × k`) and code-packed
 /// `B` into `out` (fully overwritten), bit-identical to
 /// [`gemm_prepacked`] over [`PackedCodes::decode`]. One pass over `B`
-/// serves up to 8 rows. With more than one row, at or above
-/// [`PAR_MIN_MACS`], the column panels split across up to `threads` pool
-/// workers; one row stays on the calling thread, as in
-/// [`gemm_prepacked`].
+/// serves up to 8 rows. At or above [`PAR_MIN_MACS`] the column panels
+/// split across up to `threads` pool workers, for a single row too, as
+/// the exact single-row product splits its columns.
 ///
 /// # Panics
 ///
@@ -633,7 +632,7 @@ pub fn gemm_codes(a: &[f64], b: &PackedCodes, m: usize, out: &mut [f64], threads
     assert_eq!(a.len(), m * k, "lhs length");
     assert_eq!(out.len(), m * n, "output length");
     let panels = n.div_ceil(NR);
-    let threads = if m > 1 && m * k * n >= PAR_MIN_MACS {
+    let threads = if m * k * n >= PAR_MIN_MACS {
         threads.clamp(1, panels.max(1))
     } else {
         1

@@ -89,11 +89,24 @@ impl Quantizer {
 
     /// Quantizes `x` (round-to-nearest, saturating at the code range).
     /// The one statement of the code rule: every bulk quantizer calls it.
+    ///
+    /// The result equals `code.clamp(-m, m) as i32`, but without the
+    /// saturating cast's per-lane range branches, which kept bulk loops
+    /// from vectorizing. After the clamp, `code` is an integer of at most
+    /// 15 bits (or NaN), so adding 1.5·2⁵² leaves it, in two's
+    /// complement, in the sum's low 32 mantissa bits; NaN maps to code 0,
+    /// as `as i32` maps it.
     #[inline]
     pub fn quantize(&self, x: f64) -> i32 {
+        const ROUND_TO_LOW_BITS: f64 = 6_755_399_441_055_744.0; // 1.5·2⁵²
         let m = self.max_code() as f64;
-        let code = (x / self.scale * m).round();
-        code.clamp(-m, m) as i32
+        let code = (x / self.scale * m).round().clamp(-m, m);
+        let low = (code + ROUND_TO_LOW_BITS).to_bits() as i32;
+        if code.is_nan() {
+            0
+        } else {
+            low
+        }
     }
 
     /// Reconstructs the value represented by `code` (codes saturate).
@@ -235,6 +248,53 @@ mod tests {
         let mut got = Vec::new();
         q.quantize_slice(&xs, &mut got);
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn quantize_matches_the_saturating_cast_bitwise() {
+        // The code rule as first written, saturating `as i32` included.
+        fn reference(x: f64, scale: f64, m: f64) -> i32 {
+            (x / scale * m).round().clamp(-m, m) as i32
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_dead_beef), // NaN with low payload bits
+            f64::from_bits(0xfff0_0000_0000_0001), // signalling NaN
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 3.0,
+        ];
+        for bits in 2..=16u8 {
+            for scale in [1e-300, f64::MIN_POSITIVE, 0.3, 1.0, 2.7, 1e300] {
+                let q = Quantizer::new(bits, scale).unwrap();
+                let m = q.max_code();
+                let mf = f64::from(m);
+                let mut xs: Vec<f64> = specials.iter().flat_map(|&x| [x, x * scale]).collect();
+                // Every half-code, saturation edges included, and the
+                // f64 on either side of it.
+                for k in -m - 1..=m {
+                    let x = (f64::from(k) + 0.5) / mf * scale;
+                    xs.extend([x.next_down(), x, x.next_up()]);
+                }
+                let want: Vec<i32> = xs.iter().map(|&x| reference(x, scale, mf)).collect();
+                for (&x, &want) in xs.iter().zip(&want) {
+                    assert_eq!(q.quantize(x), want, "bits={bits} scale={scale} x={x:e}");
+                }
+                // The bulk form, which is what vectorizes.
+                let mut got = Vec::new();
+                q.quantize_slice(&xs, &mut got);
+                assert_eq!(got, want, "bits={bits} scale={scale} slice");
+            }
+        }
     }
 
     #[test]

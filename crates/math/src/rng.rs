@@ -15,6 +15,23 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// The Weyl increment γ: draw `i` (from 1) mixes `seed + i·γ`.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The two-round finalizer applied to each Weyl state.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The top 53 bits of a raw output as a value in `[0, 1)`.
+#[inline]
+fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 impl SplitMix64 {
     /// Create a generator from a 64-bit seed. Distinct seeds yield
     /// uncorrelated streams.
@@ -24,16 +41,13 @@ impl SplitMix64 {
 
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
     }
 
     /// Uniform draw in `[0, 1)` with 53 bits of precision.
     pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform draw in the *open* interval `(0, 1)`; safe for `ln()`.
@@ -46,6 +60,21 @@ impl SplitMix64 {
     pub fn gen_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo < hi && lo.is_finite() && hi.is_finite(), "bad range");
         lo + (hi - lo) * self.gen_f64()
+    }
+
+    /// Fills `out` with uniform draws in `[lo, hi)`: bit-identical to
+    /// `out.len()` sequential [`Self::gen_range_f64`] calls, and leaves
+    /// the generator where they would. Draw `i` mixes the Weyl state
+    /// `state + (i + 1)·γ` directly, so no draw waits on the one before
+    /// it and the loop vectorizes. Panics like [`Self::gen_range_f64`].
+    pub fn fill_range_f64(&mut self, out: &mut [f64], lo: f64, hi: f64) {
+        assert!(lo < hi && lo.is_finite() && hi.is_finite(), "bad range");
+        let (base, span) = (self.state, hi - lo);
+        let weyl = |i: usize| base.wrapping_add((i as u64).wrapping_mul(GAMMA));
+        for (i, x) in out.iter_mut().enumerate() {
+            *x = lo + span * unit_f64(mix(weyl(i + 1)));
+        }
+        self.state = weyl(out.len());
     }
 
     /// Uniform integer in the *inclusive* range `[lo, hi]`.
@@ -103,6 +132,31 @@ mod tests {
             let y = rng.open01();
             assert!(y > 0.0 && y < 1.0);
         }
+    }
+
+    #[test]
+    fn bulk_fill_matches_sequential_draws_and_state() {
+        for (lo, hi) in [(-1.0, 1.0), (-3.0, 2.5), (0.0, 1e-3)] {
+            for len in [0, 1, 7, 8, 9, 1000] {
+                let mut seq = SplitMix64::seed_from_u64(0xDEC0DE + len as u64);
+                let mut bulk = seq.clone();
+                let want: Vec<f64> = (0..len).map(|_| seq.gen_range_f64(lo, hi)).collect();
+                let mut got = vec![f64::NAN; len];
+                bulk.fill_range_f64(&mut got, lo, hi);
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "len={len} range=[{lo}, {hi})"
+                );
+                assert_eq!(bulk, seq, "len={len}: generator left elsewhere");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bad range")]
+    fn bulk_fill_rejects_an_empty_range() {
+        SplitMix64::seed_from_u64(1).fill_range_f64(&mut [0.0; 4], 1.0, 1.0);
     }
 
     #[test]

@@ -125,3 +125,31 @@ fn zero_dimension_matrices_are_rejected_at_construction() {
     let err = std::panic::catch_unwind(|| Mat::zeros(4, 0));
     assert!(err.is_err(), "0-col matrix must be rejected");
 }
+
+#[test]
+fn one_row_code_product_bit_identical_across_thread_counts() {
+    // One row at or above PAR_MIN_MACS splits its code panels across the
+    // pool, as the exact single-row product splits its columns; every
+    // cell must keep the reference loop's bits at every thread count.
+    use pdac_math::gemm::{gemm_codes, PackedCodes, PAR_MIN_MACS};
+    // Dyadic levels, so a level maps back to its code exactly.
+    let levels: Vec<f64> = (0..255).map(|i| (f64::from(i) - 127.0) / 64.0).collect();
+    let code = |x: f64| (x * 64.0 + 127.0) as u8;
+    for (k, n, seed) in [(256, 1024, 41u64), (300, 1031, 42)] {
+        assert!(k * n >= PAR_MIN_MACS);
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let w = Mat::from_fn(k, n, |_, _| levels[rng.gen_range_usize(0, 254)]);
+        let packed = PackedCodes::pack_with(w.as_slice(), k, n, &levels, code);
+        let a = random_mat(1, k, seed + 100);
+        let reference = a.matmul_reference(&w).unwrap();
+        // The env-driven default (PDAC_THREADS when set).
+        let mut out = Mat::zeros(1, 1);
+        a.matmul_codes_into(&packed, &mut out).unwrap();
+        assert_eq!(out, reference, "1x{k}x{n} default");
+        for threads in [1, 2, 3, 8, 16] {
+            let mut got = Mat::zeros(1, n);
+            gemm_codes(a.as_slice(), &packed, 1, got.as_mut_slice(), threads);
+            assert_eq!(got, reference, "1x{k}x{n} threads={threads}");
+        }
+    }
+}

@@ -74,11 +74,17 @@ impl PartialEq for EncoderLayer {
     }
 }
 
+/// A `rows × cols` weight of uniform draws scaled to variance `1/rows`,
+/// drawn in row-major order in one bulk fill.
 fn random_weight(rng: &mut SplitMix64, rows: usize, cols: usize) -> Mat {
     let std = 1.0 / (rows as f64).sqrt();
-    Mat::from_fn(rows, cols, |_, _| {
-        rng.gen_range_f64(-1.0, 1.0) * std * 1.732
-    })
+    let mut w = Mat::zeros(rows, cols);
+    rng.fill_range_f64(w.as_mut_slice(), -1.0, 1.0);
+    for x in w.as_mut_slice() {
+        // One draw's `u * std * 1.732`, in that order.
+        *x = *x * std * 1.732;
+    }
+    w
 }
 
 impl EncoderLayer {
@@ -274,10 +280,9 @@ impl TransformerModel {
     /// A seeded random input of shape `seq_len × hidden` (token
     /// embeddings standing in for real data).
     pub fn random_input(&self, seed: u64) -> Mat {
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        Mat::from_fn(self.config.seq_len, self.config.hidden, |_, _| {
-            rng.gen_range_f64(-1.0, 1.0)
-        })
+        let mut x = Mat::zeros(self.config.seq_len, self.config.hidden);
+        SplitMix64::seed_from_u64(seed).fill_range_f64(x.as_mut_slice(), -1.0, 1.0);
+        x
     }
 
     /// Runs the encoder stack (bidirectional attention), returning the
@@ -621,5 +626,33 @@ mod tests {
     fn fidelity_needs_samples() {
         let m = tiny_model();
         fidelity_study(&m, &ExactGemm, &ExactGemm, 0);
+    }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn fnv_bits<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+        values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn seeded_weights_and_inputs_keep_their_golden_bits() {
+        // Every served digest and verify row descends from this stream;
+        // a faster weight fill must reproduce it bit for bit.
+        let m = TransformerModel::random(TransformerConfig::tiny(), 4, 42);
+        let weights = m
+            .layers
+            .iter()
+            .flat_map(|l| [&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2])
+            .chain([&m.classifier])
+            .flat_map(Mat::as_slice);
+        assert_eq!(fnv_bits(weights), 0x8483_5c62_c9d1_e270);
+        assert_eq!(
+            fnv_bits(m.random_input(7).as_slice()),
+            0x33e9_fdcf_f829_2904
+        );
     }
 }
