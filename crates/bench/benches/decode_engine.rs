@@ -30,6 +30,7 @@
 
 use std::time::Instant;
 
+use pdac_bench::feedback::{random_prompt, timed_decode};
 use pdac_bench::microbench::{env_opt, env_usize, out_path};
 use pdac_core::pdac::PDac;
 use pdac_math::Mat;
@@ -39,17 +40,6 @@ use pdac_nn::{
 };
 use pdac_serve::feedback_embedding;
 use pdac_telemetry::Json;
-
-fn prompt_tokens(model: &TransformerModel, s: usize, len: usize, seed: u64) -> Vec<Mat> {
-    let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(seed);
-    (0..len)
-        .map(|_| {
-            Mat::from_fn(s, model.config().hidden, |_, _| {
-                rng.gen_range_f64(-1.0, 1.0)
-            })
-        })
-        .collect()
-}
 
 /// A timed decode of `prompt.len() + gen` steps; returns elapsed seconds.
 type Runner = fn(&TransformerModel, &dyn GemmBackend, &[Mat], usize) -> f64;
@@ -62,23 +52,8 @@ fn run_batched(
     prompt: &[Mat],
     gen: usize,
 ) -> f64 {
-    let s = prompt[0].rows();
-    let mut batch = PagedKvCache::new(model, s, PagedConfig::default());
-    let start = Instant::now();
-    let mut last = model.decode_batch(&prompt[0], &mut batch, backend);
-    for tok in &prompt[1..] {
-        last = model.decode_batch(tok, &mut batch, backend);
-    }
-    for _ in 0..gen {
-        let hidden = model.config().hidden;
-        let mut data = Vec::with_capacity(s * hidden);
-        for r in 0..s {
-            data.extend(feedback_embedding(last.row_slice(r)));
-        }
-        let next = Mat::from_rows(s, hidden, data).expect("feedback batch");
-        last = model.decode_batch(&next, &mut batch, backend);
-    }
-    start.elapsed().as_secs_f64()
+    let mut batch = PagedKvCache::new(model, prompt[0].rows(), PagedConfig::default());
+    timed_decode(model, backend, &mut batch, prompt, gen).0
 }
 
 /// The same workload, one sequence at a time through `decode_step` (the
@@ -151,7 +126,7 @@ fn main() {
     let mut pdac_batch8_over_exact = None;
     let mut exact_batch8_speedup = None;
     for &s in &batches {
-        let prompt = prompt_tokens(&model, s, prompt_len, 7 * s as u64 + 1);
+        let prompt = random_prompt(s, hidden, prompt_len, 7 * s as u64 + 1);
         let total_tokens = (s * (prompt_len + gen)) as f64;
         // One warm pass per backend primes weight caches and packs out
         // of the timed region.

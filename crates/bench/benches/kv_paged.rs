@@ -29,6 +29,7 @@
 
 use std::time::Instant;
 
+use pdac_bench::feedback::{decode_feedback, timed_decode};
 use pdac_bench::microbench::{env_usize, out_path};
 use pdac_core::pdac::PDac;
 use pdac_math::rng::SplitMix64;
@@ -37,7 +38,6 @@ use pdac_nn::{
     prefix_block_hashes, AnalogGemm, DecodeScratch, ExactGemm, GemmBackend, PagedConfig,
     PagedKvCache, TransformerConfig, TransformerModel,
 };
-use pdac_serve::feedback_embedding;
 use pdac_telemetry::Json;
 
 /// Per-step token matrices for `s` sequences sharing the first `shared`
@@ -57,16 +57,6 @@ fn prompt_tokens(hidden: usize, s: usize, prompt: usize, shared: usize, seed: u6
         .collect()
 }
 
-/// Feedback rows for the next generated step.
-fn feedback_batch(last: &Mat) -> Mat {
-    let (s, hidden) = (last.rows(), last.cols());
-    let mut data = Vec::with_capacity(s * hidden);
-    for r in 0..s {
-        data.extend(feedback_embedding(last.row_slice(r)));
-    }
-    Mat::from_rows(s, hidden, data).expect("feedback batch")
-}
-
 /// Full-prompt decode through the paged cache without prefix reuse;
 /// returns elapsed seconds, the final hidden rows, and the backing bytes.
 fn run_unshared(
@@ -76,18 +66,8 @@ fn run_unshared(
     gen: usize,
     block: usize,
 ) -> (f64, Mat, usize) {
-    let s = prompt[0].rows();
-    let mut cache = PagedKvCache::new(model, s, PagedConfig::new(block));
-    let start = Instant::now();
-    let mut last = model.decode_batch(&prompt[0], &mut cache, backend);
-    for tok in &prompt[1..] {
-        last = model.decode_batch(tok, &mut cache, backend);
-    }
-    for _ in 0..gen {
-        let next = feedback_batch(&last);
-        last = model.decode_batch(&next, &mut cache, backend);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
+    let mut cache = PagedKvCache::new(model, prompt[0].rows(), PagedConfig::new(block));
+    let (elapsed, last) = timed_decode(model, backend, &mut cache, prompt, gen);
     (elapsed, last, cache.allocator().backing_bytes())
 }
 
@@ -127,14 +107,9 @@ fn run_paged(
         assert_eq!(mapped, shared, "published prefix must map fully");
     }
     // Divergent tails + generation, batched across all slots.
-    let mut last = Mat::zeros(s, hidden);
-    for tok in &prompt[shared..] {
-        last = model.decode_batch(tok, &mut cache, backend);
-    }
-    for _ in 0..gen {
-        let next = feedback_batch(&last);
-        last = model.decode_batch(&next, &mut cache, backend);
-    }
+    let last = decode_feedback(&prompt[shared..], gen, |tokens| {
+        model.decode_batch(tokens, &mut cache, backend)
+    });
     let elapsed = start.elapsed().as_secs_f64();
     let paged_bytes = cache.allocator().backing_bytes();
     (elapsed, last, paged_bytes)
@@ -146,13 +121,18 @@ fn main() {
     let heads = env_usize("PDAC_BENCH_KV_HEADS", 4);
     let batch = env_usize("PDAC_BENCH_KV_BATCH", 8);
     let prompt_len = env_usize("PDAC_BENCH_KV_PROMPT", 32);
-    let shared = env_usize("PDAC_BENCH_KV_SHARED", 24).min(prompt_len);
+    let shared = env_usize("PDAC_BENCH_KV_SHARED", 24);
     let gen = env_usize("PDAC_BENCH_KV_TOKENS", 4);
     let block = env_usize("PDAC_BENCH_KV_BLOCK", 4).max(1);
     let reps = env_usize("PDAC_BENCH_KV_REPS", 3).max(1);
     let backend_names =
         std::env::var("PDAC_BENCH_KV_BACKENDS").unwrap_or_else(|_| "exact,pdac".to_string());
     let default_run = hidden == 64 && prompt_len == 32 && shared == 24 && batch == 8;
+    assert!(
+        shared < prompt_len,
+        "PDAC_BENCH_KV_SHARED must leave a divergent prompt tail \
+         (shared {shared}, prompt {prompt_len})"
+    );
     assert!(
         shared.is_multiple_of(block),
         "PDAC_BENCH_KV_SHARED must be a multiple of PDAC_BENCH_KV_BLOCK \

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! Compares each fresh document against its checked-in baseline with
-//! [`pdac_bench::gate`] and exits nonzero on any regression — the CI
-//! step that keeps the batch-decode speedup and the tracing overhead
-//! from silently rotting. Knobs:
+//! [`pdac_bench::gate`] and exits nonzero on any regression. CI runs it
+//! on the four documents in `crates/bench/baselines/`: decode speedups,
+//! GEMM kernel ratios, the per-step overheads of tracing, the sentinel
+//! and the energy meter, and the paged-KV sharing ratios. Knobs:
 //!
 //! * `PDAC_GATE_TOL` — relative drop allowed on ratio metrics
 //!   (`speedup`, `*_over_*`); default 0.35.

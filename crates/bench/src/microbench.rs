@@ -62,6 +62,37 @@ pub fn out_path(default: &str) -> String {
     env_opt("PDAC_BENCH_OUT").unwrap_or_else(|| default.to_string())
 }
 
+/// A feature's per-step paired overhead: the median over steps of
+/// `1 − off[i] / on[i]`, where `off[i]` and `on[i]` time the same decode
+/// step with the feature off and on, back to back.
+///
+/// A real per-step cost taxes every pair, so it moves the median; host
+/// noise that comes and goes between steps lands on few pairs and
+/// barely does. A clean series reads 0, and negative values (the on
+/// side happened to run faster) are kept, so noise averages out rather
+/// than being clipped into a positive bias.
+///
+/// # Errors
+///
+/// Rejects empty or unequal-length series, which cannot be paired.
+pub fn paired_step_overhead(off: &[f64], on: &[f64]) -> Result<f64, String> {
+    if off.is_empty() || off.len() != on.len() {
+        return Err(format!(
+            "paired step times need two equal, non-empty series, got {} off and {} on",
+            off.len(),
+            on.len()
+        ));
+    }
+    let mut fracs: Vec<f64> = off.iter().zip(on).map(|(&f, &n)| 1.0 - f / n).collect();
+    fracs.sort_by(f64::total_cmp);
+    let mid = fracs.len() / 2;
+    Ok(if fracs.len() % 2 == 1 {
+        fracs[mid]
+    } else {
+        0.5 * (fracs[mid - 1] + fracs[mid])
+    })
+}
+
 /// Wall-clock budget per benchmark. Override with `PDAC_BENCH_MS`.
 fn budget() -> Duration {
     Duration::from_millis(env_opt("PDAC_BENCH_MS").unwrap_or(200))
@@ -121,6 +152,50 @@ mod tests {
         assert!(r.iters > 0);
         assert!(r.mean_ns > 0.0);
         assert!(r.min_ns <= r.mean_ns * 1.5);
+    }
+
+    /// Step times that grow with context like a decode run's, with a
+    /// little deterministic jitter.
+    fn steps(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| 1e-3 * (1.0 + i as f64 / 50.0) * (1.0 + 0.01 * ((i * 7) % 5) as f64))
+            .collect()
+    }
+
+    #[test]
+    fn paired_overhead_recovers_a_constant_tax() {
+        let off = steps(101);
+        let on: Vec<f64> = off.iter().map(|t| t / (1.0 - 0.03)).collect();
+        let got = paired_step_overhead(&off, &on).unwrap();
+        assert!((got - 0.03).abs() < 1e-3, "got {got}");
+        // Even lengths take the mean of the middle pair.
+        let got = paired_step_overhead(&off[1..], &on[1..]).unwrap();
+        assert!((got - 0.03).abs() < 1e-3, "got {got}");
+    }
+
+    #[test]
+    fn paired_overhead_of_a_clean_series_is_zero() {
+        let off = steps(64);
+        assert_eq!(paired_step_overhead(&off, &off).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn paired_overhead_ignores_one_outlier_step() {
+        let off = steps(101);
+        let mut on: Vec<f64> = off.iter().map(|t| t / (1.0 - 0.03)).collect();
+        let before = paired_step_overhead(&off, &on).unwrap();
+        on[40] *= 10.0;
+        assert_eq!(paired_step_overhead(&off, &on).unwrap(), before);
+        let mut clean = off.clone();
+        clean[7] *= 10.0;
+        assert_eq!(paired_step_overhead(&off, &clean).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn paired_overhead_rejects_empty_or_unequal_series() {
+        assert!(paired_step_overhead(&[], &[]).is_err());
+        let err = paired_step_overhead(&[1.0, 2.0], &[1.0]).unwrap_err();
+        assert!(err.contains("2 off and 1 on"), "{err}");
     }
 
     #[test]

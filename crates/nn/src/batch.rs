@@ -40,12 +40,13 @@
 //! are row-local. The `pdac-verify` conformance
 //! matrix asserts this, including ragged multi-group batches.
 
+use crate::config::TransformerConfig;
 use crate::gemm::GemmBackend;
 use crate::inference::{KvCache, TransformerModel};
 use crate::ops::{gelu_mat_inplace, layer_norm_rows_inplace, residual_into, softmax_rows_inplace};
 use crate::paged::PagedKvCache;
 use pdac_math::Mat;
-use pdac_power::OpClass;
+use pdac_power::{OpClass, TraceEntry};
 
 /// Reusable per-step buffers for the decode hot path.
 ///
@@ -375,36 +376,70 @@ pub(crate) fn decode_rows(
     out.resize(s, d);
     out.as_mut_slice().copy_from_slice(x.as_slice());
 
-    record_step_energy(model, kv, s, d, ff);
+    record_step_energy(model, kv, s);
 }
 
-/// Reports the step's executed activity to the live energy meter
-/// ([`pdac_power::meter`]), attributed to the decode phases: the
-/// `nn.decode.qkv` + `nn.decode.attention` GEMMs land on
+/// Reports the step's executed activity, [`step_activity`], to the live
+/// energy meter ([`pdac_power::meter`]). One call per decode step:
+/// three atomic records, nothing on the per-head hot path.
+fn record_step_energy(model: &TransformerModel, kv: &KvRows<'_>, s: usize) {
+    if !pdac_power::meter::is_active() {
+        return;
+    }
+    // Caches were pushed above, so this is the post-push context.
+    for e in step_activity(model.config(), s, kv.total_len()) {
+        pdac_power::meter::record(e.class, e.macs, e.bytes_at_8bit, e.elementwise_ops);
+    }
+}
+
+/// The activity one decode step executes: `rows` sequences advance one
+/// token each, and `total_context` is the sum of their context lengths
+/// after this step's K/V push. One entry per class, in attention, FFN,
+/// other order. This is the one statement of the counts the live energy
+/// meter records per step; a serving ledger is its sum over the steps
+/// served.
+///
+/// The counts are attributed to the decode phases: the GEMMs of
+/// `nn.decode.qkv` and `nn.decode.attention` land on
 /// [`OpClass::Attention`], `nn.decode.ffn` on [`OpClass::Ffn`], and the
 /// row-local element-wise work (softmax/LN/GELU/residual) on
-/// [`OpClass::Other`] — the same convention as
-/// [`crate::workload::op_trace`]. One call per decode step: three
-/// atomic records, nothing on the per-head hot path.
+/// [`OpClass::Other`], the same convention as
+/// [`crate::workload::op_trace`].
 ///
 /// Movement counts only per-step *streamed* bytes (activations in/out of
 /// each GEMM, KV gathers, scores): weight operands are backend-resident
 /// (converted once into the weight cache), so their one-time streaming
 /// is model-load cost, not serving cost. KV paging changes where the
 /// gathered rows *live* (and how many fit), not how many stream through
-/// the converters per step — so a paged batch row and its solo replay
-/// record identical activity.
-/// See DESIGN.md §13 and §15.
-fn record_step_energy(model: &TransformerModel, kv: &KvRows<'_>, s: usize, d: usize, ff: usize) {
-    if !pdac_power::meter::is_active() || model.layers.is_empty() {
-        return;
-    }
-    let config = model.config();
-    let layers = model.layers.len() as u64;
-    let (s, d, ff, h) = (s as u64, d as u64, ff as u64, config.heads as u64);
-    // Per-sequence context length for this step (caches were pushed
-    // above; identical across layers).
-    let sum_l: u64 = kv.total_len();
+/// the converters per step, so a paged batch row and its solo replay
+/// record identical activity. See DESIGN.md §13 and §15.
+///
+/// # Examples
+///
+/// ```
+/// use pdac_nn::{step_activity, TransformerConfig};
+/// use pdac_power::OpClass;
+///
+/// let config = TransformerConfig::tiny();
+/// // Two sequences, each one token deep after the push.
+/// let [_, ffn, _] = step_activity(&config, 2, 2);
+/// assert_eq!(ffn.class, OpClass::Ffn);
+/// let (d, ff) = (config.hidden as u64, config.ff_dim() as u64);
+/// assert_eq!(ffn.macs, config.layers as u64 * 2 * 2 * d * ff);
+/// ```
+pub fn step_activity(
+    config: &TransformerConfig,
+    rows: usize,
+    total_context: u64,
+) -> [TraceEntry; 3] {
+    let layers = config.layers as u64;
+    let (s, d, ff, h) = (
+        rows as u64,
+        config.hidden as u64,
+        config.ff_dim() as u64,
+        config.heads as u64,
+    );
+    let sum_l = total_context;
     // QKV + output projections (4·s·d²) plus per-head score/context
     // matmuls (2·d·l per sequence).
     let attn_macs = layers * (4 * s * d * d + 2 * d * sum_l);
@@ -417,9 +452,17 @@ fn record_step_energy(model: &TransformerModel, kv: &KvRows<'_>, s: usize, d: us
     // Softmax (h·l per seq), two layer-norms + two residuals (4·s·d),
     // GELU (s·ff).
     let elementwise = layers * (h * sum_l + 4 * s * d + s * ff);
-    pdac_power::meter::record(OpClass::Attention, attn_macs, attn_bytes, 0);
-    pdac_power::meter::record(OpClass::Ffn, ffn_macs, ffn_bytes, 0);
-    pdac_power::meter::record(OpClass::Other, 0, 0, elementwise);
+    let entry = |class, macs, bytes_at_8bit, elementwise_ops| TraceEntry {
+        class,
+        macs,
+        bytes_at_8bit,
+        elementwise_ops,
+    };
+    [
+        entry(OpClass::Attention, attn_macs, attn_bytes, 0),
+        entry(OpClass::Ffn, ffn_macs, ffn_bytes, 0),
+        entry(OpClass::Other, 0, 0, elementwise),
+    ]
 }
 
 impl TransformerModel {

@@ -61,7 +61,7 @@ pub mod quant;
 pub mod tap;
 pub mod workload;
 
-pub use batch::DecodeScratch;
+pub use batch::{step_activity, DecodeScratch};
 pub use config::TransformerConfig;
 pub use gemm::{AnalogGemm, AsymmetricGemm, ExactGemm, GemmBackend};
 pub use inference::{KvCache, TransformerModel};

@@ -69,6 +69,12 @@ pub fn uninstall() {
     *TAP.write().unwrap() = None;
 }
 
+/// A handle to the installed tap, if any. Holding it keeps the tap
+/// alive across [`uninstall`], so it can be installed again later.
+pub fn installed() -> Option<Arc<dyn GemmTap>> {
+    TAP.read().unwrap().clone()
+}
+
 /// Whether a tap is currently installed (one relaxed load).
 #[inline]
 pub fn active() -> bool {
@@ -159,12 +165,15 @@ mod tests {
         });
         install(tap.clone());
         assert!(active());
+        let held = installed().expect("a tap is installed");
+        assert!(std::ptr::addr_eq(Arc::as_ptr(&held), Arc::as_ptr(&tap)));
         observe(BACKEND, "matmul", &a, &b, &out);
         // Policy veto: a 1-column left operand stays unsampled.
         let thin = Mat::identity(1);
         observe(BACKEND, "transient", &thin, &thin, &thin);
         uninstall();
         assert!(!active());
+        assert!(installed().is_none());
         // After uninstall the backend fast path is restored.
         observe(BACKEND, "matmul", &a, &b, &out);
 

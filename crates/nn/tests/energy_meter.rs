@@ -1,13 +1,16 @@
 //! The decode engine's live-energy instrumentation: metering must never
 //! change decoded bits, and the counts it reports must match the closed
-//! forms of the activity the engine executes.
+//! forms of the activity the engine executes and the sum of
+//! [`step_activity`] over the steps decoded.
 //!
 //! Lives in its own integration-test process because the meter is a
 //! process-global ambient: parallel lib tests decoding concurrently
 //! would pollute the exact count assertions.
 
 use pdac_math::Mat;
-use pdac_nn::{ExactGemm, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel};
+use pdac_nn::{
+    step_activity, ExactGemm, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel,
+};
 use pdac_power::meter::EnergyMeter;
 use pdac_power::model::{DriverKind, PowerModel};
 use pdac_power::{ArchConfig, EnergyModel, OpClass, TechParams};
@@ -80,6 +83,16 @@ fn metered_decode_is_bit_identical_and_counts_activity() {
         layers * (h * sum_l + steps64 * (4 * s64 * d + s64 * ff))
     );
     assert_eq!((other.macs, other.bytes_at_8bit), (0, 0));
+
+    // The hook records exactly `step_activity` per step: on step `t`
+    // each of the `s` sequences is `t` tokens deep.
+    let summed = EnergyMeter::new(meter.model().clone(), 8);
+    for t in 1..=steps64 {
+        for e in step_activity(&config, s, s64 * t) {
+            summed.record(e.class, e.macs, e.bytes_at_8bit, e.elementwise_ops);
+        }
+    }
+    assert_eq!(summed.counts(), trace);
 
     // The ledger prices that activity: P-DAC compute must undercut the
     // e-DAC baseline on the identical trace, movement must not move.

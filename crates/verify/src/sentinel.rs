@@ -56,10 +56,10 @@ use pdac_telemetry::health;
 pub use pdac_telemetry::Severity;
 
 /// Default sampling probability per eligible analog GEMM. Each sampled
-/// op costs roughly one extra reference GEMM on the scoring worker, so
-/// on a single hardware thread the decode overhead is ≈`rate`×1 GEMM;
-/// 2% keeps that under the 3% tokens/s budget asserted by the
-/// `sentinel_overhead` microbench even with no spare core to absorb it.
+/// op costs an operand copy on the decode thread and roughly one extra
+/// reference GEMM on the scoring worker; 2% keeps that under the 3% per
+/// decode step that the `sentinel` toggle of the `overhead` bench
+/// asserts against metrics-only decode.
 pub const DEFAULT_RATE: f64 = 0.02;
 /// Default bounded-queue depth between the tap and the scoring worker.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 32;
@@ -527,8 +527,8 @@ impl SentinelHandle {
 }
 
 /// Serializes tests (and conformance checks) that install the
-/// process-global tap or inspect the global health ledger. Poisoning is
-/// ignored: a failed test must not cascade.
+/// process-global tap or energy meter, or inspect the global health
+/// ledger. Poisoning is ignored: a failed test must not cascade.
 pub fn test_guard() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     match LOCK.get_or_init(Mutex::default).lock() {

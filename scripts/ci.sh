@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy (no default features: pdac-serve without the sentinel)"
 cargo clippy --workspace --all-targets --no-default-features -- -D warnings
 
+echo "==> cargo clippy (every bench target, built only with microbench)"
+cargo clippy -p pdac-bench --benches --features microbench -- -D warnings
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -156,17 +159,10 @@ PDAC_BENCH_DECODE_HIDDEN=128 PDAC_BENCH_DECODE_LAYERS=2 PDAC_BENCH_DECODE_HEADS=
     PDAC_BENCH_DECODE_PROMPT=4 PDAC_BENCH_DECODE_TOKENS=8 PDAC_BENCH_DECODE_BATCHES=8 \
     PDAC_BENCH_OUT="$(pwd)/target/BENCH_decode.fresh.json" \
     cargo bench --features microbench -p pdac-bench --bench decode_engine
-PDAC_BENCH_OUT="$(pwd)/target/BENCH_trace.fresh.json" \
-    cargo bench --features microbench -p pdac-bench --bench trace_overhead
-PDAC_BENCH_OUT="$(pwd)/target/BENCH_sentinel.fresh.json" \
-    cargo bench --features microbench -p pdac-bench --bench sentinel_overhead
 PDAC_BENCH_MS=40 PDAC_BENCH_MAX_DIM=256 PDAC_BENCH_OUT="$(pwd)/target/BENCH_gemm.fresh.json" \
     cargo bench --features microbench -p pdac-bench --bench gemm_engine
-
-PDAC_BENCH_MS=40 PDAC_BENCH_OUT="$(pwd)/target/BENCH_pool.fresh.json" \
-    cargo bench --features microbench -p pdac-bench --bench pool_vs_scope
-PDAC_BENCH_OUT="$(pwd)/target/BENCH_energy.fresh.json" \
-    cargo bench --features microbench -p pdac-bench --bench energy_ledger
+PDAC_BENCH_OUT="$(pwd)/target/BENCH_overhead.fresh.json" \
+    cargo bench --features microbench -p pdac-bench --bench overhead
 PDAC_BENCH_KV_HIDDEN=64 PDAC_BENCH_KV_LAYERS=2 PDAC_BENCH_KV_HEADS=4 \
     PDAC_BENCH_KV_BATCH=4 PDAC_BENCH_KV_PROMPT=8 PDAC_BENCH_KV_SHARED=4 \
     PDAC_BENCH_KV_TOKENS=2 PDAC_BENCH_KV_BLOCK=2 PDAC_BENCH_KV_REPS=3 \
@@ -175,11 +171,8 @@ PDAC_BENCH_KV_HIDDEN=64 PDAC_BENCH_KV_LAYERS=2 PDAC_BENCH_KV_HEADS=4 \
     cargo bench --features microbench -p pdac-bench --bench kv_paged
 cargo run --release -q -p pdac-bench --bin bench_gate -- \
     crates/bench/baselines/BENCH_decode.gate.json target/BENCH_decode.fresh.json \
-    crates/bench/baselines/BENCH_trace.gate.json target/BENCH_trace.fresh.json \
     crates/bench/baselines/BENCH_gemm.gate.json target/BENCH_gemm.fresh.json \
-    crates/bench/baselines/BENCH_pool.gate.json target/BENCH_pool.fresh.json \
-    crates/bench/baselines/BENCH_energy.gate.json target/BENCH_energy.fresh.json \
-    crates/bench/baselines/BENCH_kv.gate.json target/BENCH_kv.fresh.json \
-    crates/bench/baselines/BENCH_sentinel.gate.json target/BENCH_sentinel.fresh.json
+    crates/bench/baselines/BENCH_overhead.gate.json target/BENCH_overhead.fresh.json \
+    crates/bench/baselines/BENCH_kv.gate.json target/BENCH_kv.fresh.json
 
 echo "CI OK"
