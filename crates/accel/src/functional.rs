@@ -15,6 +15,7 @@ use crate::scheduler::{GemmShape, TilingPlan};
 use crate::stats::RunStats;
 use pdac_core::{Adc, ConverterLut, MzmDriver};
 use pdac_math::Mat;
+use pdac_nn::quant::convert;
 use pdac_photonics::DDotUnit;
 use std::fmt;
 
@@ -136,14 +137,18 @@ impl FunctionalGemm {
         let scale_a = nonzero(a.max_abs());
         let scale_b = nonzero(b.max_abs());
 
-        // Modulated operand values: scale · driver(convert(quantize(x))).
+        // Modulated operand values, per tensor through the code table:
+        // scale · driver(quantize(x)).
         let (am, bm) = {
             let _s = pdac_telemetry::span("accel.stage.conversion");
             pdac_telemetry::counter_add(
                 "accel.gemm.operand_elements",
                 (a.rows() * a.cols() + b.rows() * b.cols()) as u64,
             );
-            (self.modulate(a, scale_a), self.modulate(b, scale_b))
+            (
+                convert(a, a.rows(), &self.lut),
+                convert(b, b.rows(), &self.lut),
+            )
         };
 
         let lambda = arch.wavelengths;
@@ -221,15 +226,6 @@ impl FunctionalGemm {
             0,
         );
         Ok(GemmRun { output: out, stats })
-    }
-
-    /// Applies quantization + converter transfer to every element. The
-    /// transfer is answered from the dense code table built at
-    /// construction — bit-identical to `self.driver.convert_value` (the
-    /// table stores the driver's exact per-code outputs) at a fraction
-    /// of the cost for physics-heavy drivers like the P-DAC.
-    fn modulate(&self, x: &Mat, scale: f64) -> Mat {
-        x.map(|v| scale * self.lut.convert_value(v / scale))
     }
 }
 
@@ -391,11 +387,13 @@ mod tests {
 
     #[test]
     fn lut_modulation_is_bit_identical_to_driver() {
+        // The engine's table conversion against the driver's own
+        // per-element rule at the tensor's scale.
         for choice in [DriverChoice::PhotonicDac, DriverChoice::ElectricalDac] {
             let e = engine(choice, 8);
             let x = random_mat(7, 9, 17);
             let scale = x.max_abs();
-            let via_lut = e.modulate(&x, scale);
+            let via_lut = convert(&x, x.rows(), &e.lut);
             let via_driver = x.map(|v| scale * e.driver.convert_value(v / scale));
             assert_eq!(via_lut, via_driver, "{choice:?}");
         }

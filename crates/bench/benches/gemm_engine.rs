@@ -24,14 +24,13 @@
 //! decode shapes always run).
 
 use pdac_bench::microbench::{bench, black_box, env_usize, out_path, BenchResult};
-use pdac_core::converter::MzmDriver;
 use pdac_core::lut::ConverterLut;
 use pdac_core::pdac::PDac;
 use pdac_math::gemm::{default_threads, PackedB};
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
 use pdac_nn::gemm::{AnalogGemm, ExactGemm, GemmBackend};
-use pdac_nn::quant::QuantizedMat;
+use pdac_nn::quant::convert;
 use pdac_telemetry::Json;
 
 fn random_mat(rows: usize, cols: usize, seed: u64) -> Mat {
@@ -92,28 +91,17 @@ fn main() {
             black_box(&a).matmul(black_box(&b)).unwrap()
         });
 
-        // The seed analog path, spelled out: per-element scalar driver
-        // conversion of both operands on every call, reference matmul.
-        // (Today's `dequantize_with` tabulates large slices, so the
-        // pre-LUT behaviour has to be reproduced explicitly here.)
-        let seed_dequantize = |x: &Mat| {
-            let q = QuantizedMat::quantize(x, bits);
-            let data: Vec<f64> = q
-                .codes()
-                .iter()
-                .map(|&c| q.scales()[0] * driver.convert(c))
-                .collect();
-            Mat::from_rows(x.rows(), x.cols(), data).unwrap()
-        };
+        // The seed analog path: both operands converted through the
+        // scalar driver on every call, reference matmul.
         let analog_seed = bench(&format!("gemm_engine/{size}/analog_seed"), || {
-            let aq = seed_dequantize(black_box(&a));
-            let bq = seed_dequantize(black_box(&b));
+            let aq = convert(black_box(&a), size, &driver);
+            let bq = convert(black_box(&b), size, &driver);
             aq.matmul_reference(&bq).unwrap()
         });
-        // LUT conversion, no weight reuse.
+        // Table conversion, no weight reuse.
         let analog_lut = bench(&format!("gemm_engine/{size}/analog_lut"), || {
-            let aq = QuantizedMat::quantize(black_box(&a), bits).dequantize_with(&lut);
-            let bq = QuantizedMat::quantize(black_box(&b), bits).dequantize_with(&lut);
+            let aq = convert(black_box(&a), size, &lut);
+            let bq = convert(black_box(&b), size, &lut);
             aq.matmul(&bq).unwrap()
         });
         // The full fast path: LUT + cached weight conversion.

@@ -5,6 +5,8 @@
 //! emitted by an MZM. [`MzmDriver`] abstracts over the two so the
 //! accelerator simulator and the NN fidelity studies can swap them freely.
 
+use pdac_math::Quantizer;
+
 /// A driver that converts signed digital codes into MZM output amplitudes
 /// (normalized to a unit input field).
 ///
@@ -29,27 +31,15 @@ pub trait MzmDriver {
         code.clamp(-m, m) as f64 / m as f64
     }
 
-    /// Quantizes a real value in `[−1, 1]` to a code and converts it.
-    fn convert_value(&self, x: f64) -> f64 {
-        let m = self.max_code() as f64;
-        let code = (x * m).round().clamp(-m, m) as i32;
-        self.convert(code)
-    }
-
-    /// Converts a whole slice of codes.
+    /// Quantizes a real value in `[−1, 1]` to a code
+    /// ([`Quantizer::quantize`] at scale 1) and converts it.
     ///
-    /// For slices larger than the code space, the default tabulates the
-    /// driver once (see [`crate::lut::ConverterLut`]) and answers from
-    /// the table, so the full conversion pipeline runs at most once per
-    /// distinct code. Output is bit-identical to per-element `convert`.
-    fn convert_all(&self, codes: &[i32]) -> Vec<f64> {
-        let m = self.max_code();
-        let table_len = (2 * m + 1) as usize;
-        if codes.len() > table_len {
-            let lut = crate::lut::ConverterLut::new(self);
-            return lut.convert_all(codes);
-        }
-        codes.iter().map(|&c| self.convert(c)).collect()
+    /// # Panics
+    ///
+    /// Panics if the bit width is outside `2..=16`.
+    fn convert_value(&self, x: f64) -> f64 {
+        let q = Quantizer::new(self.bits(), 1.0).expect("driver bit width in 2..=16");
+        self.convert(q.quantize(x))
     }
 }
 
@@ -88,24 +78,5 @@ mod tests {
         let got = d.convert_value(0.5);
         // round(0.5·7) = 4 -> 4/7.
         assert!((got - 4.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn convert_all_maps_each() {
-        let d = Passthrough;
-        let out = d.convert_all(&[-7, 0, 7]);
-        assert_eq!(out, vec![-1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn convert_all_table_path_matches_direct() {
-        // More codes than the 4-bit code space: the default goes through
-        // the dense table; output must be bit-identical to per-element
-        // conversion.
-        let d = Passthrough;
-        let codes: Vec<i32> = (-8..=8).cycle().take(200).collect();
-        let got = d.convert_all(&codes);
-        let want: Vec<f64> = codes.iter().map(|&c| d.convert(c)).collect();
-        assert_eq!(got, want);
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! A `bits`-bit driver has only `2·max_code + 1` distinct codes, yet the
 //! physical conversion pipeline (optical word encode → photodetection →
-//! TIA bank → MZM push-pull) is re-run per operand element in the analog
-//! GEMM hot path. [`ConverterLut`] evaluates any [`MzmDriver`] once per
-//! code into a dense table and then *is* an [`MzmDriver`] itself, so
-//! every downstream `convert`/`convert_all`/`convert_value` becomes an
-//! O(1) array read — bit-identical to the wrapped driver, because the
-//! table stores its exact outputs. The analog GEMM reads its operands
-//! only through these tables, one per operand path, in f64.
+//! TIA bank → MZM push-pull) would re-run per operand element in the
+//! analog GEMM hot path. [`ConverterLut`] evaluates any [`MzmDriver`] once
+//! per code into a dense table and then *is* an [`MzmDriver`] itself, so
+//! every downstream `convert`/`convert_value` becomes an O(1) array read
+//! — bit-identical to the wrapped driver, because the table stores its
+//! exact outputs. Operand conversion (`pdac_nn::quant::convert`) is
+//! generic over the driver: handed a table it inlines the read, handed
+//! the scalar driver it is the golden model the table is checked
+//! against.
 
 use crate::converter::MzmDriver;
 
@@ -76,16 +78,12 @@ impl MzmDriver for ConverterLut {
     }
 
     /// O(1) table read; out-of-range codes saturate like the wrapped
-    /// driver's clamp.
+    /// driver's clamp. Inline, so a generic bulk loop in another crate
+    /// reads the table in place instead of calling out per element.
+    #[inline]
     fn convert(&self, code: i32) -> f64 {
         let idx = (code.clamp(-self.max_code, self.max_code) + self.max_code) as usize;
         self.table[idx]
-    }
-
-    /// Straight per-element table reads (overrides the default so a LUT
-    /// is never re-tabulated from itself).
-    fn convert_all(&self, codes: &[i32]) -> Vec<f64> {
-        codes.iter().map(|&c| self.convert(c)).collect()
     }
 }
 
@@ -134,14 +132,6 @@ mod tests {
             );
             x += 0.0173;
         }
-    }
-
-    #[test]
-    fn lut_convert_all_matches_scalar() {
-        let edac = ElectricalDac::new(4).unwrap();
-        let lut = ConverterLut::new(&edac);
-        let codes: Vec<i32> = (-9..=9).cycle().take(100).collect();
-        assert_eq!(lut.convert_all(&codes), edac.convert_all(&codes));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! ([`crate::gemm::GemmBackend::matmul_grouped_transient_into`]) instead
 //! of `2·S` tiny per-sequence matmuls, with the scale + softmax pass
 //! vectorized over the grouped `G × L` score matrix. Every per-step
-//! buffer lives in a caller-owned [`DecodeScratch`], so the hot path
-//! performs no per-token matrix allocations once the scratch is primed.
+//! buffer lives in a caller-owned [`DecodeScratch`], so once the scratch
+//! is primed the engine itself allocates no per-token matrix; an analog
+//! backend still allocates two buffers (codes, values) per operand it
+//! converts ([`crate::quant::convert`]).
 //! The `nn.decode.attention.group_size` histogram records one sample per
 //! slot-group per step. See DESIGN.md §14.
 //!
@@ -34,10 +36,10 @@
 //! is bit-identical to feeding that sequence's token through
 //! [`TransformerModel::decode_step`] alone. This holds because the GEMM
 //! kernels reduce each output cell in ascending-k order regardless of
-//! batching or grouping (see `pdac_math::gemm`), activation quantization
-//! is per row and stacked-operand quantization per block (one scale per
-//! block of a [`crate::quant::QuantizedMat`]), and softmax/layer-norm/GELU
-//! are row-local. The `pdac-verify` conformance
+//! batching or grouping (see `pdac_math::gemm`), activations convert per
+//! row and stacked operands per block (one scale per block of
+//! [`crate::quant::convert`], each block converted as if alone), and
+//! softmax/layer-norm/GELU are row-local. The `pdac-verify` conformance
 //! matrix asserts this, including ragged multi-group batches.
 
 use crate::config::TransformerConfig;

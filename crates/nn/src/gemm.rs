@@ -9,15 +9,16 @@
 //!   itself computes the dot product exactly (see `pdac-photonics`), so
 //!   the analog error is entirely in the operand modulation — exactly the
 //!   paper's error model. Every analog multiply takes the same route:
-//!   quantize, dequantize through the path's table, one exact f64 GEMM
-//!   (DESIGN.md §16). Cached weights stay in byte form (codes plus a
-//!   level table) and are dequantized inside the GEMM kernel.
+//!   convert each operand through its path's table
+//!   ([`crate::quant::convert`]), then one exact f64 GEMM (DESIGN.md
+//!   §16). Cached weights stay in byte form (codes plus a level table)
+//!   and are decoded inside the GEMM kernel.
 //!
 //! The [`GemmBackend`] trait lets the same transformer forward pass run in
 //! any regime; the fidelity study diffs their outputs.
 
 use crate::prepared::{WeightCache, DEFAULT_CACHE_CAPACITY};
-use crate::quant::QuantizedMat;
+use crate::quant::convert;
 use pdac_core::converter::MzmDriver;
 use pdac_core::lut::ConverterLut;
 use pdac_math::gemm::PackedB;
@@ -233,12 +234,14 @@ impl GemmBackend for ExactGemm {
 }
 
 /// The operand form of one analog call — how `a` is scaled and where `b`
-/// comes from — one per analog entry point of [`GemmBackend`].
+/// comes from — one per analog entry point of [`GemmBackend`]. The
+/// scales are [`convert`]'s block layouts: per tensor, per row, or per
+/// stacked block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Form {
     /// `matmul`: `a` per tensor, `b` from the weight cache.
     Solo,
-    /// `matmul_transient`: `a` and `b` per tensor, `b` quantized fresh.
+    /// `matmul_transient`: `a` and `b` per tensor, `b` converted fresh.
     Transient,
     /// `matmul_batch`: `a` per row, `b` from the weight cache.
     Batch,
@@ -247,9 +250,13 @@ enum Form {
 }
 
 impl Form {
-    /// Whether `a`'s rows are independent sequences with a scale each.
-    fn per_row(self) -> bool {
-        matches!(self, Form::Batch | Form::Grouped)
+    /// Rows per scale block of `a`: one per row when the rows are
+    /// independent sequences, else the whole tensor.
+    fn a_block_rows(self, a: &Mat) -> usize {
+        match self {
+            Form::Batch | Form::Grouped => 1,
+            Form::Solo | Form::Transient => a.rows(),
+        }
     }
 
     /// The telemetry span and the [`crate::tap`] op name.
@@ -263,9 +270,9 @@ impl Form {
     }
 }
 
-/// Analog GEMM through converter drive paths: quantize both operands,
-/// dequantize every code through its path's [`ConverterLut`] (injecting
-/// the converter's error), then multiply exactly (the DDot identity).
+/// Analog GEMM through converter drive paths: convert both operands
+/// through their paths' [`ConverterLut`]s ([`convert`], which injects the
+/// converter's error), then multiply exactly (the DDot identity).
 ///
 /// The activation operand (`a`) and the weight-like operand (`b`) each
 /// have a table. [`Self::new`] tabulates one driver for both paths;
@@ -326,37 +333,26 @@ impl AnalogGemm {
         &self.cache
     }
 
-    /// Every analog entry point: dequantize `a` through the activation
+    /// Every analog entry point: convert `a` through the activation
     /// table and `b` through the cache's weight table, then one exact
     /// f64 GEMM, under one span and the MAC counter, with the drift tap
-    /// on the finished output. The cached forms dequantize `b` inside
-    /// the kernel (`levels[code]`); the cache-free forms apply the same
-    /// quantize→dequantize transform up front, so skipping the cache for
-    /// dead-after-this-call operands cannot change a bit.
+    /// on the finished output. The cached forms decode `b` inside the
+    /// kernel (`levels[code]`); the cache-free forms run the same
+    /// conversion up front, so skipping the cache for dead-after-this-call
+    /// operands cannot change a bit.
     fn run(&self, form: Form, a: &Mat, b: &Mat, out: &mut Mat) {
         let (span, op) = form.names();
         let _span = pdac_telemetry::span(span);
         pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        let (bits, lut_b) = (self.lut_a.bits(), self.cache.lut());
-        let aq = if form.per_row() {
-            QuantizedMat::quantize_blocks(a, 1, bits)
-        } else {
-            QuantizedMat::quantize(a, bits)
-        }
-        .dequantize_with(&self.lut_a);
+        let lut_b = self.cache.lut();
+        let aq = convert(a, form.a_block_rows(a), &self.lut_a);
         let shapes = match form {
             Form::Solo | Form::Batch => {
                 let bq = self.cache.get_or_prepare(b);
                 aq.matmul_codes_into(&bq, out)
             }
-            Form::Transient => {
-                let bq = QuantizedMat::quantize(b, bits).dequantize_with(lut_b);
-                aq.matmul_into(&bq, out)
-            }
-            Form::Grouped => {
-                let bq = QuantizedMat::quantize_blocks(b, a.cols(), bits).dequantize_with(lut_b);
-                aq.matmul_grouped_into(&bq, out)
-            }
+            Form::Transient => aq.matmul_into(&convert(b, b.rows(), lut_b), out),
+            Form::Grouped => aq.matmul_grouped_into(&convert(b, a.cols(), lut_b), out),
         };
         shapes.expect("operand shapes must agree");
         crate::tap::observe(&self.name, op, a, b, out);
@@ -374,14 +370,14 @@ impl GemmBackend for AnalogGemm {
         self.run(Form::Solo, a, b, out);
     }
 
-    /// Cache-free: both operands quantize and convert fresh, so an
-    /// operand that is dead after this call never enters the cache.
+    /// Cache-free: both operands convert fresh, so an operand that is
+    /// dead after this call never enters the cache.
     fn matmul_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
         self.run(Form::Transient, a, b, out);
     }
 
-    /// Per-row activation scales ([`QuantizedMat::quantize_blocks`] with
-    /// one-row blocks) against the cached byte-form weight: the weight
+    /// Per-row activation scales ([`convert`] with one-row blocks)
+    /// against the cached byte-form weight: the weight
     /// converts once per distinct matrix instead of once per sequence,
     /// and one pass over its codes serves up to 8 rows.
     fn matmul_batch_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
@@ -389,7 +385,7 @@ impl GemmBackend for AnalogGemm {
     }
 
     /// Per-row activation scales and per-block operand scales
-    /// ([`QuantizedMat::quantize_blocks`], one block per sequence), then
+    /// ([`convert`], one block per sequence), then
     /// one exact grouped kernel. Cache-free like
     /// [`Self::matmul_transient_into`].
     fn matmul_grouped_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
@@ -456,17 +452,6 @@ mod tests {
         (16, 64, 64),
         (70, 64, 64),
     ];
-
-    /// The direct analog pipeline: per-tensor quantize, per-element
-    /// scalar convert through each driver, reference triple-loop matmul.
-    fn direct_product(a: &Mat, b: &Mat, da: &dyn MzmDriver, db: &dyn MzmDriver) -> Mat {
-        let convert = |x: &Mat, d: &dyn MzmDriver| {
-            let q = QuantizedMat::quantize(x, d.bits());
-            let data = q.codes().iter().map(|&c| d.convert(c) * q.scales()[0]);
-            Mat::from_rows(x.rows(), x.cols(), data.collect()).unwrap()
-        };
-        convert(a, da).matmul_reference(&convert(b, db)).unwrap()
-    }
 
     fn hybrid8(name: &str) -> AnalogGemm {
         AsymmetricGemm::new(
@@ -592,15 +577,16 @@ mod tests {
 
     #[test]
     fn analog_lut_cache_path_is_bit_identical_to_direct() {
-        // The LUT + weight-cache fast path must reproduce the naive
-        // quantize→scalar-convert→reference-matmul pipeline exactly, on
-        // the converting call and on the cached repeat.
+        // The LUT + weight-cache fast path must reproduce the golden
+        // pipeline (scalar-driver conversion, reference matmul) exactly,
+        // on the converting call and on the cached repeat.
         let driver = PDac::with_optimal_approx(8).unwrap();
         let analog = AnalogGemm::new(driver.clone(), "p8");
         for (i, &(m, k, n)) in CACHE_PATH_SHAPES.iter().enumerate() {
             let a = random_mat(m, k, 31 + 2 * i as u64);
             let b = random_mat(k, n, 32 + 2 * i as u64);
-            let direct = bits(&direct_product(&a, &b, &driver, &driver));
+            let golden = convert(&a, m, &driver).matmul_reference(&convert(&b, k, &driver));
+            let direct = bits(&golden.unwrap());
             assert_eq!(bits(&analog.matmul(&a, &b)), direct, "{m}x{k}x{n}");
             assert_eq!(bits(&analog.matmul(&a, &b)), direct, "{m}x{k}x{n} cached");
         }
@@ -626,7 +612,8 @@ mod tests {
         for (i, &(m, k, n)) in CACHE_PATH_SHAPES.iter().enumerate() {
             let a = random_mat(m, k, 34 + 2 * i as u64);
             let b = random_mat(k, n, 35 + 2 * i as u64);
-            let direct = bits(&direct_product(&a, &b, &pdac, &edac));
+            let golden = convert(&a, m, &pdac).matmul_reference(&convert(&b, k, &edac));
+            let direct = bits(&golden.unwrap());
             assert_eq!(bits(&hybrid.matmul(&a, &b)), direct, "{m}x{k}x{n}");
             assert_eq!(hybrid.cache().misses(), i as u64 + 1);
             assert_eq!(bits(&hybrid.matmul(&a, &b)), direct, "{m}x{k}x{n} cached");

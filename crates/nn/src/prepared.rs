@@ -221,7 +221,7 @@ impl Drop for WeightCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::QuantizedMat;
+    use crate::quant::convert;
     use pdac_core::edac::ElectricalDac;
     use pdac_core::pdac::PDac;
     use pdac_math::gemm::PackedB;
@@ -244,10 +244,12 @@ mod tests {
         format!("{packed:?}")
     }
 
-    /// The uncached pipeline: quantize, scalar convert, pack.
-    fn direct(w: &Mat, driver: &dyn MzmDriver) -> String {
-        let converted = QuantizedMat::quantize(w, driver.bits()).dequantize_with(driver);
-        panel_bits(&PackedB::pack(converted.as_slice(), w.rows(), w.cols()))
+    /// Asserts that `codes` decode to `w` converted per tensor through
+    /// the scalar `driver`, packed: the uncached golden pipeline.
+    fn assert_decodes_to(codes: &PackedCodes, w: &Mat, driver: &dyn MzmDriver) {
+        let converted = convert(w, w.rows(), driver);
+        let want = PackedB::pack(converted.as_slice(), w.rows(), w.cols());
+        assert_eq!(panel_bits(&codes.decode()), panel_bits(&want));
     }
 
     #[test]
@@ -255,10 +257,7 @@ mod tests {
         let w = random_mat(6, 5, 1);
         let pdac = PDac::with_optimal_approx(8).unwrap();
         let cache = cache_for(&pdac);
-        assert_eq!(
-            panel_bits(&cache.get_or_prepare(&w).decode()),
-            direct(&w, &pdac)
-        );
+        assert_decodes_to(&cache.get_or_prepare(&w), &w, &pdac);
     }
 
     #[test]
@@ -285,7 +284,7 @@ mod tests {
         let after = cache.get_or_prepare(&w);
         assert_eq!(cache.misses(), 2);
         assert_ne!(before, after);
-        assert_eq!(panel_bits(&after.decode()), direct(&w, &edac));
+        assert_decodes_to(&after, &w, &edac);
     }
 
     #[test]
@@ -348,7 +347,7 @@ mod tests {
         let mut via_codes = Mat::zeros(1, 1);
         x.matmul_codes_into(&cache.get_or_prepare(&w), &mut via_codes)
             .unwrap();
-        let converted = QuantizedMat::quantize(&w, 8).dequantize_with(&pdac);
+        let converted = convert(&w, w.rows(), &pdac);
         assert_eq!(via_codes, x.matmul(&converted).unwrap());
     }
 }

@@ -5,13 +5,13 @@
 //! deeper sweeps.
 
 use pdac_core::pdac::PDac;
+use pdac_math::quant::abs_max;
 use pdac_math::rng::SplitMix64;
-use pdac_math::Mat;
+use pdac_math::{Mat, Quantizer};
 use pdac_nn::config::TransformerConfig;
 use pdac_nn::gemm::{AnalogGemm, ExactGemm, GemmBackend};
 use pdac_nn::generative::{arithmetic_intensity, decode_trace};
 use pdac_nn::ops::{gelu, layer_norm_rows, mean_pool_rows, softmax_rows};
-use pdac_nn::quant::QuantizedMat;
 use pdac_nn::workload::op_trace;
 
 const CASES: usize = if cfg!(feature = "slow-proptests") {
@@ -96,12 +96,10 @@ fn quantized_round_trip_error_bounded() {
         let len = rng.gen_range_usize(4, 15);
         let vals: Vec<f64> = (0..len).map(|_| rng.gen_range_f64(-3.0, 3.0)).collect();
         let bits = rng.gen_range_i64(3, 12) as u8;
-        let m = Mat::from_rows(1, len, vals).unwrap();
-        let q = QuantizedMat::quantize(&m, bits);
-        let back = q.dequantize_ideal();
-        let step = q.scales()[0] / ((1i32 << (bits - 1)) - 1) as f64;
-        for (a, b) in m.as_slice().iter().zip(back.as_slice()) {
-            assert!((a - b).abs() <= step / 2.0 + 1e-12);
+        // The operand scale rule: the tensor's largest magnitude.
+        let q = Quantizer::new(bits, abs_max(&vals)).unwrap();
+        for &v in &vals {
+            assert!((v - q.round_trip(v)).abs() <= q.step() / 2.0 + 1e-12);
         }
     }
 }

@@ -12,7 +12,7 @@ use pdac_math::gemm::{PackedB, PackedCodes};
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
 use pdac_nn::prepared::{WeightCache, DEFAULT_CACHE_CAPACITY};
-use pdac_nn::quant::QuantizedMat;
+use pdac_nn::quant::convert;
 use std::rc::Rc;
 
 fn random_mat(rows: usize, cols: usize, seed: u64) -> Mat {
@@ -37,13 +37,14 @@ fn panel_bits(packed: &PackedB) -> String {
     format!("{packed:?}")
 }
 
-/// The uncached pipeline: quantize, convert, pack.
-fn direct(mat: &Mat, driver: &dyn MzmDriver) -> String {
-    let converted = QuantizedMat::quantize(mat, driver.bits()).dequantize_with(driver);
+/// `mat` converted per tensor through the scalar `driver` and packed
+/// (the uncached golden pipeline), rendered like [`decoded`].
+fn golden(mat: &Mat, driver: &dyn MzmDriver) -> String {
+    let converted = convert(mat, mat.rows(), driver);
     panel_bits(&PackedB::pack(converted.as_slice(), mat.rows(), mat.cols()))
 }
 
-/// A cache entry's decoded values, rendered like [`direct`].
+/// A cache entry's decoded values.
 fn decoded(codes: &PackedCodes) -> String {
     panel_bits(&codes.decode())
 }
@@ -63,14 +64,14 @@ fn mutate_then_revert_misses_with_correct_data() {
     let mutated = cache.get_or_prepare(&w);
     assert_eq!(cache.misses(), 2, "mutation must defeat the id key");
     assert_ne!(first, mutated);
-    assert_eq!(decoded(&mutated), direct(&w, &edac));
+    assert_eq!(decoded(&mutated), golden(&w, &edac));
 
     w.as_mut_slice()[7] = original;
     let reverted = cache.get_or_prepare(&w);
     assert_eq!((cache.misses(), cache.hits()), (3, 0));
     assert!(!Rc::ptr_eq(&first, &reverted));
     assert_eq!(reverted, first);
-    assert_eq!(decoded(&reverted), direct(&w, &edac));
+    assert_eq!(decoded(&reverted), golden(&w, &edac));
 }
 
 #[test]
@@ -104,7 +105,7 @@ fn equal_content_clone_shares_one_entry_until_mutated() {
     clone.as_mut_slice()[0] += 0.5;
     let c = cache.get_or_prepare(&clone);
     assert_eq!(cache.misses(), 2, "the mutated clone must miss");
-    assert_eq!(decoded(&c), direct(&clone, &edac));
+    assert_eq!(decoded(&c), golden(&clone, &edac));
     let d = cache.get_or_prepare(&w);
     assert_eq!(cache.hits(), 2, "the original must still hit");
     assert!(Rc::ptr_eq(&a, &d));
@@ -122,7 +123,7 @@ fn allocation_reuse_never_serves_stale_data() {
         let codes = cache.get_or_prepare(&w);
         assert_eq!(
             decoded(&codes),
-            direct(&w, &edac),
+            golden(&w, &edac),
             "stale cache entry served for seed {seed}"
         );
     }
@@ -200,7 +201,7 @@ fn each_cache_serves_its_own_driver() {
     let mut seen: Vec<String> = Vec::new();
     for (name, driver) in &drivers {
         let cache = cache_for(driver.as_ref(), DEFAULT_CACHE_CAPACITY);
-        let want = direct(&w, driver.as_ref());
+        let want = golden(&w, driver.as_ref());
         assert_eq!(decoded(&cache.get_or_prepare(&w)), want, "{name} miss");
         assert_eq!(decoded(&cache.get_or_prepare(&w)), want, "{name} hit");
         assert_eq!((cache.misses(), cache.hits()), (1, 1), "{name}");

@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Environment knobs (all optional). A malformed value — a count that
-//! is not a non-negative integer, or a bad `PDAC_KV_*`,
+//! is not a non-negative integer, a zero batch, a model shape
+//! [`TransformerConfig::validate`] rejects, or a bad `PDAC_KV_*`,
 //! `PDAC_POWER_BUDGET_W`, `PDAC_SENTINEL_RATE`, `PDAC_SENTINEL_FAULT`,
 //! backend or meter — exits 2 with a message naming the variable and
 //! the value, never falling back to the default:
@@ -14,7 +15,7 @@
 //! * `PDAC_SERVE_REQUESTS` — number of requests in the trace (default 8)
 //! * `PDAC_SERVE_PROMPT` — prompt length per request (default 4)
 //! * `PDAC_SERVE_MAX_NEW` — tokens generated per request (default 8)
-//! * `PDAC_SERVE_BATCH` — batch capacity (default 4)
+//! * `PDAC_SERVE_BATCH` — batch capacity (default 4, at least 1)
 //! * `PDAC_SERVE_BACKEND` — `exact` | `pdac` | `edac` | `hybrid`
 //!   (default `pdac`; `hybrid` runs activations on the P-DAC and
 //!   weights on the e-DAC path)
@@ -25,7 +26,8 @@
 //!   across all requests (default 0), so the run exercises hash-consed
 //!   prefix sharing
 //! * `PDAC_SERVE_HIDDEN` / `PDAC_SERVE_LAYERS` / `PDAC_SERVE_HEADS` —
-//!   model shape (default 64 / 2 / 4)
+//!   model shape (default 64 / 2 / 4; all nonzero, heads dividing
+//!   hidden)
 //! * `PDAC_SERVE_METER` — `auto` | `pdac` | `edac` | `hybrid` | `off`:
 //!   the [`pdac_power::meter`] driver pricing the live energy ledger
 //!   (default `auto`: matched to the backend, P-DAC for `exact`)
@@ -95,6 +97,21 @@ fn parse_count(name: &str, raw: Option<&str>, default: usize) -> Result<usize, S
     raw.map_or(Ok(default), |raw| {
         raw.parse()
             .map_err(|_| format!("{name}={raw:?} is not a non-negative integer"))
+    })
+}
+
+/// The serving-shape rule: a batch holds at least one sequence, and the
+/// model shape must pass [`TransformerConfig::validate`]. The error names
+/// the knobs behind the shape and their values.
+fn check_shape(batch: usize, config: &TransformerConfig) -> Result<(), String> {
+    if batch == 0 {
+        return Err("PDAC_SERVE_BATCH=0: a batch holds at least one sequence".into());
+    }
+    config.validate().map_err(|e| {
+        format!(
+            "PDAC_SERVE_HIDDEN={} PDAC_SERVE_LAYERS={} PDAC_SERVE_HEADS={} is not a model shape: {e}",
+            config.hidden, config.layers, config.heads,
+        )
     })
 }
 
@@ -244,7 +261,7 @@ fn main() {
         ff_mult: 4,
         seq_len: (prompt_len + max_new).max(1),
     };
-    config.validate().expect("valid serving config");
+    check_shape(batch, &config).unwrap_or_else(|e| bad_knob(&e));
     let model = TransformerModel::random(config, 4, 42);
 
     let backend: Box<dyn GemmBackend> = match backend_name.as_str() {
@@ -585,7 +602,8 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_count;
+    use super::{check_shape, parse_count};
+    use pdac_nn::TransformerConfig;
 
     #[test]
     fn count_parse_accepts_unset_and_non_negative_integers() {
@@ -607,6 +625,31 @@ mod tests {
                 err.contains("PDAC_SERVE_BATCH") && err.contains(&format!("{raw:?}")),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn shape_check_rejects_a_zero_batch_and_bad_models_by_name() {
+        let shape = |hidden, layers, heads| TransformerConfig {
+            name: "serve-sim".into(),
+            layers,
+            hidden,
+            heads,
+            ff_mult: 4,
+            seq_len: 12,
+        };
+        assert_eq!(check_shape(4, &shape(64, 2, 4)), Ok(()));
+        assert_eq!(check_shape(1, &shape(32, 1, 1)), Ok(()));
+        let err = check_shape(0, &shape(64, 2, 4)).unwrap_err();
+        assert!(err.contains("PDAC_SERVE_BATCH=0"), "{err}");
+        for (hidden, layers, heads, knob) in [
+            (64, 2, 3, "PDAC_SERVE_HEADS=3"),
+            (64, 0, 4, "PDAC_SERVE_LAYERS=0"),
+            (0, 2, 4, "PDAC_SERVE_HIDDEN=0"),
+            (64, 2, 0, "PDAC_SERVE_HEADS=0"),
+        ] {
+            let err = check_shape(4, &shape(hidden, layers, heads)).unwrap_err();
+            assert!(err.contains(knob), "{err}");
         }
     }
 }

@@ -41,7 +41,9 @@
 //!
 //! With a live energy meter installed ([`pdac_power::meter`]), every
 //! step's metered energy delta is split across the active batch in
-//! proportion to per-sequence modeled MACs and accumulated per request:
+//! proportion to per-sequence modeled MACs (attention plus FFN, as
+//! [`pdac_nn::step_activity`] counts one row) and accumulated per
+//! request:
 //! histograms `serve.request.energy_j` and `serve.energy_per_token_j`
 //! at retirement, plus a `serve.request.energy` child span on the
 //! request's tree whose `arg` is the attributed nanojoules. The meter is
@@ -119,8 +121,8 @@ pub mod sentinel;
 
 use pdac_math::Mat;
 use pdac_nn::{
-    prefix_block_hashes, DecodeScratch, ExactGemm, GemmBackend, KvStats, PagedConfig, PagedKvCache,
-    TransformerModel,
+    prefix_block_hashes, step_activity, DecodeScratch, ExactGemm, GemmBackend, KvStats,
+    PagedConfig, PagedKvCache, TransformerModel,
 };
 
 /// The embedding fed back as the next input token once a sequence runs
@@ -552,21 +554,22 @@ impl<'m> TokenServer<'m> {
             &mut self.out,
         );
         // Split the step's metered energy delta across the batch in
-        // proportion to per-sequence modeled MACs (projections + FFN are
-        // shape-uniform; the KV terms scale with each context length),
-        // then flush so the `power.*` gauges and budget track live.
+        // proportion to per-sequence modeled MACs, counted as the meter
+        // counts them (projections and FFN are shape-uniform; the KV
+        // terms scale with each context length), then flush so the
+        // `power.*` gauges and budget track live.
         if let Some(before) = energy_before {
             if let Some(snap) = pdac_power::meter::flush() {
                 let delta = (snap.total_j() - before).max(0.0);
                 if delta > 0.0 {
-                    let d = hidden as f64;
-                    let ff = self.model.config().ff_dim() as f64;
+                    let config = self.model.config();
                     let weights: Vec<f64> = self
                         .active
                         .iter()
                         .map(|a| {
-                            let len = self.kv.seq_len(a.slot) as f64;
-                            4.0 * d * d + 2.0 * d * ff + 2.0 * d * len
+                            let len = self.kv.seq_len(a.slot) as u64;
+                            let [attn, ffn, _] = step_activity(config, 1, len);
+                            (attn.macs + ffn.macs) as f64
                         })
                         .collect();
                     let total_w: f64 = weights.iter().sum();

@@ -29,7 +29,7 @@ use pdac_math::gemm::{gemm, gemm_prepacked, PackedB};
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
 use pdac_nn::gemm::{AnalogGemm, AsymmetricGemm, ExactGemm, GemmBackend};
-use pdac_nn::quant::QuantizedMat;
+use pdac_nn::quant::convert;
 use pdac_nn::{
     prefix_block_hashes, step_activity, DecodeScratch, KvCache, PagedConfig, PagedKvCache,
     TransformerConfig, TransformerModel,
@@ -799,16 +799,10 @@ fn fault_layer_conformance(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     checks
 }
 
-/// Direct (scalar-converter, reference-matmul, uncached) analog GEMM:
-/// the golden model the fast path must match bit for bit.
-fn direct_analog_gemm(a: &Mat, b: &Mat, driver_a: &dyn MzmDriver, driver_b: &dyn MzmDriver) -> Mat {
-    let aq = QuantizedMat::quantize(a, driver_a.bits()).dequantize_with(driver_a);
-    let bq = QuantizedMat::quantize(b, driver_b.bits()).dequantize_with(driver_b);
-    aq.matmul_reference(&bq).expect("shapes chain")
-}
-
 /// Runs one cached backend over every shape twice (second pass answers
-/// from the weight cache) and bit-compares against the direct pipeline.
+/// from the weight cache) and bit-compares against the golden model:
+/// both operands converted per tensor through the scalar driver,
+/// reference matmul, no cache.
 fn cached_backend_checks(
     label: &str,
     driver: &dyn MzmDriver,
@@ -820,7 +814,8 @@ fn cached_backend_checks(
     for &(m, k, n) in &cfg.gemm_shapes {
         let a = random_mat(m, k, rng);
         let b = random_mat(k, n, rng);
-        let golden = direct_analog_gemm(&a, &b, driver, driver);
+        let golden = convert(&a, m, driver).matmul_reference(&convert(&b, k, driver));
+        let golden = golden.expect("shapes chain");
         diffs += differing_bits(&backend.matmul(&a, &b), &golden);
         diffs += differing_bits(&backend.matmul(&a, &b), &golden);
     }
@@ -874,8 +869,8 @@ fn cached_gemm_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     for &(m, k, n) in &cfg.gemm_shapes {
         let a = random_mat(m, k, &mut rng);
         let b = random_mat(k, n, &mut rng);
-        let golden = direct_analog_gemm(&a, &b, &pdac, &edac);
-        diffs += differing_bits(&hybrid.matmul(&a, &b), &golden);
+        let golden = convert(&a, m, &pdac).matmul_reference(&convert(&b, k, &edac));
+        diffs += differing_bits(&hybrid.matmul(&a, &b), &golden.expect("shapes chain"));
     }
     checks.push(bit_identity_check(
         "gemm.asymmetric.cached_vs_direct",
@@ -901,7 +896,8 @@ fn cached_gemm_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         for &(m, k, n) in &branch_shapes {
             let a = random_mat(m, k, &mut rng);
             let b = random_mat(k, n, &mut rng);
-            let golden = direct_analog_gemm(&a, &b, &pdac, weight_driver);
+            let golden = convert(&a, m, &pdac).matmul_reference(&convert(&b, k, weight_driver));
+            let golden = golden.expect("shapes chain");
             diffs += differing_bits(&backend.matmul(&a, &b), &golden);
             diffs += differing_bits(&backend.matmul(&a, &b), &golden);
         }
@@ -1025,8 +1021,8 @@ fn decode_workload_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let mut diffs = 0usize;
     for _ in 0..cfg.decode_steps {
         let x = random_mat(1, d, &mut rng);
-        let golden = direct_analog_gemm(&x, &w, &pdac, &pdac);
-        diffs += differing_bits(&backend.matmul(&x, &w), &golden);
+        let golden = convert(&x, 1, &pdac).matmul_reference(&convert(&w, d, &pdac));
+        diffs += differing_bits(&backend.matmul(&x, &w), &golden.expect("shapes chain"));
     }
     vec![
         bit_identity_check(

@@ -97,6 +97,18 @@ if [ "$status" -ne 2 ]; then
     exit 1
 fi
 
+echo "==> serve rejects a zero batch and a bad model shape (exit 2 naming the knob, not a panic)"
+for knob in PDAC_SERVE_BATCH=0 PDAC_SERVE_HEADS=3; do
+    status=0
+    env "$knob" cargo run --release -q -p pdac-serve --bin serve \
+        > target/serve.bad_shape.log 2>&1 || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q "${knob%%=*}" target/serve.bad_shape.log; then
+        echo "FAIL: $knob made serve exit $status, expected 2 naming ${knob%%=*}"
+        cat target/serve.bad_shape.log
+        exit 1
+    fi
+done
+
 echo "==> serve rejects a malformed power budget (exit 2, not silently unbudgeted)"
 status=0
 PDAC_POWER_BUDGET_W=1kW cargo run --release -q -p pdac-serve --bin serve \
