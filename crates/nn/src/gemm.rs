@@ -810,6 +810,25 @@ mod tests {
     }
 
     #[test]
+    fn an_infinite_activation_poisons_only_its_row() {
+        // One overflowed activation must not panic the batch: its row
+        // has no finite scale and comes out NaN, and the other row keeps
+        // its solo bits.
+        let w = random_mat(4, 3, 71);
+        let mut x = random_mat(2, 4, 72);
+        x[(0, 1)] = f64::INFINITY;
+        let analog = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
+        let mut out = Mat::zeros(1, 1);
+        analog.matmul_batch_into(&x, &w, &mut out);
+        assert!(out.row_slice(0).iter().all(|v| v.is_nan()), "{out:?}");
+        let row1 = Mat::from_rows(1, 4, x.row_slice(1).to_vec()).unwrap();
+        let mut solo = Mat::zeros(1, 1);
+        analog.matmul_batch_into(&row1, &w, &mut solo);
+        let row_bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(row_bits(solo.row_slice(0)), row_bits(out.row_slice(1)));
+    }
+
+    #[test]
     fn analog_batch_hits_weight_cache_once_per_call() {
         let w = random_mat(12, 4, 67);
         let analog = AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8");

@@ -12,18 +12,18 @@
 //!   free list, refcounted, and capped by an optional byte budget
 //!   (`PDAC_KV_BUDGET_BYTES`).
 //! * [`PagedKvCache`] — per-slot, per-layer **page tables** mapping
-//!   token positions to pages. Appends allocate lazily; pages shared by
-//!   several sequences are **copy-on-write**: a push into a shared page
-//!   first copies the filled rows into a private page, so a reader of
-//!   the shared page never observes the writer's divergence.
-//! * **Hash-consed prefix cache** — published block-aligned prompt
-//!   prefixes are indexed by a chained hash of their token embeddings
-//!   ([`prefix_block_hashes`]); a later request with the same prefix
-//!   maps the already-computed pages instead of recomputing them.
-//!   Because decode is deterministic, shared pages hold exactly the
-//!   bits a recompute would produce. Entries are evicted
-//!   least-recently-used when an allocation would exceed the budget;
-//!   an evicted prefix is simply recomputed on its next use.
+//!   token positions to pages. Appends allocate lazily. Pages are shared
+//!   one way only: as published full blocks, which are never written
+//!   again, so a slot only ever writes a page it holds alone.
+//! * **Hash-consed prefix cache** — one index entry per published block,
+//!   keyed by the chained hash of the token embeddings up to that block
+//!   ([`prefix_block_hashes`]) and linked to the entry of the block
+//!   before it; a later request with the same prefix maps the
+//!   already-computed pages instead of recomputing them. Because decode
+//!   is deterministic, shared pages hold exactly the bits a recompute
+//!   would produce. Leaf entries are evicted least-recently-used when an
+//!   allocation would exceed the budget; an evicted prefix is simply
+//!   recomputed on its next use.
 //!
 //! The decode engine reads K/V through the page-table indirection
 //! (`gather_kt` / `gather_v` produce, element for element, the gathers
@@ -35,8 +35,7 @@
 //!
 //! Telemetry: gauges `serve.kv.pages` / `serve.kv.bytes` (live mapped
 //! pages and bytes), counters `serve.kv.shared` (tokens mapped from the
-//! prefix cache), `serve.kv.evicted` (pages freed by eviction),
-//! `serve.kv.cow` (copy-on-write page copies) and
+//! prefix cache), `serve.kv.evicted` (pages freed by eviction) and
 //! `serve.kv.over_budget` (pages allocated past the budget to keep an
 //! in-flight decode step from failing). See DESIGN.md §15.
 
@@ -317,23 +316,6 @@ impl PageAllocator {
         page.k[off * w..(off + 1) * w].copy_from_slice(k);
         page.v[off * w..(off + 1) * w].copy_from_slice(v);
     }
-
-    /// Copies the first `rows` K and V rows of `src` into `dst` (the
-    /// copy-on-write fill).
-    fn copy_page_prefix(&mut self, src: PageId, dst: PageId, rows: usize) {
-        assert_ne!(src, dst, "copy-on-write onto the same page");
-        let n = rows * self.width;
-        let (s, d) = (src.index(), dst.index());
-        let hi = s.max(d);
-        let (head, tail) = self.pages.split_at_mut(hi);
-        let (src_page, dst_page) = if s < d {
-            (&head[s], &mut tail[0])
-        } else {
-            (&tail[0], &mut head[d])
-        };
-        dst_page.k[..n].copy_from_slice(&src_page.k[..n]);
-        dst_page.v[..n].copy_from_slice(&src_page.v[..n]);
-    }
 }
 
 /// One sequence's page table for one layer.
@@ -343,13 +325,15 @@ struct LayerPages {
     rows: usize,
 }
 
-/// One published prefix: the pages holding its first `tokens` K/V rows
-/// in every layer, plus an LRU stamp.
+/// One published block: its page in every layer, the key of the block
+/// before it, how many published blocks continue it, and an LRU stamp.
 #[derive(Debug)]
 struct PrefixEntry {
-    tokens: usize,
-    /// `pages[layer][block]`, each mapping refcounted.
-    pages: Vec<Vec<PageId>>,
+    /// `pages[layer]`, one ref each.
+    pages: Vec<PageId>,
+    /// `None` for block 0.
+    parent: Option<u64>,
+    children: u32,
     stamp: u64,
 }
 
@@ -367,11 +351,13 @@ pub struct KvStats {
     pub shared_hits: u64,
     /// Pages freed by LRU prefix eviction.
     pub evicted_pages: u64,
-    /// Copy-on-write page copies performed.
+    /// Always 0: only full blocks are shared, and a full block is never
+    /// written again, so no page is ever copied. Kept for the readers of
+    /// this struct.
     pub cow_copies: u64,
     /// Pages allocated past the budget (in-flight decode fallback).
     pub over_budget_pages: u64,
-    /// Published prefixes currently cached.
+    /// Published blocks currently indexed (one per block boundary).
     pub prefix_entries: usize,
 }
 
@@ -404,13 +390,13 @@ pub struct PagedKvCache {
     block_tokens: usize,
     /// `slots[slot][layer]` page tables.
     slots: Vec<Vec<LayerPages>>,
+    /// Published blocks by chained hash: a tree rooted at block 0.
     prefix: HashMap<u64, PrefixEntry>,
     scratch: DecodeScratch,
     clock: u64,
     shared_tokens: u64,
     shared_hits: u64,
     evicted_pages: u64,
-    cow_copies: u64,
     over_budget_pages: u64,
 }
 
@@ -446,7 +432,6 @@ impl PagedKvCache {
             shared_tokens: 0,
             shared_hits: 0,
             evicted_pages: 0,
-            cow_copies: 0,
             over_budget_pages: 0,
         }
     }
@@ -497,7 +482,7 @@ impl PagedKvCache {
             shared_tokens: self.shared_tokens,
             shared_hits: self.shared_hits,
             evicted_pages: self.evicted_pages,
-            cow_copies: self.cow_copies,
+            cow_copies: 0,
             over_budget_pages: self.over_budget_pages,
             prefix_entries: self.prefix.len(),
         }
@@ -518,11 +503,7 @@ impl PagedKvCache {
         let mut ids: Vec<PageId> = (0..self.slots.len())
             .flat_map(|s| self.slot_page_ids(s))
             .collect();
-        for entry in self.prefix.values() {
-            for layer in &entry.pages {
-                ids.extend(layer.iter().copied());
-            }
-        }
+        ids.extend(self.prefix.values().flat_map(|e| e.pages.iter().copied()));
         ids
     }
 
@@ -552,36 +533,31 @@ impl PagedKvCache {
     }
 
     /// Evicts the least-recently-used prefix entry **that reclaims at
-    /// least one page**; returns `false` when no entry would. Entries
-    /// whose pages are all still mapped elsewhere (live slots, deeper
-    /// chained prefixes) are kept: dropping them frees nothing and only
-    /// destroys future sharing. Reclaimed pages return to the free list
-    /// and count as `serve.kv.evicted`.
+    /// least one page**; returns `false` when no entry would. Only a
+    /// leaf (no published block continues it) whose page some layer no
+    /// slot maps qualifies: dropping any other entry frees nothing and
+    /// only destroys future sharing. Reclaimed pages return to the free
+    /// list and count as `serve.kv.evicted`.
     fn evict_lru_prefix(&mut self) -> bool {
-        let mut order: Vec<(u64, u64)> = self.prefix.iter().map(|(k, e)| (e.stamp, *k)).collect();
-        order.sort_unstable();
-        let victim = order.into_iter().map(|(_, k)| k).find(|key| {
-            let entry = &self.prefix[key];
-            let mut mult: HashMap<PageId, u32> = HashMap::new();
-            for layer in &entry.pages {
-                for &id in layer {
-                    *mult.entry(id).or_default() += 1;
-                }
-            }
-            // Frees a page iff this entry holds every remaining ref.
-            mult.iter().any(|(&id, &c)| self.alloc.refs(id) == c)
-        });
-        let Some(key) = victim else {
+        let victim = self
+            .prefix
+            .iter()
+            .filter(|(_, e)| e.children == 0 && e.pages.iter().any(|&id| self.alloc.refs(id) == 1))
+            .min_by_key(|(_, e)| e.stamp)
+            .map(|(&hash, _)| hash);
+        let Some(hash) = victim else {
             return false;
         };
-        let entry = self.prefix.remove(&key).expect("entry exists");
+        let entry = self.prefix.remove(&hash).expect("victim exists");
+        if let Some(parent) = entry.parent {
+            self.prefix
+                .get_mut(&parent)
+                .expect("parent outlives its children")
+                .children -= 1;
+        }
         let mut freed = 0u64;
-        for layer in entry.pages {
-            for id in layer {
-                if self.alloc.release(id) {
-                    freed += 1;
-                }
-            }
+        for id in entry.pages {
+            freed += u64::from(self.alloc.release(id));
         }
         self.evicted_pages += freed;
         pdac_telemetry::counter_add("serve.kv.evicted", freed);
@@ -589,12 +565,13 @@ impl PagedKvCache {
         true
     }
 
-    /// Appends one K/V row for `slot` at `layer`, copy-on-write when
-    /// the tail page is shared.
+    /// Appends one K/V row for `slot` at `layer`.
     ///
     /// # Panics
     ///
-    /// Panics if the row widths differ from the cache's.
+    /// Panics if the row widths differ from the cache's, or if the tail
+    /// page is shared — which cannot happen, since only full blocks are
+    /// ever shared.
     pub fn push_row(&mut self, slot: usize, layer: usize, k: &[f64], v: &[f64]) {
         assert_eq!(k.len(), self.width, "k row width mismatch");
         assert_eq!(v.len(), self.width, "v row width mismatch");
@@ -602,24 +579,9 @@ impl PagedKvCache {
         if off == 0 {
             let id = self.alloc_page();
             self.slots[slot][layer].pages.push(id);
-        } else {
-            let tail = *self.slots[slot][layer]
-                .pages
-                .last()
-                .expect("partial block implies a tail page");
-            if self.alloc.refs(tail) > 1 {
-                // Copy-on-write: the tail page is shared (a forked
-                // sequence or a published partial mapping); divergence
-                // must not mutate it under the other readers.
-                let fresh = self.alloc_page();
-                self.alloc.copy_page_prefix(tail, fresh, off);
-                self.alloc.release(tail);
-                *self.slots[slot][layer].pages.last_mut().expect("tail page") = fresh;
-                self.cow_copies += 1;
-                pdac_telemetry::counter_add("serve.kv.cow", 1);
-            }
         }
         let tail = *self.slots[slot][layer].pages.last().expect("tail page");
+        assert_eq!(self.alloc.refs(tail), 1, "push into shared page {tail:?}");
         self.alloc.set_row(tail, off, k, v);
         self.slots[slot][layer].rows += 1;
     }
@@ -710,39 +672,21 @@ impl PagedKvCache {
         self.publish_gauges();
     }
 
-    /// Maps `dst` onto `src`'s pages (all layers, including a partial
-    /// tail page) without copying: both sequences then share physical
-    /// K/V until one diverges, at which point [`Self::push_row`]
-    /// copy-on-writes the divergent tail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is not empty or `dst == src`.
-    pub fn fork_slot(&mut self, dst: usize, src: usize) {
-        assert_ne!(dst, src, "fork onto itself");
-        assert_eq!(self.seq_len(dst), 0, "fork target must be empty");
-        for layer in 0..self.layers {
-            let pages = self.slots[src][layer].pages.clone();
-            for &id in &pages {
-                self.alloc.retain(id);
-            }
-            let rows = self.slots[src][layer].rows;
-            self.slots[dst][layer].pages = pages;
-            self.slots[dst][layer].rows = rows;
-        }
-        self.publish_gauges();
+    /// The published blocks `hashes` opens with: its entries from block 0
+    /// up to the first block not in the index.
+    fn chain<'a>(&'a self, hashes: &'a [u64]) -> impl Iterator<Item = &'a PrefixEntry> {
+        let mut parent = None;
+        hashes.iter().map_while(move |hash| {
+            let entry = self.prefix.get(hash).filter(|e| e.parent == parent)?;
+            parent = Some(*hash);
+            Some(entry)
+        })
     }
 
     /// Deepest shareable prefix (in tokens) for `hashes` without
     /// mapping anything — the budget-aware admission probe.
     pub fn probe_prefix(&self, hashes: &[u64]) -> usize {
-        for (i, h) in hashes.iter().enumerate().rev() {
-            if let Some(entry) = self.prefix.get(h) {
-                debug_assert_eq!(entry.tokens, (i + 1) * self.block_tokens);
-                return entry.tokens;
-            }
-        }
-        0
+        self.chain(hashes).count() * self.block_tokens
     }
 
     /// Maps the deepest published prefix matching `hashes` into the
@@ -756,26 +700,24 @@ impl PagedKvCache {
     /// Panics if `slot` is not empty.
     pub fn lookup_prefix(&mut self, slot: usize, hashes: &[u64]) -> usize {
         assert_eq!(self.seq_len(slot), 0, "prefix lookup into non-empty slot");
-        let hit = hashes
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, h)| self.prefix.contains_key(h))
-            .map(|(i, h)| (i, *h));
-        let Some((_, hash)) = hit else {
+        let blocks = self.chain(hashes).count();
+        if blocks == 0 {
             return 0;
-        };
+        }
         self.clock += 1;
-        let entry = self.prefix.get_mut(&hash).expect("hit entry");
-        entry.stamp = self.clock;
-        let tokens = entry.tokens;
-        let pages: Vec<Vec<PageId>> = entry.pages.clone();
-        for (layer, layer_pages) in pages.into_iter().enumerate() {
-            for &id in &layer_pages {
+        self.prefix
+            .get_mut(&hashes[blocks - 1])
+            .expect("hit entry")
+            .stamp = self.clock;
+        for hash in &hashes[..blocks] {
+            for (layer, &id) in self.prefix[hash].pages.iter().enumerate() {
                 self.alloc.retain(id);
+                self.slots[slot][layer].pages.push(id);
             }
-            self.slots[slot][layer].pages = layer_pages;
-            self.slots[slot][layer].rows = tokens;
+        }
+        let tokens = blocks * self.block_tokens;
+        for lp in &mut self.slots[slot] {
+            lp.rows = tokens;
         }
         self.shared_tokens += tokens as u64;
         self.shared_hits += 1;
@@ -784,40 +726,39 @@ impl PagedKvCache {
         tokens
     }
 
-    /// Publishes every full-block prefix of `slot` under `hashes`
-    /// (chained, one per block boundary — [`prefix_block_hashes`]):
-    /// later [`Self::lookup_prefix`] calls with an equal prefix share
-    /// the physical pages instead of recomputing. Boundaries beyond the
-    /// slot's cached rows are ignored; already-published hashes just
-    /// refresh their LRU stamp. Published pages are full blocks, which
-    /// [`Self::push_row`] never writes again — so sharing is safe
-    /// without copies.
+    /// Publishes every full block of `slot` under `hashes` (chained, one
+    /// per block boundary — [`prefix_block_hashes`]), one entry per
+    /// block: later [`Self::lookup_prefix`] calls with an equal prefix
+    /// share the physical pages instead of recomputing. Boundaries
+    /// beyond the slot's cached rows are ignored; already-published
+    /// hashes just refresh their LRU stamp and keep their pages.
+    /// Published pages are full blocks, which [`Self::push_row`] never
+    /// writes again — so sharing is safe without copies.
     pub fn publish_prefix(&mut self, slot: usize, hashes: &[u64]) {
-        let rows = self.seq_len(slot);
-        for (i, &hash) in hashes.iter().enumerate() {
-            let boundary = (i + 1) * self.block_tokens;
-            if boundary > rows {
-                break;
-            }
+        let blocks = hashes.len().min(self.seq_len(slot) / self.block_tokens);
+        for (i, &hash) in hashes[..blocks].iter().enumerate() {
             self.clock += 1;
             if let Some(entry) = self.prefix.get_mut(&hash) {
                 entry.stamp = self.clock;
                 continue;
             }
-            let blocks = boundary / self.block_tokens;
-            let mut pages = Vec::with_capacity(self.layers);
-            for layer in 0..self.layers {
-                let layer_pages: Vec<PageId> = self.slots[slot][layer].pages[..blocks].to_vec();
-                for &id in &layer_pages {
-                    self.alloc.retain(id);
-                }
-                pages.push(layer_pages);
+            let parent = i.checked_sub(1).map(|p| hashes[p]);
+            if let Some(p) = parent {
+                self.prefix
+                    .get_mut(&p)
+                    .expect("parent published first")
+                    .children += 1;
+            }
+            let pages: Vec<PageId> = self.slots[slot].iter().map(|lp| lp.pages[i]).collect();
+            for &id in &pages {
+                self.alloc.retain(id);
             }
             self.prefix.insert(
                 hash,
                 PrefixEntry {
-                    tokens: boundary,
                     pages,
+                    parent,
+                    children: 0,
                     stamp: self.clock,
                 },
             );
@@ -825,20 +766,13 @@ impl PagedKvCache {
         self.publish_gauges();
     }
 
-    /// Pages held **only** by the prefix cache (every mapping of the
-    /// page comes from prefix entries) — what eviction can reclaim.
+    /// Pages held **only** by the prefix cache (one ref each, so no slot
+    /// maps them) — what eviction can reclaim.
     pub fn evictable_pages(&self) -> usize {
-        let mut counts: HashMap<PageId, u32> = HashMap::new();
-        for entry in self.prefix.values() {
-            for layer in &entry.pages {
-                for &id in layer {
-                    *counts.entry(id).or_default() += 1;
-                }
-            }
-        }
-        counts
-            .iter()
-            .filter(|(&id, &c)| self.alloc.refs(id) == c)
+        self.prefix
+            .values()
+            .flat_map(|e| &e.pages)
+            .filter(|&&id| self.alloc.refs(id) == 1)
             .count()
     }
 
@@ -997,30 +931,44 @@ mod tests {
     }
 
     #[test]
-    fn fork_shares_pages_and_cow_isolates_divergence() {
-        let mut c = PagedKvCache::with_dims(1, 4, 2, PagedConfig::new(2));
-        for t in 0..3 {
-            let (k, v) = (row(4, 10 + t), row(4, 20 + t));
-            c.push_row(0, 0, &k, &v);
+    #[should_panic(expected = "push into shared page")]
+    fn push_into_a_shared_tail_panics() {
+        let mut c = PagedKvCache::with_dims(1, 4, 1, PagedConfig::new(2));
+        c.push_row(0, 0, &row(4, 1), &row(4, 2));
+        // Only full blocks are ever shared; a second ref on a partial
+        // tail is a broken invariant, not a copy-on-write trigger.
+        let tail = c.slot_page_ids(0)[0];
+        c.alloc.retain(tail);
+        c.push_row(0, 0, &row(4, 3), &row(4, 4));
+    }
+
+    #[test]
+    fn a_block_computed_twice_is_published_once() {
+        // Two slots compute the same first block side by side. The first
+        // publisher's page is the entry; the second publishes only its
+        // new block, chained to it, and its own copy of block 0 is freed
+        // when it retires.
+        let mut c = PagedKvCache::with_dims(1, 4, 3, PagedConfig::new(2));
+        let prompt: Vec<Vec<f64>> = (0..4).map(|t| row(4, 50 + t)).collect();
+        let hashes = prefix_block_hashes(prompt.iter().map(Vec::as_slice), 2);
+        for tok in &prompt[..2] {
+            c.push_row(0, 0, tok, tok);
         }
-        c.fork_slot(1, 0);
-        assert_eq!(c.seq_len(1), 3);
-        assert_eq!(c.stats().live_pages, 2, "fork maps, never copies");
-        let before: Vec<Vec<f64>> = (0..3).map(|t| c.k_row(0, 0, t).to_vec()).collect();
-        // Slot 1 diverges inside the shared partial tail page.
-        let (dk, dv) = (row(4, 99), row(4, 98));
-        c.push_row(1, 0, &dk, &dv);
-        assert_eq!(c.stats().cow_copies, 1);
-        assert_eq!(c.k_row(1, 0, 3), &dk[..]);
-        // The original's rows — including the tail row the CoW copied —
-        // are bit-identical to before the divergence.
-        for (t, want) in before.iter().enumerate() {
-            assert_eq!(c.k_row(0, 0, t), &want[..], "token {t}");
+        for tok in &prompt {
+            c.push_row(1, 0, tok, tok);
         }
-        // Shared full page still shared; tail pages now distinct.
-        let (p0, p1) = (c.slot_page_ids(0), c.slot_page_ids(1));
-        assert_eq!(p0[0], p1[0]);
-        assert_ne!(p0[1], p1[1]);
+        c.publish_prefix(0, &hashes);
+        c.publish_prefix(1, &hashes);
+        assert_eq!(c.stats().prefix_entries, 2);
+        let (first, second) = (c.slot_page_ids(0), c.slot_page_ids(1));
+        c.reset_slot(0);
+        c.reset_slot(1);
+        assert_eq!(c.stats().live_pages, 2, "one page per published block");
+        assert_eq!(c.lookup_prefix(2, &hashes), 4);
+        assert_eq!(c.slot_page_ids(2), vec![first[0], second[1]]);
+        for (t, tok) in prompt.iter().enumerate() {
+            assert_eq!(c.k_row(2, 0, t), &tok[..], "token {t}");
+        }
     }
 
     #[test]

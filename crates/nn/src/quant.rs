@@ -23,14 +23,14 @@ use pdac_math::quant::abs_max;
 use pdac_math::{Mat, Quantizer};
 
 /// The shared scale rule: symmetric `max|x|`, unit scale for all-zero
-/// data so the quantizer stays valid.
+/// data so the quantizer stays valid, and `None` for data holding ±∞,
+/// which has no finite scale.
 #[inline]
-fn scale_of(xs: &[f64]) -> f64 {
-    let m = abs_max(xs);
-    if m == 0.0 {
-        1.0
-    } else {
-        m
+fn scale_of(xs: &[f64]) -> Option<f64> {
+    match abs_max(xs) {
+        0.0 => Some(1.0),
+        m if m.is_finite() => Some(m),
+        _ => None,
     }
 }
 
@@ -38,7 +38,9 @@ fn scale_of(xs: &[f64]) -> f64 {
 /// `block_rows`-row block: each element becomes
 /// `driver.convert(code) · scale`, where `scale` is its block's `max|x|`
 /// (1 for an all-zero block) and `code` is [`Quantizer::quantize`] at the
-/// driver's bit width.
+/// driver's bit width. A block holding ±∞ has no finite scale: every
+/// element of it converts to NaN, so one overflowed row poisons only its
+/// own block.
 ///
 /// Every analog operand takes one of three block layouts:
 ///
@@ -78,7 +80,10 @@ pub fn convert<D: MzmDriver + ?Sized>(x: &Mat, block_rows: usize, driver: &D) ->
     let mut codes = Vec::with_capacity(block_len.min(xs.len()));
     let mut values = Vec::with_capacity(xs.len());
     for block in xs.chunks(block_len.max(1)) {
-        let scale = scale_of(block);
+        let Some(scale) = scale_of(block) else {
+            values.resize(values.len() + block.len(), f64::NAN);
+            continue;
+        };
         let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
         codes.clear();
         q.quantize_slice(block, &mut codes);
@@ -94,16 +99,19 @@ pub fn convert<D: MzmDriver + ?Sized>(x: &Mat, block_rows: usize, driver: &D) ->
 /// equals the packed per-tensor `convert(x, x.rows(), lut)` bit for bit.
 ///
 /// One pass after the abs-max: no code vector, no converted matrix, no
-/// f64 panels.
+/// f64 panels. A weight holding ±∞ gets a table of NaN levels, so it
+/// decodes to NaN as [`convert`] would give it.
 ///
 /// # Panics
 ///
 /// Panics if `lut` has more than 256 levels (bits above 8).
 pub fn quantize_packed(x: &Mat, lut: &ConverterLut) -> PackedCodes {
-    let scale = scale_of(x.as_slice());
+    let (scale, levels) = match scale_of(x.as_slice()) {
+        Some(scale) => (scale, lut.table().iter().map(|&l| l * scale).collect()),
+        None => (1.0, vec![f64::NAN; lut.table().len()]),
+    };
     let q = Quantizer::new(lut.bits(), scale).expect("validated bit width and positive scale");
     let max_code = q.max_code();
-    let levels: Vec<f64> = lut.table().iter().map(|&level| level * scale).collect();
     PackedCodes::pack_with(x.as_slice(), x.rows(), x.cols(), &levels, |v| {
         // In 0..=2·max_code, which is below 256 when the table fits.
         (q.quantize(v) + max_code) as u8
@@ -255,6 +263,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn infinite_weights_decode_to_nan() {
+        // ±∞ has no finite scale; it must not panic the weight cache.
+        let lut = ConverterLut::new(&PDac::with_optimal_approx(8).unwrap());
+        let mut w = ramp();
+        w[(1, 2)] = f64::NEG_INFINITY;
+        let nan = pdac_math::gemm::PackedB::pack(&[f64::NAN; 16], 4, 4);
+        assert_eq!(
+            panel_bits(&quantize_packed(&w, &lut).decode()),
+            panel_bits(&nan)
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Seeded randomized battery for the paged KV allocator
-//! (`pdac_nn::paged`): long alloc/free/share/CoW interleavings checked
-//! against shadow models. Deterministic (SplitMix64 throughout); enable
-//! the `slow-proptests` feature for the extended step counts.
+//! (`pdac_nn::paged`): long alloc/free/share interleavings checked
+//! against shadow models, plus one scripted eviction sequence pinned
+//! step by step. Deterministic (SplitMix64 throughout); enable the
+//! `slow-proptests` feature for the extended step counts.
 //!
 //! Invariants under test:
 //! * no page is simultaneously on the free list and mapped;
@@ -9,17 +10,19 @@
 //!   tables + prefix-cache entries) pointing at it;
 //! * the byte budget bounds backing growth (`try_alloc` never exceeds
 //!   it; over-budget fallbacks are exactly counted);
-//! * copy-on-write never mutates a shared page — every slot's K/V rows
-//!   stay bit-identical to its shadow history through arbitrary
-//!   fork/divergence interleavings;
-//! * evict-then-recompute reproduces the evicted K/V bits exactly.
+//! * a slot's divergence never mutates a shared page — every slot's K/V
+//!   rows stay bit-identical to its shadow history through arbitrary
+//!   publish/lookup/divergence interleavings;
+//! * evict-then-recompute reproduces the evicted K/V bits exactly;
+//! * eviction order, probes, `can_fit` and `KvStats` follow a recorded
+//!   golden script.
 
 use std::collections::HashMap;
 
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
 use pdac_nn::{
-    prefix_block_hashes, DecodeScratch, ExactGemm, PageAllocator, PageId, PagedConfig,
+    prefix_block_hashes, DecodeScratch, ExactGemm, KvStats, PageAllocator, PageId, PagedConfig,
     PagedKvCache, TransformerConfig, TransformerModel,
 };
 
@@ -139,12 +142,12 @@ fn fresh_row(width: usize, rng: &mut SplitMix64) -> Vec<f64> {
     (0..width).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect()
 }
 
-/// Cache-level stress: push/reset/fork/publish/lookup interleavings with
-/// full shadow-data verification — any CoW that mutated a shared page,
+/// Cache-level stress: push/reset/publish/lookup interleavings with
+/// full shadow-data verification — any push that mutated a shared page,
 /// any eviction that freed a still-mapped page, or any refcount drift
 /// shows up as a bit mismatch or an accounting failure.
 #[test]
-fn cache_stress_cow_prefix_and_accounting() {
+fn cache_stress_prefix_sharing_and_accounting() {
     const LAYERS: usize = 2;
     const WIDTH: usize = 4;
     const BLOCK: usize = 2;
@@ -160,16 +163,18 @@ fn cache_stress_cow_prefix_and_accounting() {
             PagedConfig::new(BLOCK).with_budget_bytes(budget_pages * page_bytes),
         );
         let mut shadow: Vec<ShadowRows> = vec![vec![Vec::new(); LAYERS]; SLOTS];
-        // Hash → the shadow rows the published prefix must reproduce.
-        let mut published: HashMap<u64, ShadowRows> = HashMap::new();
+        // Hash → the hash chain up to that block and the shadow rows the
+        // published prefix must reproduce.
+        let mut published: HashMap<u64, (Vec<u64>, ShadowRows)> = HashMap::new();
         // The "token history" a slot's prefix hashes are derived from:
-        // its layer-0 K rows (content-derived, so forked slots agree).
+        // its layer-0 K rows (content-derived, so a sharer's hashes
+        // agree with the publisher's).
         let hashes_of = |rows: &ShadowRows| -> Vec<u64> {
             let toks: Vec<&[f64]> = rows[0].iter().map(|(k, _)| k.as_slice()).collect();
             prefix_block_hashes(toks, BLOCK)
         };
         for step in 0..CACHE_STEPS {
-            match rng.gen_range_usize(0, 12) {
+            match rng.gen_range_usize(0, 10) {
                 // Push one token (all layers) into a random slot.
                 0..=5 => {
                     let slot = rng.gen_range_usize(0, SLOTS - 1);
@@ -188,17 +193,8 @@ fn cache_stress_cow_prefix_and_accounting() {
                         layer.clear();
                     }
                 }
-                // Fork a non-empty slot onto an empty one.
-                7..=8 => {
-                    let src = rng.gen_range_usize(0, SLOTS - 1);
-                    let dst = rng.gen_range_usize(0, SLOTS - 1);
-                    if src != dst && !shadow[src][0].is_empty() && shadow[dst][0].is_empty() {
-                        cache.fork_slot(dst, src);
-                        shadow[dst] = shadow[src].clone();
-                    }
-                }
                 // Publish a slot's full-block prefixes.
-                9..=10 => {
+                7..=8 => {
                     let slot = rng.gen_range_usize(0, SLOTS - 1);
                     if shadow[slot][0].len() >= BLOCK {
                         let hashes = hashes_of(&shadow[slot]);
@@ -209,7 +205,7 @@ fn cache_stress_cow_prefix_and_accounting() {
                                 .iter()
                                 .map(|layer| layer[..tokens].to_vec())
                                 .collect();
-                            published.insert(h, entry);
+                            published.insert(h, (hashes[..=i].to_vec(), entry));
                         }
                     }
                 }
@@ -218,15 +214,17 @@ fn cache_stress_cow_prefix_and_accounting() {
                     let slot = rng.gen_range_usize(0, SLOTS - 1);
                     if shadow[slot][0].is_empty() && !published.is_empty() {
                         let n = rng.gen_range_usize(0, published.len() - 1);
-                        let hash = *published.keys().nth(n).unwrap();
-                        let shared = cache.lookup_prefix(slot, &[hash]);
-                        if shared > 0 {
-                            let entry = &published[&hash];
-                            assert_eq!(shared, entry[0].len(), "step {step}: share depth");
-                            shadow[slot] = entry.clone();
-                        }
-                        // shared == 0 ⇒ the entry was evicted meanwhile;
-                        // the slot stays empty — nothing to verify.
+                        let (chain, rows) = published.values().nth(n).unwrap();
+                        let probed = cache.probe_prefix(chain);
+                        let shared = cache.lookup_prefix(slot, chain);
+                        // Evicted blocks shorten the share from the end:
+                        // what is left is a whole-block head of the prefix.
+                        assert_eq!(shared, probed, "step {step}: lookup depth != probe");
+                        assert!(
+                            shared <= rows[0].len() && shared.is_multiple_of(BLOCK),
+                            "step {step}: share depth {shared}"
+                        );
+                        shadow[slot] = rows.iter().map(|layer| layer[..shared].to_vec()).collect();
                     }
                 }
             }
@@ -241,7 +239,6 @@ fn cache_stress_cow_prefix_and_accounting() {
             }
         }
         let stats = cache.stats();
-        assert!(stats.cow_copies > 0, "seed {seed}: CoW never exercised");
         assert!(
             stats.shared_hits > 0,
             "seed {seed}: sharing never exercised"
@@ -410,4 +407,153 @@ fn double_free_panics() {
     let id = alloc.try_alloc().expect("unbounded alloc");
     alloc.release(id);
     alloc.release(id);
+}
+
+/// One step of the scripted eviction sequence.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Push the slot's next token of the prompt (every layer).
+    Push(usize, usize),
+    /// Publish the slot's full blocks under the prompt's hashes.
+    Publish(usize, usize),
+    /// Map the prompt's published prefix into the empty slot.
+    Lookup(usize, usize),
+    /// Retire the slot.
+    Reset(usize),
+}
+
+/// A golden step: the operation, then `probe_prefix` of every prompt,
+/// `evictable_pages()`, the most tokens `can_fit` admits and the
+/// `stats()` counts after it.
+type GoldenStep = (Op, [usize; 5], usize, usize, [u64; 6]);
+
+/// Golden eviction order under a 12-page budget (2 layers, 2-token
+/// blocks, so every block is 2 pages and each new block evicts at most
+/// one entry). Prompts `A`–`E` span 1, 2, 3, 4 and 3 blocks; `D` opens
+/// with `C`'s first two blocks. `stats()` is recorded as
+/// `[live_pages, shared_tokens, shared_hits, evicted_pages,
+/// over_budget_pages, prefix_entries]` (`live_bytes` follows from
+/// `live_pages`; `cow_copies` is 0). The values were recorded from the
+/// prefix index that kept one entry per block boundary holding all the
+/// pages up to it, and the per-block index must reproduce them.
+#[test]
+fn eviction_order_matches_the_golden_script() {
+    use Op::{Lookup, Publish, Push, Reset};
+    const LAYERS: usize = 2;
+    const WIDTH: usize = 4;
+    const BLOCK: usize = 2;
+    const PAGE_BYTES: usize = 2 * BLOCK * WIDTH * 8;
+    const MAX_FIT: usize = 40;
+    const LENS: [usize; 5] = [2, 4, 6, 8, 6];
+    const A: usize = 0;
+    const B: usize = 1;
+    const C: usize = 2;
+    const D: usize = 3;
+    const E: usize = 4;
+    #[rustfmt::skip]
+    const GOLDEN: [GoldenStep; 48] = [
+        (Push(0, A), [0, 0, 0, 0, 0], 0, 10, [2, 0, 0, 0, 0, 0]),
+        (Push(0, A), [0, 0, 0, 0, 0], 0, 10, [2, 0, 0, 0, 0, 0]),
+        (Publish(0, A), [2, 0, 0, 0, 0], 0, 10, [2, 0, 0, 0, 0, 1]),
+        (Reset(0), [2, 0, 0, 0, 0], 2, 12, [2, 0, 0, 0, 0, 1]),
+        (Push(0, B), [2, 0, 0, 0, 0], 2, 10, [4, 0, 0, 0, 0, 1]),
+        (Push(0, B), [2, 0, 0, 0, 0], 2, 10, [4, 0, 0, 0, 0, 1]),
+        (Push(0, B), [2, 0, 0, 0, 0], 2, 8, [6, 0, 0, 0, 0, 1]),
+        (Push(0, B), [2, 0, 0, 0, 0], 2, 8, [6, 0, 0, 0, 0, 1]),
+        (Publish(0, B), [2, 4, 0, 0, 0], 2, 8, [6, 0, 0, 0, 0, 3]),
+        (Reset(0), [2, 4, 0, 0, 0], 6, 12, [6, 0, 0, 0, 0, 3]),
+        (Push(1, C), [2, 4, 0, 0, 0], 6, 10, [8, 0, 0, 0, 0, 3]),
+        (Push(1, C), [2, 4, 0, 0, 0], 6, 10, [8, 0, 0, 0, 0, 3]),
+        (Push(1, C), [2, 4, 0, 0, 0], 6, 8, [10, 0, 0, 0, 0, 3]),
+        (Push(1, C), [2, 4, 0, 0, 0], 6, 8, [10, 0, 0, 0, 0, 3]),
+        (Push(1, C), [2, 4, 0, 0, 0], 6, 6, [12, 0, 0, 0, 0, 3]),
+        (Push(1, C), [2, 4, 0, 0, 0], 6, 6, [12, 0, 0, 0, 0, 3]),
+        (Publish(1, C), [2, 4, 6, 4, 0], 6, 6, [12, 0, 0, 0, 0, 6]),
+        (Lookup(2, D), [2, 4, 6, 4, 0], 6, 6, [12, 4, 1, 0, 0, 6]),
+        (Push(2, D), [0, 4, 6, 4, 0], 4, 4, [12, 4, 1, 2, 0, 5]),
+        (Push(2, D), [0, 4, 6, 4, 0], 4, 4, [12, 4, 1, 2, 0, 5]),
+        (Push(2, D), [0, 2, 6, 4, 0], 2, 2, [12, 4, 1, 4, 0, 4]),
+        (Push(2, D), [0, 2, 6, 4, 0], 2, 2, [12, 4, 1, 4, 0, 4]),
+        (Publish(2, D), [0, 2, 6, 8, 0], 2, 2, [12, 4, 1, 4, 0, 6]),
+        (Reset(1), [0, 2, 6, 8, 0], 4, 4, [12, 4, 1, 4, 0, 6]),
+        (Lookup(0, B), [0, 2, 6, 8, 0], 2, 2, [12, 6, 2, 4, 0, 6]),
+        (Push(0, B), [0, 2, 4, 8, 0], 0, 0, [12, 6, 2, 6, 0, 5]),
+        (Push(0, B), [0, 2, 4, 8, 0], 0, 0, [12, 6, 2, 6, 0, 5]),
+        (Reset(2), [0, 2, 4, 8, 0], 8, 8, [12, 6, 2, 6, 0, 5]),
+        (Push(1, E), [0, 2, 4, 6, 0], 6, 6, [12, 6, 2, 8, 0, 4]),
+        (Push(1, E), [0, 2, 4, 6, 0], 6, 6, [12, 6, 2, 8, 0, 4]),
+        (Push(1, E), [0, 2, 4, 4, 0], 4, 4, [12, 6, 2, 10, 0, 3]),
+        (Push(1, E), [0, 2, 4, 4, 0], 4, 4, [12, 6, 2, 10, 0, 3]),
+        (Push(1, E), [0, 2, 2, 2, 0], 2, 2, [12, 6, 2, 12, 0, 2]),
+        (Push(1, E), [0, 2, 2, 2, 0], 2, 2, [12, 6, 2, 12, 0, 2]),
+        (Publish(1, E), [0, 2, 2, 2, 6], 2, 2, [12, 6, 2, 12, 0, 5]),
+        (Lookup(2, D), [0, 2, 2, 2, 6], 0, 0, [12, 8, 3, 12, 0, 5]),
+        (Push(2, D), [0, 2, 2, 2, 6], 0, 0, [14, 8, 3, 12, 2, 5]),
+        (Push(2, D), [0, 2, 2, 2, 6], 0, 0, [14, 8, 3, 12, 2, 5]),
+        (Reset(0), [0, 2, 2, 2, 6], 2, 4, [12, 8, 3, 12, 2, 5]),
+        (Reset(1), [0, 2, 2, 2, 6], 8, 10, [12, 8, 3, 12, 2, 5]),
+        (Reset(2), [0, 2, 2, 2, 6], 10, 14, [10, 8, 3, 12, 2, 5]),
+        (Lookup(0, C), [0, 2, 2, 2, 6], 8, 12, [10, 10, 4, 12, 2, 5]),
+        (Push(0, C), [0, 2, 2, 2, 6], 8, 10, [12, 10, 4, 12, 2, 5]),
+        (Push(0, C), [0, 2, 2, 2, 6], 8, 10, [12, 10, 4, 12, 2, 5]),
+        (Push(0, C), [0, 2, 2, 2, 6], 8, 8, [14, 10, 4, 12, 2, 5]),
+        (Push(0, C), [0, 2, 2, 2, 6], 8, 8, [14, 10, 4, 12, 2, 5]),
+        (Publish(0, C), [0, 2, 6, 4, 6], 8, 8, [14, 10, 4, 12, 2, 7]),
+        (Reset(0), [0, 2, 6, 4, 6], 14, 14, [14, 10, 4, 12, 2, 7]),
+    ];
+    // Token `t` of a prompt; `D` shares `C`'s first four tokens.
+    let token = |prompt: usize, t: usize| -> Vec<f64> {
+        let prompt = if prompt == D && t < 4 { C } else { prompt };
+        (0..WIDTH)
+            .map(|c| (prompt * 100 + t * 10 + c) as f64 * 0.01)
+            .collect()
+    };
+    let hashes: Vec<Vec<u64>> = LENS
+        .iter()
+        .enumerate()
+        .map(|(p, &len)| {
+            let toks: Vec<Vec<f64>> = (0..len).map(|t| token(p, t)).collect();
+            prefix_block_hashes(toks.iter().map(Vec::as_slice), BLOCK)
+        })
+        .collect();
+    let mut cache = PagedKvCache::with_dims(
+        LAYERS,
+        WIDTH,
+        3,
+        PagedConfig::new(BLOCK).with_budget_bytes(12 * PAGE_BYTES),
+    );
+    for (step, &(op, probes, evictable, fit, s)) in GOLDEN.iter().enumerate() {
+        match op {
+            Push(slot, p) => {
+                let k = token(p, cache.seq_len(slot));
+                let v: Vec<f64> = k.iter().map(|x| -x).collect();
+                for layer in 0..LAYERS {
+                    cache.push_row(slot, layer, &k, &v);
+                }
+            }
+            Publish(slot, p) => cache.publish_prefix(slot, &hashes[p]),
+            Lookup(slot, p) => {
+                cache.lookup_prefix(slot, &hashes[p]);
+            }
+            Reset(slot) => cache.reset_slot(slot),
+        }
+        let at = format!("step {step} ({op:?})");
+        let got: Vec<usize> = hashes.iter().map(|h| cache.probe_prefix(h)).collect();
+        assert_eq!(got, probes, "{at}: probes");
+        assert_eq!(cache.evictable_pages(), evictable, "{at}: evictable pages");
+        let most = (0..=MAX_FIT).rev().find(|&n| cache.can_fit(n));
+        assert_eq!(most, Some(fit), "{at}: can_fit");
+        let live_pages = s[0] as usize;
+        let want = KvStats {
+            live_pages,
+            live_bytes: live_pages * PAGE_BYTES,
+            shared_tokens: s[1],
+            shared_hits: s[2],
+            evicted_pages: s[3],
+            cow_copies: 0,
+            over_budget_pages: s[4],
+            prefix_entries: s[5] as usize,
+        };
+        assert_eq!(cache.stats(), want, "{at}: stats");
+    }
 }

@@ -38,6 +38,9 @@
 //! * `PDAC_SERVE_TRACE_OUT` (or `--trace-out <path>`) — write a
 //!   Chrome-trace JSON (load in `chrome://tracing` or Perfetto) and
 //!   validate it through the in-tree parser before exiting
+//! * `PDAC_TRACE_CAPACITY` — span events the trace ring holds (a count;
+//!   default 262144 when writing a trace file, 4096 otherwise); older
+//!   events are dropped once it wraps
 //! * `PDAC_SERVE_HTTP` (or `--http <addr>`, `http` feature only) —
 //!   serve `/metrics` + `/trace` + `/health` on the given address while
 //!   running
@@ -338,11 +341,19 @@ fn main() {
     });
 
     let trace_out = arg_or_env("--trace-out", "PDAC_SERVE_TRACE_OUT");
-    if trace_out.is_some() && std::env::var("PDAC_TRACE_CAPACITY").is_err() {
-        // Size the ring for the whole run before the global collector's
-        // first use, so smoke traces don't wrap.
-        std::env::set_var("PDAC_TRACE_CAPACITY", "262144");
-    }
+    // Size the span-event ring before the global collector's first use;
+    // a run writing a trace file gets room for the whole run, so smoke
+    // traces don't wrap.
+    let default_capacity = if trace_out.is_some() {
+        262_144
+    } else {
+        pdac_telemetry::registry::DEFAULT_EVENT_CAPACITY
+    };
+    let trace_capacity = env_usize("PDAC_TRACE_CAPACITY", default_capacity);
+    assert!(
+        pdac_telemetry::init_trace_capacity(trace_capacity),
+        "the trace ring is sized before the collector's first use"
+    );
     pdac_telemetry::enable();
 
     // Arm the drift sentinel (default rate 0.02; PDAC_SENTINEL_RATE=0
@@ -442,7 +453,7 @@ fn main() {
         .expect("the server always pages its KV cache");
     println!(
         "serve: kv paged block={} budget={} pages={} bytes={} shared_tokens={} shared_hits={} \
-         evicted={} cow={} over_budget={} deferred={}",
+         evicted={} over_budget={} deferred={}",
         kv_config.block_tokens,
         kv_config
             .budget_bytes
@@ -452,7 +463,6 @@ fn main() {
         stats.shared_tokens,
         stats.shared_hits,
         stats.evicted_pages,
-        stats.cow_copies,
         stats.over_budget_pages,
         server.kv_deferred(),
     );

@@ -82,7 +82,7 @@
 //! Decode results stay bit-identical to solo `decode_step` (the page
 //! table is pure indirection). Gauges
 //! `serve.kv.{pages,bytes}` and counters
-//! `serve.kv.{shared,evicted,cow,over_budget}` track the cache;
+//! `serve.kv.{shared,evicted,over_budget}` track the cache;
 //! `serve.kv.request_pages` records each retiring request's mapped page
 //! count (also on [`Completion::kv_pages`]). See DESIGN.md §15.
 //!
@@ -225,6 +225,8 @@ struct Active {
     id: u64,
     /// The sequence's slot in the server's [`PagedKvCache`].
     slot: usize,
+    /// The prompt, each row moved out (left empty) once fed or mapped
+    /// from the prefix cache; its length still counts prompt tokens.
     prompt: Vec<Vec<f64>>,
     pos: usize,
     generated: Vec<Vec<f64>>,
@@ -245,9 +247,9 @@ struct Active {
 }
 
 impl Active {
-    fn next_token(&self, hidden: usize) -> Vec<f64> {
+    fn next_token(&mut self, hidden: usize) -> Vec<f64> {
         if self.pos < self.prompt.len() {
-            self.prompt[self.pos].clone()
+            std::mem::take(&mut self.prompt[self.pos])
         } else if let Some(last) = self.generated.last() {
             feedback_embedding(last)
         } else {
@@ -508,10 +510,12 @@ impl<'m> TokenServer<'m> {
             // then resumes at the first unshared prompt token.
             let slot = self.free_slots.pop().expect("active < max_batch");
             let pos = self.kv.lookup_prefix(slot, &q.hashes);
+            let mut prompt = q.request.prompt;
+            prompt[..pos].fill(Vec::new());
             self.active.push(Active {
                 id: q.request.id,
                 slot,
-                prompt: q.request.prompt,
+                prompt,
                 pos,
                 generated: Vec::new(),
                 max_new_tokens: q.request.max_new_tokens,
@@ -539,7 +543,7 @@ impl<'m> TokenServer<'m> {
         self.occupancy_sum += s as u64;
 
         let mut data = Vec::with_capacity(s * hidden);
-        for a in &self.active {
+        for a in &mut self.active {
             data.extend_from_slice(&a.next_token(hidden));
         }
         let tokens = Mat::from_rows(s, hidden, data).expect("batch assembly");

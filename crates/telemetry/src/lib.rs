@@ -61,20 +61,31 @@ mod global {
     static GLOBAL: OnceLock<Collector> = OnceLock::new();
     static ACTIVE: AtomicBool = AtomicBool::new(false);
 
+    fn collector(trace_capacity: usize) -> Collector {
+        Collector::with_clock_and_capacity(
+            std::sync::Arc::new(crate::clock::MonotonicClock::new()),
+            trace_capacity,
+        )
+    }
+
     /// The process-wide collector (created on first use, starts disabled).
-    /// The span-event ring capacity honours `PDAC_TRACE_CAPACITY` at first
-    /// use (default [`DEFAULT_EVENT_CAPACITY`]).
+    /// Its span-event ring holds [`DEFAULT_EVENT_CAPACITY`] events unless
+    /// [`init_trace_capacity`] sized it first.
     pub fn global() -> &'static Collector {
+        GLOBAL.get_or_init(|| collector(DEFAULT_EVENT_CAPACITY))
+    }
+
+    /// Creates the process-wide collector with a span-event ring of
+    /// `capacity` events (clamped to ≥ 1). The ring is sized once, at
+    /// creation: returns `false`, changing nothing, when the collector
+    /// already exists.
+    pub fn init_trace_capacity(capacity: usize) -> bool {
+        let mut created = false;
         GLOBAL.get_or_init(|| {
-            let capacity = std::env::var("PDAC_TRACE_CAPACITY")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_EVENT_CAPACITY);
-            Collector::with_clock_and_capacity(
-                std::sync::Arc::new(crate::clock::MonotonicClock::new()),
-                capacity,
-            )
-        })
+            created = true;
+            collector(capacity)
+        });
+        created
     }
 
     /// Turn global collection on.
@@ -209,8 +220,9 @@ mod global {
 }
 
 pub use global::{
-    counter_add, current_ctx, disable, enable, gauge_set, global, is_enabled, is_tracing, now_ns,
-    observe, open_span, record_span, reset, set_tracing, snapshot, span, span_under,
+    counter_add, current_ctx, disable, enable, gauge_set, global, init_trace_capacity, is_enabled,
+    is_tracing, now_ns, observe, open_span, record_span, reset, set_tracing, snapshot, span,
+    span_under,
 };
 
 /// Whether the global health ledger has latched a critical drift alert

@@ -22,6 +22,9 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> paged KV allocator battery at full length (slow-proptests)"
+cargo test -q -p pdac-nn --features slow-proptests --test paged_alloc
+
 echo "==> feature matrix (workspace without default features; gated tests compile)"
 cargo build --release --workspace --no-default-features
 cargo test -q --workspace --all-features --no-run
@@ -97,8 +100,8 @@ if [ "$status" -ne 2 ]; then
     exit 1
 fi
 
-echo "==> serve rejects a zero batch and a bad model shape (exit 2 naming the knob, not a panic)"
-for knob in PDAC_SERVE_BATCH=0 PDAC_SERVE_HEADS=3; do
+echo "==> serve rejects a zero batch, a bad model shape and a malformed trace capacity (exit 2 naming the knob, not a panic)"
+for knob in PDAC_SERVE_BATCH=0 PDAC_SERVE_HEADS=3 PDAC_TRACE_CAPACITY=4k; do
     status=0
     env "$knob" cargo run --release -q -p pdac-serve --bin serve \
         > target/serve.bad_shape.log 2>&1 || status=$?
