@@ -1,36 +1,35 @@
 //! Prefix sharing on the paged KV cache: memory footprint and
 //! throughput of a shared-prefix decode batch, with and without reuse.
 //!
-//! The workload is the serving shape that paging exists for: `BATCH`
-//! sequences whose prompts share a long common prefix (75% by default).
+//! The workload is the serving shape that paging exists for, fixed
+//! here: [`BATCH`] sequences whose [`PROMPT`]-token prompts share their
+//! first [`SHARED`] tokens (75%), on a hidden-64 model with
+//! [`BLOCK`]-token pages, for the exact and the 8-bit P-DAC backend.
 //! Both sides decode through the same `PagedKvCache` shape. The
 //! unshared side decodes every sequence's full prompt and never calls
 //! `publish_prefix` / `lookup_prefix`; the paged side computes the
 //! shared prefix **once**, publishes it, and maps it into every slot
 //! via `lookup_prefix`, then decodes only the divergent tails. Both
 //! sides must produce bit-identical final hidden states — asserted
-//! every rep.
+//! every rep. Each side's time is the fastest of [`REPS`] interleaved
+//! reps.
 //!
 //! Emits `BENCH_kv.json` (override with `PDAC_BENCH_OUT`) with two
-//! gated ratios per backend:
+//! gated ratios per backend, each floor asserted on every run after the
+//! document is written:
 //!
 //! * `unshared_bytes_over_paged_bytes` — backing bytes of the unshared
 //!   cache over the prefix-sharing one (page granularity, shared pages
-//!   counted once). ≥ 2× at the default 75%-shared shape, i.e. sharing
-//!   fits in ≤ 0.5× the unshared footprint.
+//!   counted once). At least [`BYTES_FLOOR`]: sharing fits in ≤ 0.5×
+//!   the unshared footprint.
 //! * `paged_tps_over_unshared` — end-to-end decode throughput ratio at
 //!   equal serving work. Prefix reuse skips recompute, so this should
-//!   sit ≥ 1; the default-config floor is 0.95 (within 5% of unshared).
-//!
-//! Knobs: `PDAC_BENCH_KV_HIDDEN` / `_LAYERS` / `_HEADS` (default
-//! 64/2/4), `_BATCH` (8), `_PROMPT` / `_SHARED` (32/24), `_TOKENS`
-//! (generated per sequence, 4), `_BLOCK` (page size in tokens, 4),
-//! `_BACKENDS` (`exact,pdac`), `_REPS` (3 — interleaved min-of-reps).
+//!   sit ≥ 1; the floor is [`TPS_FLOOR`] (within 5% of unshared).
 
 use std::time::Instant;
 
 use pdac_bench::feedback::{decode_feedback, timed_decode};
-use pdac_bench::microbench::{env_usize, out_path};
+use pdac_bench::microbench::out_path;
 use pdac_core::pdac::PDac;
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
@@ -40,18 +39,40 @@ use pdac_nn::{
 };
 use pdac_telemetry::Json;
 
-/// Per-step token matrices for `s` sequences sharing the first `shared`
-/// prompt positions; divergent tails and per-sequence rows are seeded
-/// independently.
-fn prompt_tokens(hidden: usize, s: usize, prompt: usize, shared: usize, seed: u64) -> Vec<Mat> {
+/// The measured case's name, carried by every record.
+const CASE: &str = "shared_prefix";
+const HIDDEN: usize = 64;
+const LAYERS: usize = 2;
+const HEADS: usize = 4;
+const BATCH: usize = 8;
+const PROMPT: usize = 32;
+/// Prompt positions every sequence shares: whole blocks, leaving a
+/// divergent tail.
+const SHARED: usize = 24;
+/// Tokens generated per sequence.
+const GENERATED: usize = 4;
+/// Page size in tokens.
+const BLOCK: usize = 4;
+const REPS: usize = 3;
+/// Floor on `unshared_bytes_over_paged_bytes`.
+const BYTES_FLOOR: f64 = 2.0;
+/// Floor on `paged_tps_over_unshared`.
+const TPS_FLOOR: f64 = 0.95;
+
+const _: () = assert!(SHARED < PROMPT && SHARED.is_multiple_of(BLOCK));
+
+/// Per-step token matrices for [`BATCH`] sequences sharing the first
+/// [`SHARED`] prompt positions; divergent tails and per-sequence rows
+/// are seeded independently.
+fn prompt_tokens(seed: u64) -> Vec<Mat> {
     let mut rng = SplitMix64::seed_from_u64(seed);
-    (0..prompt)
+    (0..PROMPT)
         .map(|t| {
-            if t < shared {
-                let row: Vec<f64> = (0..hidden).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
-                Mat::from_fn(s, hidden, |_, c| row[c])
+            if t < SHARED {
+                let row: Vec<f64> = (0..HIDDEN).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
+                Mat::from_fn(BATCH, HIDDEN, |_, c| row[c])
             } else {
-                Mat::from_fn(s, hidden, |_, _| rng.gen_range_f64(-1.0, 1.0))
+                Mat::from_fn(BATCH, HIDDEN, |_, _| rng.gen_range_f64(-1.0, 1.0))
             }
         })
         .collect()
@@ -64,9 +85,8 @@ fn run_unshared(
     backend: &dyn GemmBackend,
     prompt: &[Mat],
     gen: usize,
-    block: usize,
 ) -> (f64, Mat, usize) {
-    let mut cache = PagedKvCache::new(model, prompt[0].rows(), PagedConfig::new(block));
+    let mut cache = PagedKvCache::new(model, BATCH, PagedConfig::new(BLOCK));
     let (elapsed, last) = timed_decode(model, backend, &mut cache, prompt, gen);
     (elapsed, last, cache.allocator().backing_bytes())
 }
@@ -79,79 +99,48 @@ fn run_paged(
     model: &TransformerModel,
     backend: &dyn GemmBackend,
     prompt: &[Mat],
-    shared: usize,
     gen: usize,
-    block: usize,
 ) -> (f64, Mat, usize) {
-    let s = prompt[0].rows();
-    let hidden = model.config().hidden;
-    let mut cache = PagedKvCache::new(model, s, PagedConfig::new(block));
+    let mut cache = PagedKvCache::new(model, BATCH, PagedConfig::new(BLOCK));
     let mut scratch = DecodeScratch::new();
     let mut got = Mat::zeros(1, 1);
-    let shared_rows: Vec<Vec<f64>> = prompt[..shared]
+    let shared_rows: Vec<Vec<f64>> = prompt[..SHARED]
         .iter()
         .map(|t| t.row_slice(0).to_vec())
         .collect();
-    let hashes = prefix_block_hashes(shared_rows.iter().map(Vec::as_slice), block);
-    let slots: Vec<usize> = (0..s).collect();
+    let hashes = prefix_block_hashes(shared_rows.iter().map(Vec::as_slice), BLOCK);
     let start = Instant::now();
     // Shared prefix: computed once on slot 0, published, remapped.
-    for tok in &prompt[..shared] {
-        let one = Mat::from_fn(1, hidden, |_, c| tok.row_slice(0)[c]);
+    for tok in &prompt[..SHARED] {
+        let one = Mat::from_fn(1, HIDDEN, |_, c| tok.row_slice(0)[c]);
         model.decode_batch_with(&one, &mut cache, &[0], backend, &mut scratch, &mut got);
     }
     cache.publish_prefix(0, &hashes);
     cache.reset_slot(0);
-    for &slot in &slots {
+    for slot in 0..BATCH {
         let mapped = cache.lookup_prefix(slot, &hashes);
-        assert_eq!(mapped, shared, "published prefix must map fully");
+        assert_eq!(mapped, SHARED, "published prefix must map fully");
     }
     // Divergent tails + generation, batched across all slots.
-    let last = decode_feedback(&prompt[shared..], gen, |tokens| {
+    let last = decode_feedback(&prompt[SHARED..], gen, |tokens| {
         model.decode_batch(tokens, &mut cache, backend)
     });
     let elapsed = start.elapsed().as_secs_f64();
-    let paged_bytes = cache.allocator().backing_bytes();
-    (elapsed, last, paged_bytes)
+    (elapsed, last, cache.allocator().backing_bytes())
 }
 
 fn main() {
-    let hidden = env_usize("PDAC_BENCH_KV_HIDDEN", 64);
-    let layers = env_usize("PDAC_BENCH_KV_LAYERS", 2);
-    let heads = env_usize("PDAC_BENCH_KV_HEADS", 4);
-    let batch = env_usize("PDAC_BENCH_KV_BATCH", 8);
-    let prompt_len = env_usize("PDAC_BENCH_KV_PROMPT", 32);
-    let shared = env_usize("PDAC_BENCH_KV_SHARED", 24);
-    let gen = env_usize("PDAC_BENCH_KV_TOKENS", 4);
-    let block = env_usize("PDAC_BENCH_KV_BLOCK", 4).max(1);
-    let reps = env_usize("PDAC_BENCH_KV_REPS", 3).max(1);
-    let backend_names =
-        std::env::var("PDAC_BENCH_KV_BACKENDS").unwrap_or_else(|_| "exact,pdac".to_string());
-    let default_run = hidden == 64 && prompt_len == 32 && shared == 24 && batch == 8;
-    assert!(
-        shared < prompt_len,
-        "PDAC_BENCH_KV_SHARED must leave a divergent prompt tail \
-         (shared {shared}, prompt {prompt_len})"
-    );
-    assert!(
-        shared.is_multiple_of(block),
-        "PDAC_BENCH_KV_SHARED must be a multiple of PDAC_BENCH_KV_BLOCK \
-         so the whole prefix is publishable"
-    );
-
     let config = TransformerConfig {
         name: "kv-bench".to_string(),
-        layers,
-        hidden,
-        heads,
+        layers: LAYERS,
+        hidden: HIDDEN,
+        heads: HEADS,
         ff_mult: 4,
-        seq_len: prompt_len + gen,
+        seq_len: PROMPT + GENERATED,
     };
-    config.validate().expect("valid bench config");
     let model = TransformerModel::random(config, 4, 42);
-
-    let backends: Vec<(&str, Box<dyn GemmBackend>)> = vec![
-        ("exact", Box::new(ExactGemm) as Box<dyn GemmBackend>),
+    let backends: [(&str, Box<dyn GemmBackend>); 2] = [
+        ("exact", Box::new(ExactGemm)),
         (
             "pdac",
             Box::new(AnalogGemm::new(
@@ -159,32 +148,31 @@ fn main() {
                 "pdac-8b",
             )),
         ),
-    ]
-    .into_iter()
-    .filter(|(label, _)| backend_names.split(',').any(|b| b.trim() == *label))
-    .collect();
+    ];
+    let prompt = prompt_tokens(42);
+    // Both sides serve the same work: batch × (prompt + generated)
+    // tokens of completed sequence state.
+    let served_tokens = (BATCH * (PROMPT + GENERATED)) as f64;
 
     let mut records = Vec::new();
+    let mut failures = Vec::new();
     for (label, backend) in &backends {
-        let prompt = prompt_tokens(hidden, batch, prompt_len, shared, 42);
-        // Both sides serve the same work: batch × (prompt + generated)
-        // tokens of completed sequence state.
-        let served_tokens = (batch * (prompt_len + gen)) as f64;
+        let backend = backend.as_ref();
         // Warm pass primes the weight caches out of the timed region.
-        let _ = run_unshared(&model, backend.as_ref(), &prompt, 1.min(gen), block);
-        let _ = run_paged(&model, backend.as_ref(), &prompt, shared, 1.min(gen), block);
+        let _ = run_unshared(&model, backend, &prompt, 1);
+        let _ = run_paged(&model, backend, &prompt, 1);
         let mut unshared_s = f64::INFINITY;
         let mut paged_s = f64::INFINITY;
         let mut unshared_bytes = 0usize;
         let mut paged_bytes = 0usize;
-        for rep in 0..reps {
+        for rep in 0..REPS {
             let (run_a, run_b);
             if rep % 2 == 0 {
-                run_a = run_unshared(&model, backend.as_ref(), &prompt, gen, block);
-                run_b = run_paged(&model, backend.as_ref(), &prompt, shared, gen, block);
+                run_a = run_unshared(&model, backend, &prompt, GENERATED);
+                run_b = run_paged(&model, backend, &prompt, GENERATED);
             } else {
-                run_b = run_paged(&model, backend.as_ref(), &prompt, shared, gen, block);
-                run_a = run_unshared(&model, backend.as_ref(), &prompt, gen, block);
+                run_b = run_paged(&model, backend, &prompt, GENERATED);
+                run_a = run_unshared(&model, backend, &prompt, GENERATED);
             }
             let (us, unshared_last, ub) = run_a;
             let (ps, paged_last, pb) = run_b;
@@ -214,25 +202,30 @@ fn main() {
              paged {paged_tps:>9.1} tok/s / {paged_bytes} B, \
              bytes ratio {bytes_ratio:.2}x, tps ratio {tps_ratio:.2}x"
         );
-        if default_run {
-            assert!(
-                bytes_ratio >= 2.0,
+        if bytes_ratio < BYTES_FLOOR {
+            failures.push(format!(
                 "kv_paged/{label}: shared cache used more than 0.5x the unshared \
-                 bytes ({bytes_ratio:.2}x reduction, floor 2x)"
-            );
-            assert!(
-                tps_ratio >= 0.95,
+                 bytes ({bytes_ratio:.2}x reduction, floor {BYTES_FLOOR}x)"
+            ));
+        }
+        if tps_ratio < TPS_FLOOR {
+            failures.push(format!(
                 "kv_paged/{label}: shared throughput {tps_ratio:.2}x of unshared, \
-                 below the 0.95x floor"
-            );
+                 below the {TPS_FLOOR}x floor"
+            ));
         }
         records.push(Json::Obj(vec![
+            ("case".into(), Json::Str(CASE.into())),
             ("backend".into(), Json::Str((*label).into())),
-            ("mode".into(), Json::Str("shared_prefix".into())),
-            ("batch".into(), Json::Int(batch as u64)),
-            ("prompt".into(), Json::Int(prompt_len as u64)),
-            ("shared".into(), Json::Int(shared as u64)),
-            ("block".into(), Json::Int(block as u64)),
+            ("hidden".into(), Json::Int(HIDDEN as u64)),
+            ("layers".into(), Json::Int(LAYERS as u64)),
+            ("heads".into(), Json::Int(HEADS as u64)),
+            ("batch".into(), Json::Int(BATCH as u64)),
+            ("prompt".into(), Json::Int(PROMPT as u64)),
+            ("shared".into(), Json::Int(SHARED as u64)),
+            ("generated".into(), Json::Int(GENERATED as u64)),
+            ("block".into(), Json::Int(BLOCK as u64)),
+            ("reps".into(), Json::Int(REPS as u64)),
             ("unshared_s".into(), Json::Num(unshared_s)),
             ("paged_s".into(), Json::Num(paged_s)),
             // Num, not Int: byte footprints are measurements — keeping
@@ -252,14 +245,11 @@ fn main() {
 
     let doc = Json::Obj(vec![
         ("bench".into(), Json::Str("kv_paged".into())),
-        ("hidden".into(), Json::Int(hidden as u64)),
-        ("layers".into(), Json::Int(layers as u64)),
-        ("heads".into(), Json::Int(heads as u64)),
-        ("generated".into(), Json::Int(gen as u64)),
-        ("reps".into(), Json::Int(reps as u64)),
         ("results".into(), Json::Arr(records)),
     ]);
     let path = out_path(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kv.json"));
     std::fs::write(&path, doc.render() + "\n").expect("write bench json");
     println!("kv_paged: wrote {path}");
+    assert!(failures.is_empty(), "{}", failures.join("; "));
+    println!("kv_paged: every floor held");
 }

@@ -8,15 +8,16 @@
 //! [`pdac_bench::gate`] and exits nonzero on any regression. CI runs it
 //! on the four documents in `crates/bench/baselines/`: decode speedups,
 //! GEMM kernel ratios, the per-step overheads of tracing, the sentinel
-//! and the energy meter, and the paged-KV sharing ratios. Knobs:
-//!
-//! * `PDAC_GATE_TOL` — relative drop allowed on ratio metrics
-//!   (`speedup`, `*_over_*`); default 0.35.
-//! * `PDAC_GATE_SLACK` — absolute rise allowed on `*overhead*`
-//!   fractions; default 0.04.
+//! and the energy meter, and the paged-KV sharing ratios. A ratio
+//! metric (`speedup`, `*_over_*`) may fall `TOL` below its baseline,
+//! and an `*overhead*` fraction may rise `SLACK` above it.
 
 use pdac_bench::gate::gate;
-use pdac_bench::microbench::env_f64;
+
+/// Relative drop allowed on ratio metrics.
+const TOL: f64 = 0.35;
+/// Absolute rise allowed on overhead fractions.
+const SLACK: f64 = 0.04;
 
 fn load(path: &str) -> pdac_telemetry::Json {
     let text = std::fs::read_to_string(path)
@@ -31,14 +32,11 @@ fn main() {
         eprintln!("usage: bench_gate <baseline.json> <fresh.json> [...more pairs]");
         std::process::exit(2);
     }
-    let tol = env_f64("PDAC_GATE_TOL", 0.35);
-    let slack = env_f64("PDAC_GATE_SLACK", 0.04);
-
     let mut failed = false;
     for pair in args.chunks(2) {
         let (base_path, fresh_path) = (&pair[0], &pair[1]);
-        println!("bench-gate: {base_path} vs {fresh_path} (tol {tol}, slack {slack})");
-        let report = gate(&load(base_path), &load(fresh_path), tol, slack);
+        println!("bench-gate: {base_path} vs {fresh_path} (tol {TOL}, slack {SLACK})");
+        let report = gate(&load(base_path), &load(fresh_path), TOL, SLACK);
         for check in &report.checks {
             println!("  {}", check.render());
         }

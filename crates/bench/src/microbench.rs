@@ -51,11 +51,6 @@ pub fn env_usize(name: &str, default: usize) -> usize {
     env_opt(name).unwrap_or(default)
 }
 
-/// Real-valued knob `name`, or `default` when unset (see [`env_opt`]).
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    env_opt(name).unwrap_or(default)
-}
-
 /// Where a bench writes its JSON: `PDAC_BENCH_OUT` when set, else
 /// `default`.
 pub fn out_path(default: &str) -> String {
@@ -202,11 +197,8 @@ mod tests {
     fn env_knobs_take_defaults_and_parse_set_values() {
         std::env::remove_var("PDAC_BENCH_TEST_UNSET");
         assert_eq!(env_usize("PDAC_BENCH_TEST_UNSET", 7), 7);
-        assert_eq!(env_f64("PDAC_BENCH_TEST_UNSET", 0.5), 0.5);
         std::env::set_var("PDAC_BENCH_TEST_COUNT", "12");
         assert_eq!(env_usize("PDAC_BENCH_TEST_COUNT", 7), 12);
-        std::env::set_var("PDAC_BENCH_TEST_FRAC", "0.03");
-        assert_eq!(env_f64("PDAC_BENCH_TEST_FRAC", 0.5), 0.03);
     }
 
     #[test]

@@ -474,7 +474,7 @@ impl TransformerModel {
     /// Returns the `S × hidden` final hidden states; row `s` is
     /// **bit-identical** to decoding that slot's token history through
     /// [`Self::decode_step`] alone — page-table indirection (including
-    /// prefix-shared and copy-on-write pages) is pure data movement.
+    /// prefix-shared pages) is pure data movement.
     ///
     /// # Examples
     ///

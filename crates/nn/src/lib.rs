@@ -33,8 +33,8 @@
 //!   bit-identical to S independent `decode_step` calls over flat
 //!   [`KvCache`]s — the solo reference;
 //! * [`paged`] — the one batched KV layout: fixed-size token blocks
-//!   behind per-slot page tables with refcounts + copy-on-write,
-//!   hash-consed prefix sharing, and an LRU-evicting byte budget
+//!   behind refcounted per-slot page tables, hash-consed prefix sharing
+//!   of published full blocks, and an LRU-evicting byte budget
 //!   (`PDAC_KV_BUDGET_BYTES`) — the [`PagedKvCache`] every batched
 //!   decode reads and appends through.
 //!

@@ -39,7 +39,7 @@
 //! `serve.kv.over_budget` (pages allocated past the budget to keep an
 //! in-flight decode step from failing). See DESIGN.md §15.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::batch::DecodeScratch;
 use crate::inference::TransformerModel;
@@ -766,27 +766,53 @@ impl PagedKvCache {
         self.publish_gauges();
     }
 
-    /// Pages held **only** by the prefix cache (one ref each, so no slot
-    /// maps them) — what eviction can reclaim.
+    /// Pages that repeated LRU eviction could reclaim now: the
+    /// index-only pages (refcount 1) of every entry that no slot maps
+    /// and that sits above no entry a slot maps.
     pub fn evictable_pages(&self) -> usize {
+        self.reclaimable_pages(&[])
+    }
+
+    /// Pages that repeated LRU eviction could reclaim while the
+    /// published blocks `keep` opens with stay mapped. Eviction takes
+    /// only a leaf with a page no slot maps, so an entry whose pages
+    /// slots map can never go, and neither can any entry above it;
+    /// every other entry's index-only pages count.
+    fn reclaimable_pages(&self, keep: &[u64]) -> usize {
+        let mut held: HashSet<u64> = keep.iter().zip(self.chain(keep)).map(|(&h, _)| h).collect();
+        for (&hash, entry) in &self.prefix {
+            if entry.pages.iter().any(|&id| self.alloc.refs(id) == 1) {
+                continue;
+            }
+            let mut at = Some(hash);
+            while let Some(h) = at {
+                if !held.insert(h) {
+                    break; // every entry above a held one is held already
+                }
+                at = self.prefix[&h].parent;
+            }
+        }
         self.prefix
-            .values()
-            .flat_map(|e| &e.pages)
+            .iter()
+            .filter(|(hash, _)| !held.contains(hash))
+            .flat_map(|(_, e)| &e.pages)
             .filter(|&&id| self.alloc.refs(id) == 1)
             .count()
     }
 
-    /// Whether `new_tokens` freshly computed tokens (worst case: no
-    /// block reuse) can be cached without over-budget growth, counting
-    /// free pages, remaining budget headroom and evictable
-    /// prefix-cache pages. Always `true` without a budget.
-    pub fn can_fit(&self, new_tokens: usize) -> bool {
+    /// Whether a request can map the published prefix of its block
+    /// `hashes` and then cache `new_tokens` freshly computed tokens
+    /// (worst case: no further block reuse) without over-budget growth,
+    /// counting free pages, remaining budget headroom and the pages
+    /// eviction could reclaim with that prefix mapped. Always `true`
+    /// without a budget.
+    pub fn can_fit(&self, hashes: &[u64], new_tokens: usize) -> bool {
         let Some(budget) = self.alloc.budget_bytes() else {
             return true;
         };
         let needed = self.layers * new_tokens.div_ceil(self.block_tokens);
         let headroom = (budget / self.alloc.page_bytes()).saturating_sub(self.alloc.total_pages());
-        needed <= self.alloc.free_pages() + headroom + self.evictable_pages()
+        needed <= self.alloc.free_pages() + headroom + self.reclaimable_pages(hashes)
     }
 }
 
@@ -1040,16 +1066,85 @@ mod tests {
             2,
             PagedConfig::new(2).with_budget_bytes(3 * page_bytes),
         );
-        assert!(c.can_fit(6), "empty cache: 3 pages of headroom");
-        assert!(!c.can_fit(7), "4 pages exceed the 3-page budget");
+        assert!(c.can_fit(&[], 6), "empty cache: 3 pages of headroom");
+        assert!(!c.can_fit(&[], 7), "4 pages exceed the 3-page budget");
         let prompt: Vec<Vec<f64>> = (0..4).map(|t| row(4, t)).collect();
         let hashes = prefix_block_hashes(prompt.iter().map(Vec::as_slice), 2);
         for tok in &prompt {
             c.push_row(0, 0, tok, tok);
         }
         c.publish_prefix(0, &hashes);
-        assert!(!c.can_fit(6), "live slot pins its pages");
+        assert!(!c.can_fit(&[], 6), "live slot pins its pages");
         c.reset_slot(0);
-        assert!(c.can_fit(6), "prefix-only pages count as evictable");
+        assert!(c.can_fit(&[], 6), "prefix-only pages count as evictable");
+    }
+
+    #[test]
+    fn can_fit_leaves_out_the_prefix_the_request_maps() {
+        let page_bytes = 2 * 2 * 2 * 8; // block 2, width 2
+        let mut c = PagedKvCache::with_dims(
+            1,
+            2,
+            3,
+            PagedConfig::new(2).with_budget_bytes(4 * page_bytes),
+        );
+        let prompt: Vec<Vec<f64>> = (0..4).map(|t| row(2, 80 + t)).collect();
+        let hashes = prefix_block_hashes(prompt.iter().map(Vec::as_slice), 2);
+        for tok in &prompt {
+            c.push_row(0, 0, tok, tok);
+        }
+        c.publish_prefix(0, &hashes);
+        c.reset_slot(0);
+        c.push_row(1, 0, &row(2, 90), &row(2, 91));
+        // One page of headroom; the two index pages are reclaimable only
+        // by a request that does not map them.
+        assert!(c.can_fit(&[], 4));
+        assert!(c.can_fit(&hashes, 2));
+        assert!(
+            !c.can_fit(&hashes, 4),
+            "the mapped prefix counted as evictable"
+        );
+        // Admitted anyway, the request's second page is over budget.
+        assert_eq!(c.lookup_prefix(2, &hashes), 4);
+        for t in 0..4 {
+            c.push_row(2, 0, &row(2, 100 + t), &row(2, 110 + t));
+        }
+        assert_eq!(c.stats().over_budget_pages, 1);
+    }
+
+    #[test]
+    fn can_fit_counts_no_entry_a_mapped_child_holds() {
+        let page_bytes = 2 * 2 * 2 * 8; // block 2, width 2
+        let mut c = PagedKvCache::with_dims(
+            1,
+            2,
+            3,
+            PagedConfig::new(2).with_budget_bytes(3 * page_bytes),
+        );
+        let prompt: Vec<Vec<f64>> = (0..4).map(|t| row(2, 60 + t)).collect();
+        let hashes = prefix_block_hashes(prompt.iter().map(Vec::as_slice), 2);
+        // Slots 0 and 1 compute block 0 side by side; slot 1 also
+        // computes block 1, publishes it under slot 0's entry and stays.
+        for tok in &prompt[..2] {
+            c.push_row(0, 0, tok, tok);
+        }
+        for tok in &prompt {
+            c.push_row(1, 0, tok, tok);
+        }
+        c.publish_prefix(0, &hashes);
+        c.publish_prefix(1, &hashes);
+        c.reset_slot(0);
+        // Block 0's page is index-only, but slot 1 maps its child, so
+        // eviction can take neither entry.
+        assert_eq!(c.evictable_pages(), 0);
+        assert!(!c.can_fit(&[], 2), "a parent of a mapped entry counted");
+        c.push_row(2, 0, &row(2, 70), &row(2, 71));
+        assert_eq!(c.stats().over_budget_pages, 1);
+        c.reset_slot(1);
+        assert_eq!(
+            c.evictable_pages(),
+            2,
+            "both entries free once slot 1 retires"
+        );
     }
 }

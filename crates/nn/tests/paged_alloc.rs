@@ -10,6 +10,8 @@
 //!   tables + prefix-cache entries) pointing at it;
 //! * the byte budget bounds backing growth (`try_alloc` never exceeds
 //!   it; over-budget fallbacks are exactly counted);
+//! * a request admitted by `can_fit` maps its prefix and pushes its
+//!   fresh tokens without growing the cache past its budget;
 //! * a slot's divergence never mutates a shared page — every slot's K/V
 //!   rows stay bit-identical to its shadow history through arbitrary
 //!   publish/lookup/divergence interleavings;
@@ -163,6 +165,8 @@ fn cache_stress_prefix_sharing_and_accounting() {
             PagedConfig::new(BLOCK).with_budget_bytes(budget_pages * page_bytes),
         );
         let mut shadow: Vec<ShadowRows> = vec![vec![Vec::new(); LAYERS]; SLOTS];
+        // Admissions `can_fit` accepted whose pushes evicted a prefix.
+        let mut fits_by_eviction = 0u32;
         // Hash → the hash chain up to that block and the shadow rows the
         // published prefix must reproduce.
         let mut published: HashMap<u64, (Vec<u64>, ShadowRows)> = HashMap::new();
@@ -209,12 +213,20 @@ fn cache_stress_prefix_sharing_and_accounting() {
                         }
                     }
                 }
-                // Map a published prefix into an empty slot.
+                // Admit into an empty slot: map a published prefix, then
+                // push fresh tokens. Pushes that `can_fit` accepted must
+                // not grow the cache past its budget.
                 _ => {
                     let slot = rng.gen_range_usize(0, SLOTS - 1);
                     if shadow[slot][0].is_empty() && !published.is_empty() {
                         let n = rng.gen_range_usize(0, published.len() - 1);
                         let (chain, rows) = published.values().nth(n).unwrap();
+                        // The most fresh tokens `can_fit` admits.
+                        let fresh = (0..=budget_pages * BLOCK / LAYERS)
+                            .rev()
+                            .find(|&t| cache.can_fit(chain, t))
+                            .expect("no tokens always fit");
+                        let before = cache.stats();
                         let probed = cache.probe_prefix(chain);
                         let shared = cache.lookup_prefix(slot, chain);
                         // Evicted blocks shorten the share from the end:
@@ -225,6 +237,20 @@ fn cache_stress_prefix_sharing_and_accounting() {
                             "step {step}: share depth {shared}"
                         );
                         shadow[slot] = rows.iter().map(|layer| layer[..shared].to_vec()).collect();
+                        for _ in 0..fresh {
+                            for (layer, rows) in shadow[slot].iter_mut().enumerate() {
+                                let k = fresh_row(WIDTH, &mut rng);
+                                let v = fresh_row(WIDTH, &mut rng);
+                                cache.push_row(slot, layer, &k, &v);
+                                rows.push((k, v));
+                            }
+                        }
+                        let after = cache.stats();
+                        assert_eq!(
+                            after.over_budget_pages, before.over_budget_pages,
+                            "step {step}: can_fit admitted {fresh} tokens past the budget"
+                        );
+                        fits_by_eviction += u32::from(after.evicted_pages > before.evicted_pages);
                     }
                 }
             }
@@ -242,6 +268,10 @@ fn cache_stress_prefix_sharing_and_accounting() {
         assert!(
             stats.shared_hits > 0,
             "seed {seed}: sharing never exercised"
+        );
+        assert!(
+            fits_by_eviction > 0,
+            "seed {seed}: no admitted request needed eviction"
         );
     }
 }
@@ -541,7 +571,7 @@ fn eviction_order_matches_the_golden_script() {
         let got: Vec<usize> = hashes.iter().map(|h| cache.probe_prefix(h)).collect();
         assert_eq!(got, probes, "{at}: probes");
         assert_eq!(cache.evictable_pages(), evictable, "{at}: evictable pages");
-        let most = (0..=MAX_FIT).rev().find(|&n| cache.can_fit(n));
+        let most = (0..=MAX_FIT).rev().find(|&n| cache.can_fit(&[], n));
         assert_eq!(most, Some(fit), "{at}: can_fit");
         let live_pages = s[0] as usize;
         let want = KvStats {

@@ -6,11 +6,12 @@
 //! ```
 //!
 //! Environment knobs (all optional). A malformed value — a count that
-//! is not a non-negative integer, a zero batch, a model shape
-//! [`TransformerConfig::validate`] rejects, or a bad `PDAC_KV_*`,
-//! `PDAC_POWER_BUDGET_W`, `PDAC_SENTINEL_RATE`, `PDAC_SENTINEL_FAULT`,
-//! backend or meter — exits 2 with a message naming the variable and
-//! the value, never falling back to the default:
+//! is not a non-negative integer, a switch that is not `0` or `1`, a
+//! zero batch, a model shape [`TransformerConfig::validate`] rejects,
+//! or a bad `PDAC_KV_*`, `PDAC_POWER_BUDGET_W`, `PDAC_SENTINEL_RATE`,
+//! `PDAC_SENTINEL_FAULT`, backend or meter — exits 2 with a message
+//! naming the variable and the value, never falling back to the
+//! default:
 //!
 //! * `PDAC_SERVE_REQUESTS` — number of requests in the trace (default 8)
 //! * `PDAC_SERVE_PROMPT` — prompt length per request (default 4)
@@ -54,11 +55,12 @@
 //!   `tia|dark|droop|stuck|flipped[:magnitude]` (requires
 //!   `PDAC_SERVE_BACKEND=pdac`); the sentinel must then trip the
 //!   matching alert
-//! * `PDAC_SENTINEL_FAILOVER=1` — reroute decode steps to the exact
-//!   backend once a critical drift alert latches
-//!   (`serve.sentinel_failover`)
-//! * `--health` (or `PDAC_SERVE_HEALTH=1`) — print the final health
-//!   verdict and alert table; exit nonzero when a critical alert
+//! * `PDAC_SENTINEL_FAILOVER` — switch (`0` | `1`, default `0`): `1`
+//!   reroutes decode steps to the exact backend once a critical drift
+//!   alert latches (`serve.sentinel_failover`, through
+//!   [`TokenServer::with_failover`])
+//! * `--health` (or the switch `PDAC_SERVE_HEALTH=1`) — print the final
+//!   health verdict and alert table; exit nonzero when a critical alert
 //!   latched during the run
 //!
 //! After the run it prints a p50/p95/p99 latency table for the SLO
@@ -118,9 +120,27 @@ fn check_shape(batch: usize, config: &TransformerConfig) -> Result<(), String> {
     })
 }
 
+/// A switch knob's rule on its raw value (`None` = unset): unset and
+/// `0` are off, `1` is on; anything else is an error, so `yes` or
+/// `true` cannot silently leave the switch off.
+fn parse_switch(name: &str, raw: Option<&str>) -> Result<bool, String> {
+    match raw {
+        None | Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(raw) => Err(format!("{name}={raw:?} is not a switch (use 0 or 1)")),
+    }
+}
+
+fn env_raw(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
 fn env_usize(name: &str, default: usize) -> usize {
-    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_count(name, raw.as_deref(), default).unwrap_or_else(|e| bad_knob(&e))
+    parse_count(name, env_raw(name).as_deref(), default).unwrap_or_else(|e| bad_knob(&e))
+}
+
+fn env_switch(name: &str) -> bool {
+    parse_switch(name, env_raw(name).as_deref()).unwrap_or_else(|e| bad_knob(&e))
 }
 
 /// `--flag value` from argv, falling back to the environment variable.
@@ -130,11 +150,6 @@ fn arg_or_env(flag: &str, env: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
         .or_else(|| std::env::var(env).ok())
-}
-
-/// Valueless `--flag` from argv, or `env=1`.
-fn flag_or_env(flag: &str, env: &str) -> bool {
-    std::env::args().any(|a| a == flag) || std::env::var(env).is_ok_and(|v| v == "1")
 }
 
 /// Structural sanity checks on an emitted Chrome-trace document: the
@@ -255,6 +270,9 @@ fn main() {
     let backend_name = std::env::var("PDAC_SERVE_BACKEND").unwrap_or_else(|_| "pdac".to_string());
     let kv_config = PagedConfig::from_env().unwrap_or_else(|e| bad_knob(&e));
     let shared_prompt = env_usize("PDAC_SERVE_SHARED_PROMPT", 0).min(prompt_len);
+    let failover = env_switch("PDAC_SENTINEL_FAILOVER");
+    // Parsed even with `--health` given: a malformed switch exits 2.
+    let health = env_switch("PDAC_SERVE_HEALTH") | std::env::args().any(|a| a == "--health");
 
     let config = TransformerConfig {
         name: "serve-sim".to_string(),
@@ -371,7 +389,8 @@ fn main() {
         server
     });
 
-    let mut server = TokenServer::new_paged(&model, batch, kv_config.clone());
+    let mut server =
+        TokenServer::new_paged(&model, batch, kv_config.clone()).with_failover(failover);
     // Shared prefix drawn once so every request opens with the same
     // tokens (system-prompt shape); tails stay per-request.
     let mut shared_rng = pdac_math::rng::SplitMix64::seed_from_u64(999);
@@ -582,7 +601,7 @@ fn main() {
     // The health verdict gate: mirror the ledger to stdout and exit
     // nonzero when critical drift latched (the CI sentinel smoke runs
     // this twice: clean must pass, fault-injected must fail here).
-    if flag_or_env("--health", "PDAC_SERVE_HEALTH") {
+    if health {
         let ledger = pdac_telemetry::health::ledger();
         println!(
             "serve: health status={} alerts_raised={} warn={} critical={} dropped={}",
@@ -612,7 +631,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_shape, parse_count};
+    use super::{check_shape, parse_count, parse_switch};
     use pdac_nn::TransformerConfig;
 
     #[test]
@@ -633,6 +652,21 @@ mod tests {
             let err = parse_count("PDAC_SERVE_BATCH", Some(raw), 4).expect_err(raw);
             assert!(
                 err.contains("PDAC_SERVE_BATCH") && err.contains(&format!("{raw:?}")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn switch_parse_accepts_unset_zero_and_one_only() {
+        let name = "PDAC_SENTINEL_FAILOVER";
+        assert_eq!(parse_switch(name, None), Ok(false));
+        assert_eq!(parse_switch(name, Some("0")), Ok(false));
+        assert_eq!(parse_switch(name, Some("1")), Ok(true));
+        for raw in ["", "yes", "true", "on", "2", " 1"] {
+            let err = parse_switch(name, Some(raw)).expect_err(raw);
+            assert!(
+                err.contains(name) && err.contains(&format!("{raw:?}")),
                 "{err}"
             );
         }

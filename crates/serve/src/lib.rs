@@ -60,12 +60,14 @@
 //! shadow-sampled off the hot path, replayed through the exact
 //! reference and scored against the paper's error budgets, raising
 //! `health.alert.*` records into the global health ledger (surfaced by
-//! the `/health` endpoint). Independently of that feature, every
-//! server honours `PDAC_SENTINEL_FAILOVER=1`: once the health ledger
-//! latches critical, subsequent decode steps reroute to [`ExactGemm`]
-//! (counter `serve.sentinel_failover`,
+//! the `/health` endpoint). Independently of that feature, a server
+//! built with [`TokenServer::with_failover`]`(true)` fails over: once
+//! the health ledger latches critical, subsequent decode steps reroute
+//! to [`ExactGemm`] (counter `serve.sentinel_failover`,
 //! [`TokenServer::failover_steps`]) so served results stay trustworthy
-//! while the analog path is quarantined. See DESIGN.md §17.
+//! while the analog path is quarantined. The library reads no
+//! environment variable for it; the `serve` bin maps
+//! `PDAC_SENTINEL_FAILOVER` onto the builder. See DESIGN.md §17.
 //!
 //! # KV paging
 //!
@@ -280,8 +282,8 @@ pub struct TokenServer<'m> {
     free_slots: Vec<usize>,
     /// Admissions deferred for KV budget headroom (`serve.kv.defer`).
     kv_deferred: u64,
-    /// `PDAC_SENTINEL_FAILOVER=1` at construction: reroute decode steps
-    /// to the exact backend once the health ledger latches critical.
+    /// Reroute decode steps to the exact backend once the health ledger
+    /// latches critical ([`Self::with_failover`]).
     failover_armed: bool,
     /// Decode steps rerouted by the failover hook
     /// (`serve.sentinel_failover`).
@@ -316,9 +318,18 @@ impl<'m> TokenServer<'m> {
             // Pop order is cosmetic; reversed so slot 0 is used first.
             free_slots: (0..max_batch).rev().collect(),
             kv_deferred: 0,
-            failover_armed: std::env::var("PDAC_SENTINEL_FAILOVER").is_ok_and(|v| v == "1"),
+            failover_armed: false,
             failover_steps: 0,
         }
+    }
+
+    /// Arms (or disarms) sentinel failover: while armed, every step
+    /// after the health ledger latches critical runs on [`ExactGemm`]
+    /// instead of the backend passed to [`Self::step`]. Off by default.
+    #[must_use]
+    pub fn with_failover(mut self, armed: bool) -> Self {
+        self.failover_armed = armed;
+        self
     }
 
     /// Enqueues a request. Zero-budget requests complete immediately.
@@ -423,7 +434,7 @@ impl<'m> TokenServer<'m> {
 
     /// Decode steps rerouted to the exact backend by the sentinel
     /// failover hook (the `serve.sentinel_failover` counter; always `0`
-    /// unless `PDAC_SENTINEL_FAILOVER=1` was set at construction).
+    /// unless [`Self::with_failover`] armed it).
     pub fn failover_steps(&self) -> u64 {
         self.failover_steps
     }
@@ -459,7 +470,7 @@ impl<'m> TokenServer<'m> {
     ///
     /// A no-op (returns empty) when the server is idle.
     pub fn step(&mut self, backend: &dyn GemmBackend) -> Vec<Completion> {
-        // Sentinel failover hook (opt-in via `PDAC_SENTINEL_FAILOVER=1`):
+        // Sentinel failover hook (opt-in via `with_failover(true)`):
         // once the drift sentinel has latched the health ledger critical,
         // reroute every subsequent decode step to the exact backend —
         // served results stay trustworthy while the analog path is
@@ -490,7 +501,7 @@ impl<'m> TokenServer<'m> {
             let shared = self.kv.probe_prefix(&front.hashes);
             let worst = (front.request.prompt.len().max(1) + front.request.max_new_tokens - 1)
                 .saturating_sub(shared);
-            if !self.active.is_empty() && !self.kv.can_fit(worst) {
+            if !self.active.is_empty() && !self.kv.can_fit(&front.hashes, worst) {
                 self.kv_deferred += 1;
                 pdac_telemetry::counter_add("serve.kv.defer", 1);
                 break;

@@ -158,9 +158,7 @@ fn failover_reroutes_steps_once_critical_latches() {
     health::reset();
     pdac_telemetry::enable();
     let m = model();
-    std::env::set_var("PDAC_SENTINEL_FAILOVER", "1");
-    let mut server = TokenServer::new_paged(&m, 2, PagedConfig::default());
-    std::env::remove_var("PDAC_SENTINEL_FAILOVER");
+    let mut server = TokenServer::new_paged(&m, 2, PagedConfig::default()).with_failover(true);
     server.admit(Request {
         id: 0,
         prompt: prompt_rows(&m, 2, 42),
@@ -179,7 +177,7 @@ fn failover_reroutes_steps_once_critical_latches() {
     assert_eq!(server.take_completions().len(), 1);
     health::reset();
 
-    // Without the opt-in env the latch never reroutes.
+    // Without the opt-in the latch never reroutes.
     health::raise(Severity::Critical, "pdac8", "matmul", 0.5, 0.15);
     let mut unarmed = TokenServer::new_paged(&m, 2, PagedConfig::default());
     unarmed.admit(Request {

@@ -37,9 +37,10 @@
 //! standard telemetry summary). Crossing `warn_frac` raises a
 //! [`Severity::Warn`] alert into the global
 //! [`pdac_telemetry::health`] ledger; crossing `critical_frac` latches
-//! the ledger critical — which flips `/health` to 503 and, when
-//! `PDAC_SENTINEL_FAILOVER=1`, makes the token server reroute
-//! subsequent steps to the exact backend.
+//! the ledger critical — which flips `/health` to 503 and, on a token
+//! server built with `with_failover(true)` (the serve bin's
+//! `PDAC_SENTINEL_FAILOVER=1`), reroutes subsequent steps to the exact
+//! backend.
 //!
 //! Installing a sentinel can never change a decoded bit: the tap
 //! observes completed results only (pinned by the
