@@ -2,28 +2,30 @@
 //! triple loop, and the analog pipeline with/without the converter LUT
 //! and the weight-conversion cache.
 //!
-//! Square products (m = k = n) show kernel throughput, but there any
-//! per-call O(k·n) cost is only 1/m of the work. So two decode shapes,
-//! (m, k, n) = (1, 256, 1024) and (8, 256, 1024), time the batched
-//! analog call against an already-cached weight next to the exact
-//! batched call with a prepacked weight, and report
-//! `analog_cached_over_exact` (exact mean time over analog mean time).
-//! A per-call pass over the weight shows up there as a ratio far below 1.
+//! The cases are fixed here, and the bench reads no knob but
+//! `PDAC_BENCH_OUT`:
 //!
-//! One 2 MiB weight stays hot in L2, a regime no served step runs in. So
-//! two more records push m = 1 and m = 8 rows through all 12 weights of
-//! the serve-bench model (hidden 256, ff 1024, 2 layers: 12 MiB of f64)
-//! per iteration, and report `analog_cached_over_exact` (fastest mean of
-//! four interleaved windows per side) next to the weight bytes each side
-//! streams per step, computed from the shapes.
+//! * the [`CUBES`] (m = k = n): exact tuned over reference
+//!   (`exact_fast_over_naive`), and the seed analog path (both operands
+//!   through the scalar driver, reference matmul) over the LUT path
+//!   (`analog_lut_over_seed`) and over the full LUT + cached-weight path
+//!   (`analog_lut_cache_over_seed`). Square products show kernel
+//!   throughput, but any per-call O(k·n) cost is only 1/m of their work.
+//! * a served decode step: [`STEP_ROWS`] rows pushed through all 12
+//!   weights of the serve-bench model (hidden 256, ff 1024, 2 layers:
+//!   12 MiB of f64), the cached analog call against the exact call on a
+//!   prepacked weight (`analog_cached_over_exact`), next to the weight
+//!   bytes each side streams per step, computed from the shapes. A
+//!   per-call pass over a weight shows up here as a ratio far below 1.
 //!
-//! Emits `BENCH_gemm.json` (override the path with `PDAC_BENCH_OUT`)
-//! with per-variant throughput and the speedup of the full fast path
-//! over the seed scalar path. Knobs: `PDAC_BENCH_MS` (wall-clock budget
-//! per bench), `PDAC_BENCH_MAX_DIM` (largest cube; default 512; the
-//! decode shapes always run).
+//! Every ratio divides fastest means of [`ROUNDS`] mirrored passes over
+//! its variants (see [`fastest_interleaved`]).
+//!
+//! Emits `BENCH_gemm.json` (override the path with `PDAC_BENCH_OUT`).
+//! Its top-level `threads` is the GEMM pool's thread count
+//! (`PDAC_THREADS`), which `bench_gate` holds equal to its baseline's.
 
-use pdac_bench::microbench::{bench, black_box, env_usize, out_path, BenchResult};
+use pdac_bench::microbench::{bench, black_box, out_path, BenchResult};
 use pdac_core::lut::ConverterLut;
 use pdac_core::pdac::PDac;
 use pdac_math::gemm::{default_threads, PackedB};
@@ -33,21 +35,24 @@ use pdac_nn::gemm::{AnalogGemm, ExactGemm, GemmBackend};
 use pdac_nn::quant::convert;
 use pdac_telemetry::Json;
 
+/// Square product sizes.
+const CUBES: [usize; 2] = [64, 256];
+/// Rows per served decode step: one sequence, and a batch of eight.
+const STEP_ROWS: [usize; 2] = [1, 8];
+/// Mirrored passes per ratio.
+const ROUNDS: usize = 3;
+
 fn random_mat(rows: usize, cols: usize, seed: u64) -> Mat {
     let mut rng = SplitMix64::seed_from_u64(seed);
     Mat::from_fn(rows, cols, |_, _| rng.gen_range_f64(-1.0, 1.0))
 }
 
-/// One measured variant at one shape (`size`, or `m`/`k`/`n`), with
-/// derived throughput.
-fn record(shape: &[(&str, usize)], macs: usize, result: &BenchResult) -> Json {
-    let mut fields = vec![("name".into(), Json::Str(result.name.clone()))];
-    fields.extend(
-        shape
-            .iter()
-            .map(|&(key, v)| (key.into(), Json::Int(v as u64))),
-    );
-    fields.extend([
+/// One measured variant at one shape (`size`, or `m`), with derived
+/// throughput.
+fn record(shape: (&str, usize), macs: usize, result: &BenchResult) -> Json {
+    Json::Obj(vec![
+        ("name".into(), Json::Str(result.name.clone())),
+        (shape.0.into(), Json::Int(shape.1 as u64)),
         ("iters".into(), Json::Int(result.iters)),
         ("mean_ns".into(), Json::Num(result.mean_ns)),
         ("min_ns".into(), Json::Num(result.min_ns)),
@@ -55,149 +60,118 @@ fn record(shape: &[(&str, usize)], macs: usize, result: &BenchResult) -> Json {
             "gmacs_per_s".into(),
             Json::Num(macs as f64 / result.mean_ns.max(1.0)),
         ),
-    ]);
-    Json::Obj(fields)
+    ])
 }
 
-/// The run with the lower mean time.
-fn faster(x: BenchResult, y: BenchResult) -> BenchResult {
-    if x.mean_ns <= y.mean_ns {
-        x
-    } else {
-        y
+/// A named timed body.
+type Variant<'a> = (String, Box<dyn FnMut() + 'a>);
+
+/// Times each variant [`ROUNDS`] times in forward then reverse order
+/// (ABBA for two) and keeps each one's fastest mean. On a shared host a
+/// burst of noise inside one window would otherwise set a ratio, and
+/// the mirrored order gives every variant the same mean place in time.
+fn fastest_interleaved(mut variants: Vec<Variant<'_>>) -> Vec<BenchResult> {
+    let n = variants.len();
+    let mut best: Vec<Option<BenchResult>> = vec![None; n];
+    for i in (0..ROUNDS).flat_map(|_| (0..n).chain((0..n).rev())) {
+        let (name, run) = &mut variants[i];
+        let fresh = bench(name, &mut **run);
+        best[i] = match best[i].take() {
+            Some(kept) if kept.mean_ns <= fresh.mean_ns => Some(kept),
+            _ => Some(fresh),
+        };
     }
+    best.into_iter()
+        .map(|r| r.expect("every variant ran"))
+        .collect()
+}
+
+/// `num` over `den` by mean time: how many times faster `den` ran.
+fn ratio(num: &BenchResult, den: &BenchResult) -> f64 {
+    num.mean_ns / den.mean_ns.max(1.0)
 }
 
 fn main() {
-    let max_dim = env_usize("PDAC_BENCH_MAX_DIM", 512);
     let bits = 8;
     let driver = PDac::with_optimal_approx(bits).unwrap();
     let lut = ConverterLut::new(&driver);
 
     let mut records = Vec::new();
-    let mut speedups = Vec::new();
-    for size in [64usize, 256, 512] {
-        if size > max_dim {
-            println!("gemm_engine: skipping {size}^3 (PDAC_BENCH_MAX_DIM={max_dim})");
-            continue;
-        }
+    for size in CUBES {
         let a = random_mat(size, size, 2 * size as u64);
         let b = random_mat(size, size, 2 * size as u64 + 1);
-
-        let exact_naive = bench(&format!("gemm_engine/{size}/exact_naive"), || {
-            black_box(&a).matmul_reference(black_box(&b)).unwrap()
-        });
-        let exact_fast = bench(&format!("gemm_engine/{size}/exact_fast"), || {
-            black_box(&a).matmul(black_box(&b)).unwrap()
-        });
-
-        // The seed analog path: both operands converted through the
-        // scalar driver on every call, reference matmul.
-        let analog_seed = bench(&format!("gemm_engine/{size}/analog_seed"), || {
-            let aq = convert(black_box(&a), size, &driver);
-            let bq = convert(black_box(&b), size, &driver);
-            aq.matmul_reference(&bq).unwrap()
-        });
-        // Table conversion, no weight reuse.
-        let analog_lut = bench(&format!("gemm_engine/{size}/analog_lut"), || {
-            let aq = convert(black_box(&a), size, &lut);
-            let bq = convert(black_box(&b), size, &lut);
-            aq.matmul(&bq).unwrap()
-        });
-        // The full fast path: LUT + cached weight conversion.
         let backend = AnalogGemm::new(driver.clone(), "pdac8");
-        let analog_cached = bench(&format!("gemm_engine/{size}/analog_lut_cache"), || {
-            backend.matmul(black_box(&a), black_box(&b))
-        });
+        let name = |variant: &str| format!("gemm_engine/{size}/{variant}");
+        let [naive, fast, seed, lut_only, cached]: [BenchResult; 5] = fastest_interleaved(vec![
+            (
+                name("exact_naive"),
+                Box::new(|| {
+                    black_box(black_box(&a).matmul_reference(black_box(&b)).unwrap());
+                }),
+            ),
+            (
+                name("exact_fast"),
+                Box::new(|| {
+                    black_box(black_box(&a).matmul(black_box(&b)).unwrap());
+                }),
+            ),
+            // The seed analog path: both operands converted through the
+            // scalar driver on every call, reference matmul.
+            (
+                name("analog_seed"),
+                Box::new(|| {
+                    let aq = convert(black_box(&a), size, &driver);
+                    let bq = convert(black_box(&b), size, &driver);
+                    black_box(aq.matmul_reference(&bq).unwrap());
+                }),
+            ),
+            // Table conversion, no weight reuse.
+            (
+                name("analog_lut"),
+                Box::new(|| {
+                    let aq = convert(black_box(&a), size, &lut);
+                    let bq = convert(black_box(&b), size, &lut);
+                    black_box(aq.matmul(&bq).unwrap());
+                }),
+            ),
+            // The full fast path: LUT + cached weight conversion.
+            (
+                name("analog_lut_cache"),
+                Box::new(|| {
+                    black_box(backend.matmul(black_box(&a), black_box(&b)));
+                }),
+            ),
+        ])
+        .try_into()
+        .expect("one result per variant");
 
-        let fast_over_naive = exact_naive.mean_ns / exact_fast.mean_ns.max(1.0);
-        let analog_over_seed = analog_seed.mean_ns / analog_cached.mean_ns.max(1.0);
+        let (fast_over_naive, cache_over_seed) = (ratio(&naive, &fast), ratio(&seed, &cached));
         println!(
             "gemm_engine/{size}: exact fast/naive {fast_over_naive:.2}x, \
-             analog lut+cache/seed {analog_over_seed:.2}x \
+             analog lut+cache/seed {cache_over_seed:.2}x \
              (cache hits {}, misses {})",
             backend.cache().hits(),
             backend.cache().misses(),
         );
-        for r in [
-            &exact_naive,
-            &exact_fast,
-            &analog_seed,
-            &analog_lut,
-            &analog_cached,
-        ] {
-            records.push(record(&[("size", size)], size * size * size, r));
+        for r in [&naive, &fast, &seed, &lut_only, &cached] {
+            records.push(record(("size", size), size * size * size, r));
         }
-        let speedup = Json::Obj(vec![
+        records.push(Json::Obj(vec![
             ("size".into(), Json::Int(size as u64)),
             ("exact_fast_over_naive".into(), Json::Num(fast_over_naive)),
             (
                 "analog_lut_cache_over_seed".into(),
-                Json::Num(analog_over_seed),
+                Json::Num(cache_over_seed),
             ),
             (
                 "analog_lut_over_seed".into(),
-                Json::Num(analog_seed.mean_ns / analog_lut.mean_ns.max(1.0)),
+                Json::Num(ratio(&seed, &lut_only)),
             ),
-        ]);
-        // Also into `results`, where the bench-gate step looks for the
-        // machine-relative `_over_` ratios (the raw timing records carry
-        // run-varying identity fields like `iters`, so only these
-        // per-size ratio records are cross-run comparable).
-        records.push(speedup.clone());
-        speedups.push(speedup);
-    }
-
-    // The decode shapes (see the module docs) run at any max dim.
-    for (m, k, n) in [(1usize, 256usize, 1024usize), (8, 256, 1024)] {
-        let a = random_mat(m, k, 3 * m as u64);
-        let w = random_mat(k, n, 3 * m as u64 + 1);
-        let packed = PackedB::pack(w.as_slice(), k, n);
-        let (mut exact_out, mut analog_out) = (Mat::zeros(1, 1), Mat::zeros(1, 1));
-        let mut time_exact = || {
-            bench(&format!("gemm_engine/{m}x{k}x{n}/exact_prepacked"), || {
-                ExactGemm.matmul_batch_packed_into(
-                    black_box(&a),
-                    black_box(&w),
-                    &|| &packed,
-                    &mut exact_out,
-                );
-            })
-        };
-        let backend = AnalogGemm::new(driver.clone(), "pdac8");
-        // Convert and pack the weight once, outside the timed region.
-        backend.matmul_batch_into(&a, &w, &mut analog_out);
-        let mut time_analog = || {
-            bench(&format!("gemm_engine/{m}x{k}x{n}/analog_cached"), || {
-                backend.matmul_batch_into(black_box(&a), black_box(&w), &mut analog_out);
-            })
-        };
-        // Two rounds in ABBA order, keeping each side's faster mean: on a
-        // shared host a burst of noise inside one short bench window
-        // would otherwise set the ratio.
-        let (e1, a1, a2, e2) = (time_exact(), time_analog(), time_analog(), time_exact());
-        let (exact, analog) = (faster(e1, e2), faster(a1, a2));
-        let ratio = exact.mean_ns / analog.mean_ns.max(1.0);
-        println!(
-            "gemm_engine/{m}x{k}x{n}: analog cached/exact {ratio:.2}x \
-             (cache hits {}, misses {})",
-            backend.cache().hits(),
-            backend.cache().misses(),
-        );
-        let shape = [("m", m), ("k", k), ("n", n)];
-        for r in [&exact, &analog] {
-            records.push(record(&shape, m * k * n, r));
-        }
-        records.push(Json::Obj(vec![
-            ("m".into(), Json::Int(m as u64)),
-            ("k".into(), Json::Int(k as u64)),
-            ("n".into(), Json::Int(n as u64)),
-            ("analog_cached_over_exact".into(), Json::Num(ratio)),
         ]));
     }
 
     // A decode step over the served model's weights (see the module
-    // docs), always run.
+    // docs).
     let (hidden, ff, layers) = (256usize, 1024usize, 2usize);
     let layer = [(hidden, hidden); 4]
         .into_iter()
@@ -214,71 +188,57 @@ fn main() {
         .collect();
     let f64_bytes: usize = shapes.iter().map(|&(k, n)| k * n * 8).sum();
     let macs_per_row: usize = shapes.iter().map(|&(k, n)| k * n).sum();
-    for m in [1usize, 8] {
+    for m in STEP_ROWS {
         let inputs: Vec<Mat> = shapes
             .iter()
             .enumerate()
             .map(|(i, &(k, _))| random_mat(m, k, 600 + (m * 16 + i) as u64))
             .collect();
-        let mut out = Mat::zeros(1, 1);
-        let mut time_exact = || {
-            bench(
-                &format!("gemm_engine/serve_step_m{m}/exact_prepacked"),
-                || {
+        let backend = AnalogGemm::new(driver.clone(), "pdac8");
+        // Convert every weight once, outside the timed region.
+        let (mut exact_out, mut analog_out) = (Mat::zeros(1, 1), Mat::zeros(1, 1));
+        for (a, w) in inputs.iter().zip(&weights) {
+            backend.matmul_batch_into(a, w, &mut analog_out);
+        }
+        let [exact, analog]: [BenchResult; 2] = fastest_interleaved(vec![
+            (
+                format!("gemm_engine/serve_step_m{m}/exact_prepacked"),
+                Box::new(|| {
                     for ((a, w), pack) in inputs.iter().zip(&weights).zip(&packs) {
                         ExactGemm.matmul_batch_packed_into(
                             black_box(a),
                             black_box(w),
                             &|| pack,
-                            &mut out,
+                            &mut exact_out,
                         );
                     }
-                },
-            )
-        };
-        let backend = AnalogGemm::new(driver.clone(), "pdac8");
-        // Convert every weight once, outside the timed region.
-        let mut analog_out = Mat::zeros(1, 1);
-        for (a, w) in inputs.iter().zip(&weights) {
-            backend.matmul_batch_into(a, w, &mut analog_out);
-        }
-        let mut time_analog = || {
-            bench(
-                &format!("gemm_engine/serve_step_m{m}/analog_cached"),
-                || {
+                }),
+            ),
+            (
+                format!("gemm_engine/serve_step_m{m}/analog_cached"),
+                Box::new(|| {
                     for (a, w) in inputs.iter().zip(&weights) {
                         backend.matmul_batch_into(black_box(a), black_box(w), &mut analog_out);
                     }
-                },
-            )
-        };
-        // ABBA twice, fastest mean per side: a step takes ~1 ms, so one
-        // burst of host noise inside a 40 ms window moves a mean more
-        // than it does for the single decode shapes.
-        let (mut exact, mut analog) = (time_exact(), time_analog());
-        for round in 0..3 {
-            if round % 2 == 0 {
-                analog = faster(analog, time_analog());
-                exact = faster(exact, time_exact());
-            } else {
-                exact = faster(exact, time_exact());
-                analog = faster(analog, time_analog());
-            }
-        }
-        let ratio = exact.mean_ns / analog.mean_ns.max(1.0);
+                }),
+            ),
+        ])
+        .try_into()
+        .expect("one result per variant");
+        let cached_over_exact = ratio(&exact, &analog);
         // Weight bytes streamed per step: one row is a vecmat over the f64
         // weight; more rows stream the f64 panels once per 4-row tile
         // block and the code panels once per 8-row pass.
         let exact_bytes = f64_bytes * m.div_ceil(4);
         let analog_bytes = backend.cache().resident_bytes() * m.div_ceil(8);
         println!(
-            "gemm_engine/serve_step_m{m}: analog cached/exact {ratio:.2}x, \
+            "gemm_engine/serve_step_m{m}: analog cached/exact {cached_over_exact:.2}x, \
              weight bytes per step exact {exact_bytes} analog {analog_bytes} \
              (cache misses {})",
             backend.cache().misses(),
         );
         for r in [&exact, &analog] {
-            records.push(record(&[("m", m)], m * macs_per_row, r));
+            records.push(record(("m", m), m * macs_per_row, r));
         }
         records.push(Json::Obj(vec![
             ("step".into(), Json::Str("serve_bench".into())),
@@ -286,7 +246,10 @@ fn main() {
             ("weights".into(), Json::Int(shapes.len() as u64)),
             ("exact_weight_bytes".into(), Json::Int(exact_bytes as u64)),
             ("analog_weight_bytes".into(), Json::Int(analog_bytes as u64)),
-            ("analog_cached_over_exact".into(), Json::Num(ratio)),
+            (
+                "analog_cached_over_exact".into(),
+                Json::Num(cached_over_exact),
+            ),
         ]));
     }
 
@@ -296,7 +259,6 @@ fn main() {
         ("bits".into(), Json::Int(u64::from(bits))),
         ("threads".into(), Json::Int(default_threads() as u64)),
         ("results".into(), Json::Arr(records)),
-        ("speedups".into(), Json::Arr(speedups)),
     ]);
     let path = out_path(concat!(
         env!("CARGO_MANIFEST_DIR"),

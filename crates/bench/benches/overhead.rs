@@ -38,7 +38,7 @@ use pdac_power::meter::EnergyMeter;
 use pdac_power::model::{DriverKind, PowerModel};
 use pdac_power::{ArchConfig, EnergyModel, TechParams};
 use pdac_telemetry::Json;
-use pdac_verify::sentinel::{Sentinel, SentinelConfig, DEFAULT_RATE};
+use pdac_verify::sentinel::{Sentinel, DEFAULT_RATE};
 
 const HIDDEN: usize = 64;
 const LAYERS: usize = 2;
@@ -179,10 +179,7 @@ fn measure(
     meter: &Arc<EnergyMeter>,
 ) -> (Vec<f64>, Vec<f64>, u64) {
     let sentinel = match toggle.on {
-        State::Sentinel(rate) => Some(Sentinel::install(SentinelConfig {
-            rate,
-            ..SentinelConfig::default()
-        })),
+        State::Sentinel(rate) => Some(Sentinel::install(rate)),
         _ => None,
     };
     let tap = pdac_nn::tap::installed();

@@ -5,7 +5,9 @@
 //! ```
 //!
 //! Compares each fresh document against its checked-in baseline with
-//! [`pdac_bench::gate`] and exits nonzero on any regression. CI runs it
+//! [`pdac_bench::gate`] and exits nonzero on any regression, or when a
+//! fresh document's top-level identity (bench, driver, bits, threads,
+//! shape) differs from its baseline's. CI runs it
 //! on the four documents in `crates/bench/baselines/`: decode speedups,
 //! GEMM kernel ratios, the per-step overheads of tracing, the sentinel
 //! and the energy meter, and the paged-KV sharing ratios. A ratio
@@ -37,13 +39,16 @@ fn main() {
         let (base_path, fresh_path) = (&pair[0], &pair[1]);
         println!("bench-gate: {base_path} vs {fresh_path} (tol {TOL}, slack {SLACK})");
         let report = gate(&load(base_path), &load(fresh_path), TOL, SLACK);
+        for mismatch in &report.mismatched {
+            println!("  FAIL   not comparable, top-level {}", mismatch.render());
+        }
         for check in &report.checks {
             println!("  {}", check.render());
         }
         for id in &report.missing {
             println!("  FAIL   missing record in fresh output: {id}");
         }
-        if report.checks.is_empty() && report.missing.is_empty() {
+        if report.pass() && report.checks.is_empty() {
             println!("  FAIL   no gated metrics found in baseline");
             failed = true;
         }

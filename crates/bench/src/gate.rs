@@ -10,10 +10,16 @@
 //!   not exceed `baseline + slack` (absolute slack, since overheads
 //!   hover near zero and a relative band would be meaningless there).
 //!
-//! Records are matched across documents by their identity fields (every
-//! string or integer field: backend, batch, shape, threads, mode, …);
-//! a baseline record with no fresh counterpart is itself a failure —
-//! silently dropping a configuration is how regressions hide.
+//! One identity rule holds at both levels of a document: its identity
+//! fields are every string field and every integer field that is not a
+//! measurement (bench, driver, bits, threads, backend, batch, shape, …).
+//! A fresh document whose top-level identity differs from its
+//! baseline's is not compared at all: the gate fails naming each
+//! differing field, since a ratio means something only at the
+//! configuration it was measured in. Records are matched across
+//! documents by their identity; a baseline record with no fresh
+//! counterpart is itself a failure — silently dropping a configuration
+//! is how regressions hide.
 
 use pdac_telemetry::Json;
 
@@ -49,9 +55,37 @@ impl GateCheck {
     }
 }
 
+/// A top-level identity field whose value differs between a baseline
+/// and a fresh document (`None`: the document lacks the field).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Mismatch {
+    /// The field's name.
+    pub field: String,
+    /// Its value in the baseline.
+    pub baseline: Option<String>,
+    /// Its value in the fresh document.
+    pub fresh: Option<String>,
+}
+
+impl Mismatch {
+    /// One report line: the field and both values.
+    pub fn render(&self) -> String {
+        let show = |v: &Option<String>| v.clone().unwrap_or_else(|| "absent".into());
+        format!(
+            "{}: baseline {}, fresh {}",
+            self.field,
+            show(&self.baseline),
+            show(&self.fresh)
+        )
+    }
+}
+
 /// A full gate run over one baseline/fresh document pair.
 #[derive(Debug, Clone)]
 pub struct GateReport {
+    /// Top-level identity fields that differ; when any does, no record
+    /// is compared.
+    pub mismatched: Vec<Mismatch>,
     /// Per-metric comparisons, in baseline order.
     pub checks: Vec<GateCheck>,
     /// Baseline records that have no identity match in the fresh doc.
@@ -59,9 +93,10 @@ pub struct GateReport {
 }
 
 impl GateReport {
-    /// True when every check passed and no record went missing.
+    /// True when the documents share their identity, every check passed
+    /// and no record went missing.
     pub fn pass(&self) -> bool {
-        self.missing.is_empty() && self.checks.iter().all(|c| c.pass)
+        self.mismatched.is_empty() && self.missing.is_empty() && self.checks.iter().all(|c| c.pass)
     }
 }
 
@@ -84,22 +119,57 @@ fn is_measurement(key: &str) -> bool {
     is_ratio(key) || is_overhead(key) || key.ends_with("_s") || key.ends_with("_per_s")
 }
 
-/// The identity of a `results` record: every string field plus every
-/// non-measurement integer field, rendered `key=value` in document
-/// order.
-fn identity(record: &Json) -> String {
-    let Json::Obj(fields) = record else {
-        return String::from("<non-object>");
+/// The identity fields of a document or record: every string field
+/// plus every non-measurement integer field, as `(key, value)` in
+/// document order.
+fn identity_fields(object: &Json) -> Vec<(&str, String)> {
+    let Json::Obj(fields) = object else {
+        return Vec::new();
     };
-    let mut parts = Vec::new();
-    for (key, value) in fields {
-        match value {
-            Json::Str(s) => parts.push(format!("{key}={s}")),
-            Json::Int(i) if !is_measurement(key) => parts.push(format!("{key}={i}")),
-            _ => {}
-        }
+    fields
+        .iter()
+        .filter_map(|(key, value)| match value {
+            Json::Str(s) => Some((key.as_str(), s.clone())),
+            Json::Int(i) if !is_measurement(key) => Some((key.as_str(), i.to_string())),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The identity of a `results` record, rendered `key=value`.
+fn identity(record: &Json) -> String {
+    if !matches!(record, Json::Obj(_)) {
+        return String::from("<non-object>");
     }
+    let parts: Vec<String> = identity_fields(record)
+        .into_iter()
+        .map(|(key, value)| format!("{key}={value}"))
+        .collect();
     parts.join(" ")
+}
+
+/// The top-level identity fields whose values differ: the baseline's in
+/// its order, then those only the fresh document has.
+fn mismatches(baseline: &Json, fresh: &Json) -> Vec<Mismatch> {
+    let (base, new) = (identity_fields(baseline), identity_fields(fresh));
+    let value = |fields: &[(&str, String)], key: &str| {
+        fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let only_fresh = new.iter().filter(|(k, _)| value(&base, k).is_none());
+    base.iter()
+        .chain(only_fresh)
+        .filter_map(|&(key, _)| {
+            let (baseline, fresh) = (value(&base, key), value(&new, key));
+            (baseline != fresh).then(|| Mismatch {
+                field: key.to_string(),
+                baseline,
+                fresh,
+            })
+        })
+        .collect()
 }
 
 fn results(doc: &Json) -> &[Json] {
@@ -112,8 +182,17 @@ fn results(doc: &Json) -> &[Json] {
 ///
 /// `tol` is the relative drop allowed on ratio metrics (0.35 ⇒ fresh may
 /// be 35% below baseline); `slack` the absolute rise allowed on overhead
-/// fractions.
+/// fractions. Documents whose top-level identities differ are not
+/// compared: the report lists the [`Mismatch`]es and fails.
 pub fn gate(baseline: &Json, fresh: &Json, tol: f64, slack: f64) -> GateReport {
+    let mismatched = mismatches(baseline, fresh);
+    if !mismatched.is_empty() {
+        return GateReport {
+            mismatched,
+            checks: Vec::new(),
+            missing: Vec::new(),
+        };
+    }
     let mut checks = Vec::new();
     let mut missing = Vec::new();
     let fresh_records = results(fresh);
@@ -167,7 +246,11 @@ pub fn gate(baseline: &Json, fresh: &Json, tol: f64, slack: f64) -> GateReport {
             }
         }
     }
-    GateReport { checks, missing }
+    GateReport {
+        mismatched,
+        checks,
+        missing,
+    }
 }
 
 #[cfg(test)]
@@ -240,6 +323,41 @@ mod tests {
         assert!(!report.pass());
         assert_eq!(report.missing.len(), 1);
         assert!(report.missing[0].contains("backend=pdac"));
+    }
+
+    #[test]
+    fn top_level_identity_mismatch_fails_naming_the_field() {
+        let at = |threads: u64| {
+            pdac_telemetry::json::parse(&format!(
+                r#"{{"bench":"t","threads":{threads},"results":[
+                    {{"size":64,"speedup":5.0}}
+                ]}}"#
+            ))
+            .unwrap()
+        };
+        assert!(gate(&at(1), &at(1), 0.25, 0.03).pass());
+        // Same ratios, different thread count: not comparable.
+        let report = gate(&at(1), &at(2), 0.25, 0.03);
+        assert!(!report.pass());
+        assert!(report.checks.is_empty());
+        assert_eq!(
+            report.mismatched,
+            vec![Mismatch {
+                field: "threads".into(),
+                baseline: Some("1".into()),
+                fresh: Some("2".into()),
+            }]
+        );
+        assert_eq!(
+            report.mismatched[0].render(),
+            "threads: baseline 1, fresh 2"
+        );
+        // A field on one side only differs too.
+        let report = gate(&at(1), &doc(5.0, 0.02), 0.25, 0.03);
+        assert_eq!(
+            report.mismatched[0].render(),
+            "threads: baseline 1, fresh absent"
+        );
     }
 
     #[test]

@@ -82,13 +82,6 @@ pub trait GemmBackend {
         }
     }
 
-    /// Allocating convenience form of [`Self::matmul_batch_into`].
-    fn matmul_batch(&self, a: &Mat, b: &Mat) -> Mat {
-        let mut out = Mat::zeros(1, 1);
-        self.matmul_batch_into(a, b, &mut out);
-        out
-    }
-
     /// [`Self::matmul_batch_into`] with a caller-supplied prepacked form
     /// of `b` on offer. `packed` must pack exactly `b` (same values,
     /// `PackedB::pack(b)`); callers with long-lived weights memoize the
@@ -633,7 +626,8 @@ mod tests {
     /// Every output row of the batched form must match the 1×k matmul of
     /// that row alone — the invariant `decode_batch` is built on.
     fn assert_batch_rows_match(backend: &dyn GemmBackend, a: &Mat, b: &Mat) {
-        let batched = backend.matmul_batch(a, b);
+        let mut batched = Mat::zeros(1, 1);
+        backend.matmul_batch_into(a, b, &mut batched);
         assert_eq!(batched.shape(), (a.rows(), b.cols()));
         for r in 0..a.rows() {
             let row = Mat::from_rows(1, a.cols(), a.row_slice(r).to_vec()).unwrap();

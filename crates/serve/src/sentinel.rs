@@ -18,21 +18,22 @@
 //! | `flipped[:slot]` | optical slot polarity inverted      | slot `1` (MSB)    |
 
 pub use pdac_verify::sentinel::{
-    score, DriftScore, Sentinel, SentinelConfig, SentinelHandle, SentinelStats, Severity,
+    rate_from_env, score, DriftScore, Sentinel, SentinelHandle, SentinelStats, Severity,
+    CRITICAL_FRAC, WARN_FRAC,
 };
 pub use pdac_verify::{FaultSpec, FaultyPDac, SlotFault};
 
-/// Installs a [`Sentinel`] configured from the environment
-/// (`PDAC_SENTINEL_RATE`; see [`SentinelConfig::from_env`]) and returns
-/// the handle owning its scoring worker. Returns `Ok(None)` when the
-/// resolved rate is zero — nothing would ever be sampled, so no tap or
-/// worker is worth paying for — and `Err` for a malformed rate.
+/// Installs a [`Sentinel`] at the rate from the environment
+/// (`PDAC_SENTINEL_RATE`; see [`rate_from_env`]) and returns the handle
+/// owning its scoring worker. Returns `Ok(None)` when the rate is zero —
+/// nothing would ever be sampled, so no tap or worker is worth paying
+/// for — and `Err` for a malformed rate.
 pub fn install_from_env() -> Result<Option<SentinelHandle>, String> {
-    let cfg = SentinelConfig::from_env()?;
-    if cfg.rate <= 0.0 {
+    let rate = rate_from_env()?;
+    if rate <= 0.0 {
         return Ok(None);
     }
-    Ok(Some(Sentinel::install(cfg)))
+    Ok(Some(Sentinel::install(rate)))
 }
 
 /// Parses a `PDAC_SENTINEL_FAULT` value into the fault to inject.

@@ -11,7 +11,7 @@
 
 use pdac_nn::{AnalogGemm, ExactGemm, PagedConfig, TransformerConfig, TransformerModel};
 use pdac_serve::sentinel::{
-    FaultSpec, FaultyPDac, Sentinel, SentinelConfig, SentinelStats, Severity, SlotFault,
+    FaultSpec, FaultyPDac, Sentinel, SentinelStats, Severity, SlotFault, CRITICAL_FRAC, WARN_FRAC,
 };
 use pdac_serve::{Request, TokenServer};
 use pdac_telemetry::health;
@@ -42,10 +42,7 @@ fn serve_sampled(
     m: &TransformerModel,
     backend: &dyn pdac_nn::GemmBackend,
 ) -> (Vec<pdac_serve::Completion>, SentinelStats) {
-    let handle = Sentinel::install(SentinelConfig {
-        rate: 1.0,
-        ..SentinelConfig::default()
-    });
+    let handle = Sentinel::install(1.0);
     let mut server = TokenServer::new_paged(m, 2, PagedConfig::default());
     for (id, (p, n)) in [(3usize, 4usize), (1, 3), (5, 4)].into_iter().enumerate() {
         server.admit(Request {
@@ -89,10 +86,7 @@ fn clean_run_stays_green_and_serves_identical_bits() {
         stats.alerts, 0,
         "clean pdac8 serve must stay green: {stats:?}"
     );
-    assert!(
-        stats.worst_frac < SentinelConfig::default().warn_frac,
-        "{stats:?}"
-    );
+    assert!(stats.worst_frac < WARN_FRAC, "{stats:?}");
     assert_eq!(health::status(), pdac_telemetry::HealthStatus::Ok);
     assert_eq!(health::ledger().raised(), 0);
 
@@ -132,10 +126,7 @@ fn every_fault_class_trips_a_critical_alert() {
             stats.alerts > 0,
             "{name}: fault escaped the sentinel: {stats:?}"
         );
-        assert!(
-            stats.worst_frac >= SentinelConfig::default().critical_frac,
-            "{name}: {stats:?}"
-        );
+        assert!(stats.worst_frac >= CRITICAL_FRAC, "{name}: {stats:?}");
         assert!(health::critical_latched(), "{name}: ledger did not latch");
         assert_eq!(health::status(), pdac_telemetry::HealthStatus::Critical);
         // The class counter moved and the ledger names the faulty

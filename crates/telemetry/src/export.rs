@@ -79,35 +79,6 @@ fn category(name: &str) -> &str {
 /// (`serve.ttft` → `pdac_serve_ttft`); each family carries `# HELP`
 /// (holding the original dotted registry name) and `# TYPE` comments.
 pub fn prometheus_text(snapshot: &Snapshot) -> String {
-    prometheus_text_with_labels(snapshot, &[])
-}
-
-/// [`prometheus_text`] with constant labels attached to every sample —
-/// the hook for tagging an exposition with e.g. a backend or run id.
-/// Label values are escaped per the exposition rules
-/// ([`escape_label_value`]); label *names* are sanitized like metric
-/// names (minus the prefix).
-pub fn prometheus_text_with_labels(snapshot: &Snapshot, labels: &[(&str, &str)]) -> String {
-    let constant: Vec<(String, String)> = labels
-        .iter()
-        .map(|(k, v)| (sanitize_label(k), escape_label_value(v)))
-        .collect();
-    let render_labels = |extra: Option<(&str, &str)>| -> String {
-        let mut parts: Vec<String> = constant
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{v}\""))
-            .collect();
-        if let Some((k, v)) = extra {
-            parts.push(format!("{k}=\"{v}\""));
-        }
-        if parts.is_empty() {
-            String::new()
-        } else {
-            format!("{{{}}}", parts.join(","))
-        }
-    };
-    let plain = render_labels(None);
-
     let mut out = String::new();
     let header = |out: &mut String, name: &str, raw: &str, kind: &str| {
         out.push_str(&format!(
@@ -118,50 +89,25 @@ pub fn prometheus_text_with_labels(snapshot: &Snapshot, labels: &[(&str, &str)])
     for (raw, v) in &snapshot.counters {
         let name = sanitize(raw);
         header(&mut out, &name, raw, "counter");
-        out.push_str(&format!("{name}{plain} {v}\n"));
+        out.push_str(&format!("{name} {v}\n"));
     }
     for (raw, v) in &snapshot.gauges {
         let name = sanitize(raw);
         header(&mut out, &name, raw, "gauge");
-        out.push_str(&format!("{name}{plain} {v}\n"));
+        out.push_str(&format!("{name} {v}\n"));
     }
     for h in &snapshot.histograms {
         let name = sanitize(&h.name);
         header(&mut out, &name, &h.name, "histogram");
         for (le, cumulative) in &h.buckets {
-            out.push_str(&format!(
-                "{name}_bucket{} {cumulative}\n",
-                render_labels(Some(("le", &format!("{le:e}"))))
-            ));
+            out.push_str(&format!("{name}_bucket{{le=\"{le:e}\"}} {cumulative}\n"));
         }
-        out.push_str(&format!(
-            "{name}_bucket{} {}\n",
-            render_labels(Some(("le", "+Inf"))),
-            h.count
-        ));
+        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
         for (q, v) in [(0.5, h.p50), (0.95, h.p95), (0.99, h.p99)] {
-            out.push_str(&format!(
-                "{name}{} {v}\n",
-                render_labels(Some(("quantile", &format!("{q}"))))
-            ));
+            out.push_str(&format!("{name}{{quantile=\"{q}\"}} {v}\n"));
         }
-        out.push_str(&format!("{name}_sum{plain} {}\n", h.sum));
-        out.push_str(&format!("{name}_count{plain} {}\n", h.count));
-    }
-    out
-}
-
-/// Escape a label value for the exposition format: backslash, double
-/// quote and newline must be written `\\`, `\"` and `\n`.
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
+        out.push_str(&format!("{name}_sum {}\n", h.sum));
+        out.push_str(&format!("{name}_count {}\n", h.count));
     }
     out
 }
@@ -177,12 +123,6 @@ fn escape_help(text: &str) -> String {
         }
     }
     out
-}
-
-/// Prometheus-legal label name: like [`sanitize`] without the prefix.
-fn sanitize_label(name: &str) -> String {
-    let s = sanitize(name);
-    s.strip_prefix("pdac_").unwrap_or(&s).to_string()
 }
 
 /// Prometheus-legal metric name: `pdac_` prefix, every run of
@@ -265,29 +205,11 @@ mod tests {
                 let (name, labels) = match series.split_once('{') {
                     None => (series.to_string(), Vec::new()),
                     Some((name, rest)) => {
-                        let body = rest.strip_suffix('}').expect("closing brace");
-                        let mut labels = Vec::new();
-                        // Split on `",` boundaries (values are quoted and
-                        // internal quotes escaped, so this is unambiguous).
-                        for pair in body.split("\",") {
-                            let pair = pair.strip_suffix('"').unwrap_or(pair);
-                            let (k, v) = pair.split_once("=\"").expect("k=\"v\"");
-                            let mut unescaped = String::new();
-                            let mut chars = v.chars();
-                            while let Some(c) = chars.next() {
-                                if c == '\\' {
-                                    match chars.next() {
-                                        Some('n') => unescaped.push('\n'),
-                                        Some(other) => unescaped.push(other),
-                                        None => panic!("dangling escape"),
-                                    }
-                                } else {
-                                    unescaped.push(c);
-                                }
-                            }
-                            labels.push((k.to_string(), unescaped));
-                        }
-                        (name.to_string(), labels)
+                        // One `k="v"` label per series, with nothing to
+                        // unescape.
+                        let body = rest.strip_suffix("\"}").expect("closing quote");
+                        let (k, v) = body.split_once("=\"").expect("k=\"v\"");
+                        (name.to_string(), vec![(k.to_string(), v.to_string())])
                     }
                 };
                 samples.push((name, labels, value.parse().expect("numeric value")));
@@ -314,11 +236,7 @@ mod tests {
                 buckets: vec![(1.0, 1), (2.0, 3), (4.0, 4)],
             }],
         };
-        // A hostile label value: quotes, backslash, newline.
-        let text = prometheus_text_with_labels(
-            &snap,
-            &[("backend", "pdac \"8b\" \\ hybrid\nrow"), ("run.id", "r1")],
-        );
+        let text = prometheus_text(&snap);
         let (types, samples) = parse_exposition(&text);
         assert_eq!(
             types,
@@ -328,18 +246,12 @@ mod tests {
                 ("pdac_serve_energy_per_token_j".into(), "histogram".into()),
             ]
         );
-        // Values and labels survive the round trip exactly.
+        // Values survive the round trip exactly.
         let find = |name: &str| samples.iter().find(|(n, ..)| n == name).unwrap();
         assert_eq!(find("pdac_power_budget_exceeded").2, 3.0);
         assert_eq!(find("pdac_power_compute_w").2, 12.5);
         assert_eq!(find("pdac_serve_energy_per_token_j_sum").2, 8.0);
         assert_eq!(find("pdac_serve_energy_per_token_j_count").2, 4.0);
-        for (_, labels, _) in &samples {
-            assert_eq!(labels[0].0, "backend");
-            assert_eq!(labels[0].1, "pdac \"8b\" \\ hybrid\nrow");
-            assert_eq!(labels[1], ("run_id".into(), "r1".into()));
-        }
-        // The histogram's quantile label rides alongside the constants.
         let quantiles = samples
             .iter()
             .filter(|(n, labels, _)| {
@@ -407,14 +319,6 @@ mod tests {
             .unwrap()
             .2;
         assert_eq!(count, 5.0);
-    }
-
-    #[test]
-    fn escape_label_value_covers_the_exposition_specials() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(escape_label_value(r#"a"b"#), r#"a\"b"#);
-        assert_eq!(escape_label_value(r"a\b"), r"a\\b");
-        assert_eq!(escape_label_value("a\nb"), r"a\nb");
     }
 
     #[test]

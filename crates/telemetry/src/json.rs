@@ -2,7 +2,7 @@
 //!
 //! The workspace builds fully offline with zero registry dependencies, so
 //! there is no serde. Snapshots are small and flat; this module covers
-//! exactly what the sinks need: objects, arrays, strings, bools, null,
+//! exactly what the exporters need: objects, arrays, strings, bools, null,
 //! unsigned integers (exact) and finite floats.
 
 use std::fmt::Write as _;

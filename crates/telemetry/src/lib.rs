@@ -3,8 +3,8 @@
 //!
 //! The crate provides atomic [`Counter`]s and [`Gauge`]s, fixed-bucket
 //! log-scale [`Histogram`]s, RAII [`Span`] timers with nesting, an
-//! injectable [`Clock`] (monotonic or deterministic), and snapshot sinks
-//! (in-memory, stderr table, JSONL with a hand-rolled serializer).
+//! injectable [`Clock`] (monotonic or deterministic), and [`Snapshot`]s
+//! that render as JSON (a hand-rolled serializer) or a fixed-width table.
 //!
 //! # One switch, three levels
 //!
@@ -37,7 +37,6 @@ pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod registry;
-pub mod sink;
 pub mod span;
 pub mod trace;
 
@@ -47,7 +46,6 @@ pub use health::{AlertRecord, HealthLedger, HealthStatus, Severity};
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{Collector, HistogramSummary, Snapshot, SpanEvent};
-pub use sink::{JsonlSink, MemorySink, Sink, StderrTableSink};
 pub use span::{OwnedSpan, Span, TraceCtx};
 pub use trace::TraceBuffer;
 

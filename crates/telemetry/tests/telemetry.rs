@@ -6,7 +6,6 @@ use std::thread;
 
 use pdac_telemetry::json::{self, Json};
 use pdac_telemetry::metrics::{bin_for, bucket_bounds, Bin, Histogram, BUCKETS, MIN_EXP};
-use pdac_telemetry::sink::{JsonlSink, MemorySink, Sink};
 use pdac_telemetry::{Collector, ManualClock};
 
 // ---------------------------------------------------------------------------
@@ -255,47 +254,27 @@ fn jsonl_snapshot_round_trips() {
         clock.advance_ns(250);
     }
 
-    let mut sink = JsonlSink::new(Vec::new());
-    sink.emit(&collector.snapshot()).unwrap();
-    sink.emit(&collector.snapshot()).unwrap();
-    let text = String::from_utf8(sink.into_inner()).unwrap();
-    let lines: Vec<&str> = text.trim_end().lines().collect();
-    assert_eq!(lines.len(), 2);
-
-    for line in lines {
-        let doc = json::parse(line).expect("sink output must parse");
-        assert_eq!(
-            doc.get("counters")
-                .and_then(|c| c.get("runs"))
-                .and_then(Json::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            doc.get("gauges")
-                .and_then(|g| g.get("temp_c"))
-                .and_then(Json::as_f64),
-            Some(-12.25)
-        );
-        let hists = doc.get("histograms").and_then(Json::as_arr).unwrap();
-        assert_eq!(hists.len(), 1);
-        assert_eq!(hists[0].get("name").and_then(Json::as_str), Some("stage"));
-        assert_eq!(hists[0].get("count").and_then(Json::as_u64), Some(1));
-        let sum = hists[0].get("sum").and_then(Json::as_f64).unwrap();
-        assert!((sum - 250e-9).abs() < 1e-18);
-    }
-}
-
-#[test]
-fn memory_sink_keeps_last_snapshots() {
-    let collector = Collector::new();
-    let mut sink = MemorySink::new(2);
-    for i in 0..4u64 {
-        collector.add("i", i);
-        sink.emit(&collector.snapshot()).unwrap();
-    }
-    assert_eq!(sink.snapshots().len(), 2);
-    // Last snapshot has the full running total 0+1+2+3.
-    assert_eq!(sink.snapshots()[1].counters[0].1, 6);
+    let line = collector.snapshot().to_json();
+    assert!(!line.contains('\n'), "a snapshot must fit one JSONL line");
+    let doc = json::parse(&line).expect("snapshot JSON must parse");
+    assert_eq!(
+        doc.get("counters")
+            .and_then(|c| c.get("runs"))
+            .and_then(Json::as_u64),
+        Some(3)
+    );
+    assert_eq!(
+        doc.get("gauges")
+            .and_then(|g| g.get("temp_c"))
+            .and_then(Json::as_f64),
+        Some(-12.25)
+    );
+    let hists = doc.get("histograms").and_then(Json::as_arr).unwrap();
+    assert_eq!(hists.len(), 1);
+    assert_eq!(hists[0].get("name").and_then(Json::as_str), Some("stage"));
+    assert_eq!(hists[0].get("count").and_then(Json::as_u64), Some(1));
+    let sum = hists[0].get("sum").and_then(Json::as_f64).unwrap();
+    assert!((sum - 250e-9).abs() < 1e-18);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
-use pdac_telemetry::{JsonlSink, Sink};
 use pdac_verify::conformance::{run_full, ConformanceConfig};
 
 fn main() -> ExitCode {
@@ -64,7 +63,6 @@ fn write_report(path: &str, report: &pdac_verify::ConformanceReport) -> std::io:
     }
     let mut out = BufWriter::new(File::create(path)?);
     out.write_all(report.to_jsonl().as_bytes())?;
-    let snapshot = pdac_telemetry::snapshot();
-    JsonlSink::new(&mut out).emit(&snapshot)?;
+    writeln!(out, "{}", pdac_telemetry::snapshot().to_json())?;
     out.flush()
 }

@@ -9,8 +9,9 @@
 //!   ([`WeightCache`]) vs uncached conversion. These paths advertise
 //!   *exact* equivalence; one differing bit fails.
 //! * **Error budgets** — the P-DAC's per-element relative reconstruction
-//!   error against the paper's ≈8.5% bound (Eq. 18), and configurable
-//!   end-to-end GEMM tolerances for the analog and functional backends.
+//!   error against the paper's ≈8.5% bound (Eq. 18,
+//!   [`PER_ELEMENT_BUDGET`]), and the end-to-end GEMM tolerance
+//!   ([`GEMM_BUDGET`]) for the analog and functional backends.
 //! * **Fault sweeps** — [`FaultyPDac`] at increasing fault magnitudes:
 //!   errors must stay finite (never NaN), monotone in magnitude, and get
 //!   quarantined into the `verify.fault.*` telemetry histograms.
@@ -36,6 +37,15 @@ use pdac_nn::{
 };
 use pdac_power::ArchConfig;
 
+/// Per-element relative reconstruction-error budget for the P-DAC
+/// (paper Eq. 18 reports ≈8.5%; this leaves 0.2% headroom for the
+/// numerically solved breakpoint). The drift sentinel holds live GEMMs
+/// to it too.
+pub const PER_ELEMENT_BUDGET: f64 = 0.087;
+/// End-to-end relative Frobenius-error budget for analog GEMM against
+/// the exact backend, offline here and online in the drift sentinel.
+pub const GEMM_BUDGET: f64 = 0.15;
+
 /// Configuration of one conformance run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConformanceConfig {
@@ -43,13 +53,6 @@ pub struct ConformanceConfig {
     pub seed: u64,
     /// Converter bit widths to cross-check.
     pub bits: Vec<u8>,
-    /// Per-element relative reconstruction-error budget for the P-DAC
-    /// (paper Eq. 18 reports ≈8.5%; the default leaves 0.2% headroom for
-    /// the numerically solved breakpoint).
-    pub per_element_budget: f64,
-    /// End-to-end relative Frobenius-error budget for analog GEMM
-    /// against the exact backend.
-    pub gemm_budget: f64,
     /// GEMM shapes `(m, k, n)` used by the kernel and backend checks.
     pub gemm_shapes: Vec<(usize, usize, usize)>,
     /// Decode steps for the cached-weights workload.
@@ -67,8 +70,6 @@ impl Default for ConformanceConfig {
         Self {
             seed: 0x9D_AC,
             bits: vec![4, 8],
-            per_element_budget: 0.087,
-            gemm_budget: 0.15,
             gemm_shapes: vec![(17, 29, 13), (32, 64, 24), (1, 128, 64), (5, 5, 5)],
             decode_steps: 6,
             gain_drifts: vec![0.0, 0.02, 0.05, 0.1, 0.2],
@@ -496,7 +497,7 @@ fn tracing_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 /// tap must produce bit-identical hidden states — and the sentinel must
 /// actually have scored samples (or the identity proved nothing).
 fn sentinel_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
-    use crate::sentinel::{Sentinel, SentinelConfig};
+    use crate::sentinel::Sentinel;
 
     // The tap and the health ledger are process-global; serialize with
     // every other sentinel user in this test process.
@@ -518,12 +519,7 @@ fn sentinel_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
             .collect()
     };
 
-    let handle = Sentinel::install(SentinelConfig {
-        rate: 1.0,
-        per_element_budget: cfg.per_element_budget,
-        gemm_budget: cfg.gemm_budget,
-        ..SentinelConfig::default()
-    });
+    let handle = Sentinel::install(1.0);
     let with_sentinel = run();
     let stats = handle.finish();
     let without = run();
@@ -746,7 +742,7 @@ fn per_element_budget_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         checks.push(tolerance_check(
             &format!("converter.pdac.per_element.bits{bits}"),
             worst_rel,
-            cfg.per_element_budget,
+            PER_ELEMENT_BUDGET,
             format!("max |(convert(c) - c/m) / (c/m)| over all nonzero {bits}-bit codes"),
         ));
 
@@ -953,7 +949,7 @@ fn end_to_end_budget_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     checks.push(tolerance_check(
         "gemm.analog.pdac.end_to_end",
         rel_pdac,
-        cfg.gemm_budget,
+        GEMM_BUDGET,
         format!("relative Frobenius error vs exact, shape {m}x{k}x{n}"),
     ));
     checks.push(invariant_check(
@@ -987,7 +983,7 @@ fn end_to_end_budget_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         checks.push(tolerance_check(
             &format!("accel.functional.{label}.end_to_end"),
             rel,
-            cfg.gemm_budget,
+            GEMM_BUDGET,
             format!(
                 "FunctionalGemm({label}) vs exact, shape {fm}x{fk}x{fn_}, {} driver bits",
                 engine.driver().bits()

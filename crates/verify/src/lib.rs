@@ -7,8 +7,8 @@
 //!   path, and the weight-conversion caches all claim *bit identity*
 //!   with their slow golden counterparts.
 //! * **Bounded error** — the P-DAC's analog reconstruction claims the
-//!   paper's ≈8.5% per-element budget (Eq. 18) and a configurable
-//!   end-to-end GEMM tolerance.
+//!   paper's ≈8.5% per-element budget (Eq. 18) and an end-to-end GEMM
+//!   tolerance.
 //!
 //! This crate turns each promise into an executable check
 //! ([`conformance`]), adds a deterministic fault-injection layer
@@ -46,7 +46,9 @@ pub mod faults;
 pub mod report;
 pub mod sentinel;
 
-pub use conformance::{run_conformance, run_fault_sweeps, run_full, ConformanceConfig};
+pub use conformance::{
+    run_conformance, run_fault_sweeps, run_full, ConformanceConfig, GEMM_BUDGET, PER_ELEMENT_BUDGET,
+};
 pub use faults::{AmplitudeFault, FaultSpec, FaultyPDac, SlotFault};
 pub use report::{CheckKind, CheckResult, ConformanceReport};
-pub use sentinel::{Sentinel, SentinelConfig, SentinelHandle, SentinelStats};
+pub use sentinel::{Sentinel, SentinelHandle, SentinelStats};

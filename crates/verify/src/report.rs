@@ -3,7 +3,7 @@
 //! Every check the engine runs produces a [`CheckResult`]; the collected
 //! [`ConformanceReport`] renders as an aligned terminal table and as
 //! JSONL (one object per check plus a trailing summary line) through the
-//! same hand-rolled serializer the telemetry sinks use — so CI can
+//! same hand-rolled serializer telemetry snapshots use — so CI can
 //! archive conformance evidence next to the metrics stream.
 
 use pdac_telemetry::Json;

@@ -16,27 +16,29 @@
 //! work cannot contend with the decode thread pool) and scores the
 //! analog result against the paper's budgets:
 //!
-//! * **relative Frobenius error** vs the conformance `gemm_budget`
-//!   (default 0.15, same constant the offline matrix enforces);
+//! * **relative Frobenius error** vs [`GEMM_BUDGET`] (0.15, the same
+//!   constant the offline matrix enforces);
 //! * **worst per-element deviation** vs the Eq. 18 per-element budget
-//!   (0.087) times an accumulation slack — a k-term analog contraction
-//!   legitimately concentrates more error in one output element than a
-//!   single reconstruction does.
+//!   [`PER_ELEMENT_BUDGET`] (0.087) times an accumulation slack of 8 — a
+//!   k-term analog contraction legitimately concentrates more error in
+//!   one output element than a single reconstruction does.
 //!
-//! `grouped` (attention) samples are held to budgets scaled by
-//! [`SentinelConfig::grouped_budget_mult`]: softmax-probability operands
-//! contracted over one head dimension measure ≈2× the clean Frobenius
-//! error of weight GEMMs, and alerting on that would page on healthy
-//! hardware.
+//! `grouped` (attention) samples are held to budgets scaled by 2:
+//! softmax-probability operands contracted over one head dimension
+//! measure ≈2× the clean Frobenius error of weight GEMMs, and alerting
+//! on that would page on healthy hardware.
+//!
+//! The sampling rate is the one setting; every other threshold is a
+//! constant here.
 //!
 //! The two normalized fractions collapse into one `budget_frac`
 //! (`1.0` = the paper budget is fully spent). Per backend *class*
 //! (`pdac` / `edac` / `hybrid`) the worker maintains an EWMA drift
 //! tracker and publishes `health.drift.<class>.{ewma,budget_frac}`
 //! gauges plus a `health.drift.<class>` histogram (p99 comes out of the
-//! standard telemetry summary). Crossing `warn_frac` raises a
+//! standard telemetry summary). Crossing [`WARN_FRAC`] raises a
 //! [`Severity::Warn`] alert into the global
-//! [`pdac_telemetry::health`] ledger; crossing `critical_frac` latches
+//! [`pdac_telemetry::health`] ledger; crossing [`CRITICAL_FRAC`] latches
 //! the ledger critical — which flips `/health` to 503 and, on a token
 //! server built with `with_failover(true)` (the serve bin's
 //! `PDAC_SENTINEL_FAILOVER=1`), reroutes subsequent steps to the exact
@@ -51,6 +53,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
+use crate::conformance::{GEMM_BUDGET, PER_ELEMENT_BUDGET};
 use pdac_math::Mat;
 use pdac_nn::tap::{GemmSample, GemmTap};
 use pdac_telemetry::health;
@@ -62,102 +65,72 @@ pub use pdac_telemetry::Severity;
 /// decode step that the `sentinel` toggle of the `overhead` bench
 /// asserts against metrics-only decode.
 pub const DEFAULT_RATE: f64 = 0.02;
-/// Default bounded-queue depth between the tap and the scoring worker.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 32;
+/// Fraction of budget at which a [`Severity::Warn`] alert fires.
+pub const WARN_FRAC: f64 = 0.8;
+/// Fraction of budget at which a [`Severity::Critical`] alert fires (and
+/// the health ledger latches).
+pub const CRITICAL_FRAC: f64 = 1.2;
+/// Seed for the deterministic per-call sampling hash.
+const SEED: u64 = 0x9D_AC;
+/// Bounded-queue depth between the tap and the scoring worker; overflow
+/// drops samples (counted).
+const QUEUE_CAPACITY: usize = 32;
 /// Contractions shorter than this are skipped: a 4-term dot product has
 /// too little averaging for the Frobenius score to mean anything.
-pub const DEFAULT_MIN_K: usize = 16;
+const MIN_K: usize = 16;
 /// Outputs smaller than this many elements are skipped: the Frobenius
 /// score over a handful of elements is a single noisy draw, not a
 /// drift statistic.
-pub const DEFAULT_MIN_OUT: usize = 16;
+const MIN_OUT: usize = 16;
 /// Budget multiplier for the `grouped` op class (per-sequence attention
 /// products): their operands are softmax probabilities and their
 /// contraction length is one head dimension, so a clean 8-bit run
 /// legitimately measures ≈2× the Frobenius error of the weight GEMMs.
-pub const DEFAULT_GROUPED_BUDGET_MULT: f64 = 2.0;
+const GROUPED_BUDGET_MULT: f64 = 2.0;
+/// Accumulation slack multiplying [`PER_ELEMENT_BUDGET`] when scoring a
+/// full contraction instead of a lone reconstruction: the worst element
+/// of an m×n output is a tail statistic (clean 8-bit P-DAC GEMMs measure
+/// up to ≈2.8× the Eq. 18 bound on one element while staying well
+/// inside the Frobenius budget), so the per-element alarm only fires
+/// once that tail clearly exceeds quantization noise.
+const PER_ELEMENT_SLACK: f64 = 8.0;
+/// EWMA smoothing factor for the per-class drift tracker.
+const EWMA_ALPHA: f64 = 0.2;
 
-/// Tuning knobs for one sentinel instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SentinelConfig {
-    /// Sampling probability in `[0, 1]` (`>= 1` samples everything).
-    pub rate: f64,
-    /// Seed for the deterministic per-call sampling hash.
-    pub seed: u64,
-    /// Bounded channel depth; overflow drops samples (counted).
-    pub queue_capacity: usize,
-    /// Skip operations whose contraction length `k` is below this.
-    pub min_k: usize,
-    /// Skip operations whose output has fewer than this many elements.
-    pub min_out: usize,
-    /// Budget multiplier applied to `grouped` (attention) samples.
-    pub grouped_budget_mult: f64,
-    /// Paper Eq. 18 per-element relative budget (conformance default).
-    pub per_element_budget: f64,
-    /// Accumulation slack multiplying the per-element budget when scoring
-    /// a full contraction instead of a lone reconstruction: the worst
-    /// element of an m×n output is a tail statistic (clean 8-bit P-DAC
-    /// GEMMs measure up to ≈2.8× the Eq. 18 bound on one element while
-    /// staying well inside the Frobenius budget), so the per-element
-    /// alarm only fires once that tail clearly exceeds quantization
-    /// noise.
-    pub per_element_slack: f64,
-    /// End-to-end relative Frobenius budget (conformance default).
-    pub gemm_budget: f64,
-    /// Fraction of budget at which a [`Severity::Warn`] alert fires.
-    pub warn_frac: f64,
-    /// Fraction of budget at which a [`Severity::Critical`] alert fires
-    /// (and the health ledger latches).
-    pub critical_frac: f64,
-    /// EWMA smoothing factor for the per-class drift tracker.
-    pub ewma_alpha: f64,
+/// The sampling rate from `PDAC_SENTINEL_RATE`. Unset keeps
+/// [`DEFAULT_RATE`]; a set rate must be a finite number ≥ 0 (`0`
+/// disables sampling), and anything else is an error naming the
+/// variable and the value, never a silent default.
+pub fn rate_from_env() -> Result<f64, String> {
+    let raw = std::env::var_os("PDAC_SENTINEL_RATE").map(|v| v.to_string_lossy().into_owned());
+    parse_rate(raw.as_deref())
 }
 
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        Self {
-            rate: DEFAULT_RATE,
-            seed: 0x9D_AC,
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            min_k: DEFAULT_MIN_K,
-            min_out: DEFAULT_MIN_OUT,
-            grouped_budget_mult: DEFAULT_GROUPED_BUDGET_MULT,
-            per_element_budget: 0.087,
-            per_element_slack: 8.0,
-            gemm_budget: 0.15,
-            warn_frac: 0.8,
-            critical_frac: 1.2,
-            ewma_alpha: 0.2,
-        }
-    }
+/// [`rate_from_env`] on the raw value (`None` = unset), so the rule is
+/// testable without touching the process environment.
+fn parse_rate(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else {
+        return Ok(DEFAULT_RATE);
+    };
+    raw.trim()
+        .parse::<f64>()
+        .ok()
+        .filter(|r| r.is_finite() && *r >= 0.0)
+        .ok_or_else(|| format!("PDAC_SENTINEL_RATE={raw:?} is not a finite sampling rate ≥ 0"))
 }
 
-impl SentinelConfig {
-    /// Defaults with the sampling rate taken from `PDAC_SENTINEL_RATE`.
-    /// Unset keeps [`DEFAULT_RATE`]; a set rate must be a finite number
-    /// ≥ 0 (`0` disables sampling), and anything else is an error naming
-    /// the variable and the value, never a silent default.
-    pub fn from_env() -> Result<Self, String> {
-        let raw = std::env::var_os("PDAC_SENTINEL_RATE").map(|v| v.to_string_lossy().into_owned());
-        Self::parse(raw.as_deref())
-    }
-
-    /// [`Self::from_env`] on the raw rate (`None` = unset), so the rule
-    /// is testable without touching the process environment.
-    fn parse(rate: Option<&str>) -> Result<Self, String> {
-        let mut cfg = Self::default();
-        if let Some(raw) = rate {
-            cfg.rate = raw
-                .trim()
-                .parse::<f64>()
-                .ok()
-                .filter(|r| r.is_finite() && *r >= 0.0)
-                .ok_or_else(|| {
-                    format!("PDAC_SENTINEL_RATE={raw:?} is not a finite sampling rate ≥ 0")
-                })?;
-        }
-        Ok(cfg)
-    }
+/// The `(per_element, frobenius)` budgets a sample of op class `op` is
+/// held to: `grouped` samples get both scaled by [`GROUPED_BUDGET_MULT`].
+fn budgets(op: &str) -> (f64, f64) {
+    let mult = if op == "grouped" {
+        GROUPED_BUDGET_MULT
+    } else {
+        1.0
+    };
+    (
+        mult * PER_ELEMENT_SLACK * PER_ELEMENT_BUDGET,
+        mult * GEMM_BUDGET,
+    )
 }
 
 /// One scored sample: the two normalized error measures and the verdict.
@@ -169,7 +142,7 @@ pub struct DriftScore {
     /// `max(|exact_i|, rms(exact))` so near-zero outputs cannot manufacture
     /// infinite relative error.
     pub per_element: f64,
-    /// `max(rel_fro / gemm_budget, per_element / (slack · per_element_budget))`
+    /// `max(rel_fro / GEMM_BUDGET, per_element / (slack · PER_ELEMENT_BUDGET))`
     /// — `1.0` means the paper budget is fully spent.
     pub budget_frac: f64,
     /// Alert verdict for this sample, if any threshold was crossed.
@@ -179,24 +152,18 @@ pub struct DriftScore {
 /// Scores an analog result against its exact replay.
 ///
 /// `op` is the tap op class; `grouped` samples get their budgets scaled
-/// by [`SentinelConfig::grouped_budget_mult`] — measured clean 8-bit
-/// attention products reach ≈0.20 relative Frobenius error at
-/// `k = head_dim = 16` while the weight GEMMs stay under 0.10, so
-/// holding both classes to the same 0.15 line would page on healthy
-/// hardware.
+/// by 2 — measured clean 8-bit attention products reach ≈0.20 relative
+/// Frobenius error at `k = head_dim = 16` while the weight GEMMs stay
+/// under 0.10, so holding both classes to the same 0.15 line would page
+/// on healthy hardware.
 ///
 /// Returns `None` when the shapes disagree (a sample from a backend bug
 /// would otherwise poison the tracker with a meaningless number — the
 /// offline conformance matrix owns shape correctness).
-pub fn score(cfg: &SentinelConfig, op: &str, exact: &Mat, analog: &Mat) -> Option<DriftScore> {
+pub fn score(op: &str, exact: &Mat, analog: &Mat) -> Option<DriftScore> {
     if exact.shape() != analog.shape() {
         return None;
     }
-    let mult = if op == "grouped" {
-        cfg.grouped_budget_mult.max(1.0)
-    } else {
-        1.0
-    };
     let e = exact.as_slice();
     let a = analog.as_slice();
     let mut err_sq = 0.0f64;
@@ -213,16 +180,15 @@ pub fn score(cfg: &SentinelConfig, op: &str, exact: &Mat, analog: &Mat) -> Optio
         .zip(a)
         .map(|(&x, &y)| (y - x).abs() / x.abs().max(rms).max(f64::MIN_POSITIVE))
         .fold(0.0f64, f64::max);
-    let per_budget = mult * cfg.per_element_slack * cfg.per_element_budget;
-    let fro_budget = mult * cfg.gemm_budget;
+    let (per_budget, fro_budget) = budgets(op);
     let budget_frac = if rel_fro.is_finite() && per_element.is_finite() {
         (rel_fro / fro_budget).max(per_element / per_budget)
     } else {
         f64::INFINITY
     };
-    let severity = if budget_frac >= cfg.critical_frac {
+    let severity = if budget_frac >= CRITICAL_FRAC {
         Some(Severity::Critical)
-    } else if budget_frac >= cfg.warn_frac {
+    } else if budget_frac >= WARN_FRAC {
         Some(Severity::Warn)
     } else {
         None
@@ -356,7 +322,7 @@ pub struct SentinelStats {
 /// Install via [`Sentinel::install`]; the returned handle owns the
 /// scoring worker.
 pub struct Sentinel {
-    cfg: SentinelConfig,
+    rate: f64,
     seq: AtomicU64,
     tx: SyncSender<GemmSample>,
     shared: Arc<Shared>,
@@ -364,7 +330,9 @@ pub struct Sentinel {
 
 impl std::fmt::Debug for Sentinel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sentinel").field("cfg", &self.cfg).finish()
+        f.debug_struct("Sentinel")
+            .field("rate", &self.rate)
+            .finish()
     }
 }
 
@@ -386,16 +354,16 @@ impl GemmTap for Sentinel {
         k: usize,
         n: usize,
     ) -> bool {
-        if k < self.cfg.min_k || m * n < self.cfg.min_out || self.cfg.rate <= 0.0 {
+        if k < MIN_K || m * n < MIN_OUT || self.rate <= 0.0 {
             return false;
         }
-        if self.cfg.rate >= 1.0 {
+        if self.rate >= 1.0 {
             return true;
         }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         // 53 uniform mantissa bits -> [0, 1); deterministic in (seed, seq).
-        let u = (mix(seq ^ self.cfg.seed) >> 11) as f64 / (1u64 << 53) as f64;
-        u < self.cfg.rate
+        let u = (mix(seq ^ SEED) >> 11) as f64 / (1u64 << 53) as f64;
+        u < self.rate
     }
 
     fn deliver(&self, sample: GemmSample) {
@@ -411,19 +379,20 @@ impl GemmTap for Sentinel {
 }
 
 impl Sentinel {
-    /// Builds a sentinel from `cfg`, spawns its scoring worker, installs
-    /// it as the process-wide GEMM tap and returns the owning handle.
-    pub fn install(cfg: SentinelConfig) -> SentinelHandle {
+    /// Builds a sentinel sampling each eligible analog GEMM with
+    /// probability `rate` (`>= 1` samples everything, `0` nothing),
+    /// spawns its scoring worker, installs it as the process-wide GEMM
+    /// tap and returns the owning handle.
+    pub fn install(rate: f64) -> SentinelHandle {
         let shared = Arc::new(Shared::default());
-        let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
-        let worker_cfg = cfg.clone();
+        let (tx, rx) = sync_channel(QUEUE_CAPACITY);
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("pdac-sentinel".into())
-            .spawn(move || worker_loop(worker_cfg, worker_shared, rx))
+            .spawn(move || worker_loop(worker_shared, rx))
             .expect("spawn sentinel worker");
         let tap = Arc::new(Sentinel {
-            cfg,
+            rate,
             seq: AtomicU64::new(0),
             tx,
             shared: Arc::clone(&shared),
@@ -439,14 +408,14 @@ impl Sentinel {
 /// Scores queued samples until the tap (and with it the sender) is
 /// dropped; state that only the worker touches — the per-class EWMA —
 /// lives here, not behind a lock.
-fn worker_loop(cfg: SentinelConfig, shared: Arc<Shared>, rx: Receiver<GemmSample>) {
+fn worker_loop(shared: Arc<Shared>, rx: Receiver<GemmSample>) {
     // Index order: pdac, edac, hybrid.
     let mut ewma: [Option<f64>; 3] = [None; 3];
     for sample in rx.iter() {
         let Some(exact) = exact_replay(&sample) else {
             continue;
         };
-        let Some(scored) = score(&cfg, sample.op, &exact, &sample.out) else {
+        let Some(scored) = score(sample.op, &exact, &sample.out) else {
             continue;
         };
         shared.scored.fetch_add(1, Ordering::Relaxed);
@@ -458,7 +427,7 @@ fn worker_loop(cfg: SentinelConfig, shared: Arc<Shared>, rx: Receiver<GemmSample
             _ => 2,
         };
         let smoothed = match ewma[slot] {
-            Some(prev) => prev + cfg.ewma_alpha * (scored.budget_frac - prev),
+            Some(prev) => prev + EWMA_ALPHA * (scored.budget_frac - prev),
             None => scored.budget_frac,
         };
         ewma[slot] = Some(smoothed);
@@ -472,13 +441,7 @@ fn worker_loop(cfg: SentinelConfig, shared: Arc<Shared>, rx: Receiver<GemmSample
             pdac_telemetry::counter_add(names.alert, 1);
             // Report the dominant measure against its own budget so the
             // alert record reads as "measured X, budget Y" directly.
-            let mult = if sample.op == "grouped" {
-                cfg.grouped_budget_mult.max(1.0)
-            } else {
-                1.0
-            };
-            let per_budget = mult * cfg.per_element_slack * cfg.per_element_budget;
-            let fro_budget = mult * cfg.gemm_budget;
+            let (per_budget, fro_budget) = budgets(sample.op);
             let (measured, budget) =
                 if scored.rel_fro / fro_budget >= scored.per_element / per_budget {
                     (scored.rel_fro, fro_budget)
@@ -550,13 +513,6 @@ mod tests {
         Mat::from_fn(rows, cols, |_, _| rng.gen_range_f64(-1.0, 1.0))
     }
 
-    fn full_rate() -> SentinelConfig {
-        SentinelConfig {
-            rate: 1.0,
-            ..SentinelConfig::default()
-        }
-    }
-
     fn drive(backend: &dyn GemmBackend, gemms: usize, seed: u64) {
         let mut rng = SplitMix64::seed_from_u64(seed);
         let mut out = Mat::zeros(8, 12);
@@ -569,23 +525,16 @@ mod tests {
 
     #[test]
     fn rate_parse_accepts_unset_and_finite_nonnegative_rates() {
-        assert_eq!(
-            SentinelConfig::parse(None).map(|c| c.rate),
-            Ok(DEFAULT_RATE)
-        );
+        assert_eq!(parse_rate(None), Ok(DEFAULT_RATE));
         for (raw, rate) in [("0", 0.0), ("0.5", 0.5), ("1.0", 1.0), (" 0.25 ", 0.25)] {
-            assert_eq!(
-                SentinelConfig::parse(Some(raw)).map(|c| c.rate),
-                Ok(rate),
-                "{raw}"
-            );
+            assert_eq!(parse_rate(Some(raw)), Ok(rate), "{raw}");
         }
     }
 
     #[test]
     fn rate_parse_names_the_variable_and_the_bad_value() {
         for raw in ["off", "", "2%", "-0.1", "inf", "NaN"] {
-            let err = SentinelConfig::parse(Some(raw)).expect_err(raw);
+            let err = parse_rate(Some(raw)).expect_err(raw);
             assert!(
                 err.contains("PDAC_SENTINEL_RATE") && err.contains(&format!("{raw:?}")),
                 "{err}"
@@ -597,7 +546,7 @@ mod tests {
     fn clean_pdac_run_scores_green_and_raises_nothing() {
         let _guard = test_guard();
         health::reset();
-        let handle = Sentinel::install(full_rate());
+        let handle = Sentinel::install(1.0);
         let backend = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pdac8");
         drive(&backend, 6, 0x00C1_EA11);
         let stats = handle.finish();
@@ -606,7 +555,7 @@ mod tests {
         assert!(stats.scored > 0, "worker scored nothing: {stats:?}");
         assert_eq!(stats.alerts, 0, "clean run must stay green: {stats:?}");
         assert!(
-            stats.worst_frac < SentinelConfig::default().warn_frac,
+            stats.worst_frac < WARN_FRAC,
             "clean pdac8 drift must sit below warn: {stats:?}"
         );
         assert_eq!(health::status(), pdac_telemetry::HealthStatus::Ok);
@@ -617,7 +566,7 @@ mod tests {
     fn faulty_pdac_latches_critical() {
         let _guard = test_guard();
         health::reset();
-        let handle = Sentinel::install(full_rate());
+        let handle = Sentinel::install(1.0);
         let spec = FaultSpec::none().with_tia_gain_drift(0.5);
         let backend = AnalogGemm::new(
             FaultyPDac::new(PDac::with_optimal_approx(8).unwrap(), spec),
@@ -639,13 +588,9 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_in_seed_and_sequence() {
         let _guard = test_guard();
-        let cfg = SentinelConfig {
-            rate: 0.25,
-            ..SentinelConfig::default()
-        };
         let backend = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pdac8");
         let run = || {
-            let handle = Sentinel::install(cfg.clone());
+            let handle = Sentinel::install(0.25);
             drive(&backend, 64, 0x00DE_7E12);
             handle.finish()
         };
@@ -661,26 +606,25 @@ mod tests {
 
     #[test]
     fn score_normalizes_against_both_budgets() {
-        let cfg = SentinelConfig::default();
         let exact = Mat::from_rows(1, 4, vec![1.0, -1.0, 2.0, -2.0]).unwrap();
         // Identical result: zero drift, no severity.
-        let clean = score(&cfg, "matmul", &exact, &exact).unwrap();
+        let clean = score("matmul", &exact, &exact).unwrap();
         assert_eq!(clean.budget_frac, 0.0);
         assert_eq!(clean.severity, None);
         // 30% relative error on every element: rel_fro = 0.3 = 2x the
         // 0.15 GEMM budget -> critical.
         let drifted = Mat::from_rows(1, 4, vec![1.3, -1.3, 2.6, -2.6]).unwrap();
-        let bad = score(&cfg, "matmul", &exact, &drifted).unwrap();
+        let bad = score("matmul", &exact, &drifted).unwrap();
         assert!((bad.rel_fro - 0.3).abs() < 1e-12);
         assert!(bad.budget_frac >= 2.0 - 1e-12);
         assert_eq!(bad.severity, Some(Severity::Critical));
         // The grouped op class gets its budgets scaled, so the same
         // drift spends proportionally less of its (larger) budget.
-        let grouped = score(&cfg, "grouped", &exact, &drifted).unwrap();
-        let expected = bad.budget_frac / cfg.grouped_budget_mult;
+        let grouped = score("grouped", &exact, &drifted).unwrap();
+        let expected = bad.budget_frac / GROUPED_BUDGET_MULT;
         assert!((grouped.budget_frac - expected).abs() < 1e-12);
         // Shape mismatch refuses to score.
-        assert!(score(&cfg, "matmul", &exact, &Mat::zeros(2, 2)).is_none());
+        assert!(score("matmul", &exact, &Mat::zeros(2, 2)).is_none());
     }
 
     #[test]

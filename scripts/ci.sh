@@ -41,7 +41,7 @@ PDAC_VERIFY_OUT="$(pwd)/target/verify_report.jsonl" \
     cargo run --release -q -p pdac-verify
 
 echo "==> verify microbench smoke"
-PDAC_BENCH_MS=5 PDAC_BENCH_OUT="$(pwd)/target/BENCH_verify.smoke.json" \
+PDAC_BENCH_OUT="$(pwd)/target/BENCH_verify.smoke.json" \
     cargo bench --features microbench -p pdac-bench --bench verify
 
 echo "==> serve smoke (continuous-batching token server retires every request)"
@@ -150,7 +150,7 @@ cargo check --release -q -p pdac-serve --features http
 echo "==> bench regression gate (fresh runs vs checked-in baselines; decode and kv assert their floors)"
 PDAC_BENCH_OUT="$(pwd)/target/BENCH_decode.fresh.json" \
     cargo bench --features microbench -p pdac-bench --bench decode_engine
-PDAC_BENCH_MS=40 PDAC_BENCH_MAX_DIM=256 PDAC_BENCH_OUT="$(pwd)/target/BENCH_gemm.fresh.json" \
+PDAC_THREADS=1 PDAC_BENCH_OUT="$(pwd)/target/BENCH_gemm.fresh.json" \
     cargo bench --features microbench -p pdac-bench --bench gemm_engine
 PDAC_BENCH_OUT="$(pwd)/target/BENCH_overhead.fresh.json" \
     cargo bench --features microbench -p pdac-bench --bench overhead

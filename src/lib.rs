@@ -24,7 +24,7 @@
 //!   transformer with pluggable analog GEMM backends;
 //! * [`accel`] — the Lightening-Transformer accelerator simulator;
 //! * [`telemetry`] — zero-dependency counters, histograms, span timers
-//!   and sinks instrumenting all of the above (no-op until
+//!   and snapshots instrumenting all of the above (no-op until
 //!   `telemetry::enable()`).
 //!
 //! # Quickstart
