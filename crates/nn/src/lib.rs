@@ -35,7 +35,7 @@
 //! * [`paged`] — the one batched KV layout: fixed-size token blocks
 //!   behind refcounted per-slot page tables, hash-consed prefix sharing
 //!   of published full blocks, and an LRU-evicting byte budget
-//!   (`PDAC_KV_BUDGET_BYTES`) — the [`PagedKvCache`] every batched
+//!   ([`PagedConfig::budget_bytes`]) — the [`PagedKvCache`] every batched
 //!   decode reads and appends through.
 //!
 //! # Examples

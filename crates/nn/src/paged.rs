@@ -10,7 +10,7 @@
 //! * [`PageAllocator`] — a slab of fixed-size **pages** (each holding
 //!   `block_tokens` K rows + V rows for one layer), recycled through a
 //!   free list, refcounted, and capped by an optional byte budget
-//!   (`PDAC_KV_BUDGET_BYTES`).
+//!   ([`PagedConfig::budget_bytes`]).
 //! * [`PagedKvCache`] — per-slot, per-layer **page tables** mapping
 //!   token positions to pages. Appends allocate lazily. Pages are shared
 //!   one way only: as published full blocks, which are never written
@@ -95,41 +95,6 @@ impl PagedConfig {
     pub fn with_budget_bytes(mut self, bytes: usize) -> Self {
         self.budget_bytes = Some(bytes);
         self
-    }
-
-    /// Reads `PDAC_KV_BLOCK_TOKENS` (default 16) and
-    /// `PDAC_KV_BUDGET_BYTES` (default unbounded) from the environment.
-    /// A set block size must be a positive integer and a set budget a
-    /// plain byte count; anything else is an error naming the variable
-    /// and the bad value, never a silent default.
-    pub fn from_env() -> Result<Self, String> {
-        let var = |name: &str| match std::env::var(name) {
-            Ok(value) => Ok(Some(value)),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(raw)) => Err(format!("{name}={raw:?} is not UTF-8")),
-        };
-        Self::parse(
-            var("PDAC_KV_BLOCK_TOKENS")?.as_deref(),
-            var("PDAC_KV_BUDGET_BYTES")?.as_deref(),
-        )
-    }
-
-    /// [`Self::from_env`] on the raw values (`None` = unset), so the
-    /// rules are testable without touching the process environment.
-    fn parse(block_tokens: Option<&str>, budget_bytes: Option<&str>) -> Result<Self, String> {
-        let mut config = Self::default();
-        if let Some(raw) = block_tokens {
-            config.block_tokens = raw.parse().ok().filter(|&b: &usize| b > 0).ok_or_else(|| {
-                format!("PDAC_KV_BLOCK_TOKENS={raw:?} is not a positive token count")
-            })?;
-        }
-        if let Some(raw) = budget_bytes {
-            let bytes = raw
-                .parse()
-                .map_err(|_| format!("PDAC_KV_BUDGET_BYTES={raw:?} is not a byte count"))?;
-            config.budget_bytes = Some(bytes);
-        }
-        Ok(config)
     }
 }
 
@@ -852,35 +817,6 @@ mod tests {
     fn row(width: usize, seed: u64) -> Vec<f64> {
         let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(seed);
         (0..width).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect()
-    }
-
-    #[test]
-    fn config_parse_accepts_unset_and_plain_numbers() {
-        assert_eq!(PagedConfig::parse(None, None), Ok(PagedConfig::default()));
-        assert_eq!(
-            PagedConfig::parse(Some("8"), Some("1048576")),
-            Ok(PagedConfig::new(8).with_budget_bytes(1_048_576))
-        );
-        assert_eq!(
-            PagedConfig::parse(None, Some("0")),
-            Ok(PagedConfig::default().with_budget_bytes(0))
-        );
-    }
-
-    #[test]
-    fn config_parse_names_the_variable_and_the_bad_value() {
-        for (block, budget, var, value) in [
-            (None, Some("1MiB"), "PDAC_KV_BUDGET_BYTES", "\"1MiB\""),
-            (None, Some("-5"), "PDAC_KV_BUDGET_BYTES", "\"-5\""),
-            (None, Some(""), "PDAC_KV_BUDGET_BYTES", "\"\""),
-            (Some("0"), None, "PDAC_KV_BLOCK_TOKENS", "\"0\""),
-            (Some("16k"), None, "PDAC_KV_BLOCK_TOKENS", "\"16k\""),
-            (Some("4"), Some("1e6"), "PDAC_KV_BUDGET_BYTES", "\"1e6\""),
-        ] {
-            let err = PagedConfig::parse(block, budget).expect_err("malformed input accepted");
-            assert!(err.contains(var), "{err}");
-            assert!(err.contains(value), "{err}");
-        }
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //!
 //! # Power budget
 //!
-//! [`EnergyMeter::with_budget_w`] (or `PDAC_POWER_BUDGET_W` via
-//! [`EnergyMeter::with_budget_env`]) arms a modeled-power budget:
+//! [`EnergyMeter::with_budget_w`] arms a modeled-power budget:
 //! every [`flush`](EnergyMeter::flush) compares the interval's average
 //! modeled compute power against it, publishes
 //! `power.budget.headroom_w`, bumps the `power.budget.exceeded` counter
@@ -156,16 +155,6 @@ impl EnergyMeter {
         }
         self.budget_w = watts;
         self
-    }
-
-    /// [`Self::with_budget_w`] from the `PDAC_POWER_BUDGET_W`
-    /// environment variable. Unset means no budget; a set value must be
-    /// a finite number of watts above zero, and anything else is an
-    /// error naming the variable and the value, never a silent "no
-    /// budget".
-    pub fn with_budget_env(self) -> Result<Self, String> {
-        let raw = std::env::var_os("PDAC_POWER_BUDGET_W").map(|v| v.to_string_lossy().into_owned());
-        Ok(self.with_budget_w(parse_budget_w(raw.as_deref())?))
     }
 
     /// The configured budget, if any.
@@ -356,18 +345,6 @@ pub fn snapshot() -> Option<EnergySnapshot> {
     installed().map(|m| m.snapshot())
 }
 
-/// [`EnergyMeter::with_budget_env`] on the raw value (`None` = unset), so
-/// the rule is testable without touching the process environment.
-fn parse_budget_w(raw: Option<&str>) -> Result<Option<f64>, String> {
-    raw.map(|raw| {
-        raw.parse::<f64>()
-            .ok()
-            .filter(|w| w.is_finite() && *w > 0.0)
-            .ok_or_else(|| format!("PDAC_POWER_BUDGET_W={raw:?} is not a finite wattage above 0"))
-    })
-    .transpose()
-}
-
 /// Flushes the global meter's gauges/budget (see [`EnergyMeter::flush`]);
 /// `None` when uninstalled.
 pub fn flush() -> Option<EnergySnapshot> {
@@ -467,25 +444,6 @@ mod tests {
         m.record(OpClass::Ffn, u32::MAX as u64, 0, 0);
         m.flush();
         assert!(!m.over_budget());
-    }
-
-    #[test]
-    fn budget_parse_accepts_unset_and_positive_watts() {
-        assert_eq!(parse_budget_w(None), Ok(None));
-        for (raw, watts) in [("1000", 1000.0), ("0.5", 0.5), ("1e3", 1e3)] {
-            assert_eq!(parse_budget_w(Some(raw)), Ok(Some(watts)), "{raw}");
-        }
-    }
-
-    #[test]
-    fn budget_parse_names_the_variable_and_the_bad_value() {
-        for raw in ["1kW", "", " 5", "0", "-3", "inf", "NaN", "off"] {
-            let err = parse_budget_w(Some(raw)).expect_err(raw);
-            assert!(
-                err.contains("PDAC_POWER_BUDGET_W") && err.contains(&format!("{raw:?}")),
-                "{err}"
-            );
-        }
     }
 
     #[test]

@@ -1,159 +1,294 @@
 //! Continuous-batching serving simulation: drives a multi-request trace
-//! through the [`pdac_serve::TokenServer`] and reports throughput.
+//! through the [`pdac_serve::TokenServer`], reports throughput, and checks
+//! what the run must show.
 //!
 //! ```text
-//! cargo run --release -p pdac-serve --bin serve
+//! cargo run --release -p pdac-serve --bin serve -- [--scenario <name>]
 //! ```
 //!
-//! Environment knobs (all optional). A malformed value — a count that
-//! is not a non-negative integer, a switch that is not `0` or `1`, a
-//! zero batch, a model shape [`TransformerConfig::validate`] rejects,
-//! or a bad `PDAC_KV_*`, `PDAC_POWER_BUDGET_W`, `PDAC_SENTINEL_RATE`,
-//! `PDAC_SENTINEL_FAULT`, backend or meter — exits 2 with a message
-//! naming the variable and the value, never falling back to the
-//! default:
+//! Each configuration is one row of [`SCENARIOS`] (`smoke` when no row
+//! is named), and each row states what its run must show. The other
+//! arguments only say where the run's outputs go:
 //!
-//! * `PDAC_SERVE_REQUESTS` — number of requests in the trace (default 8)
-//! * `PDAC_SERVE_PROMPT` — prompt length per request (default 4)
-//! * `PDAC_SERVE_MAX_NEW` — tokens generated per request (default 8)
-//! * `PDAC_SERVE_BATCH` — batch capacity (default 4, at least 1)
-//! * `PDAC_SERVE_BACKEND` — `exact` | `pdac` | `edac` | `hybrid`
-//!   (default `pdac`; `hybrid` runs activations on the P-DAC and
-//!   weights on the e-DAC path)
-//! * `PDAC_KV_BLOCK_TOKENS` / `PDAC_KV_BUDGET_BYTES` — page size in
-//!   tokens (default 16) and byte budget (default unbounded) of the
-//!   paged KV cache
-//! * `PDAC_SERVE_SHARED_PROMPT` — first N prompt tokens identical
-//!   across all requests (default 0), so the run exercises hash-consed
-//!   prefix sharing
-//! * `PDAC_SERVE_HIDDEN` / `PDAC_SERVE_LAYERS` / `PDAC_SERVE_HEADS` —
-//!   model shape (default 64 / 2 / 4; all nonzero, heads dividing
-//!   hidden)
-//! * `PDAC_SERVE_METER` — `auto` | `pdac` | `edac` | `hybrid` | `off`:
-//!   the [`pdac_power::meter`] driver pricing the live energy ledger
-//!   (default `auto`: matched to the backend, P-DAC for `exact`)
-//! * `PDAC_POWER_BUDGET_W` — arms the meter's modeled power budget, in
-//!   watts (> 0); over-budget steps shed admissions (`serve.load_shed`)
-//! * `PDAC_SERVE_METRICS_OUT` (or `--metrics-out <path>`) — write the
-//!   Prometheus exposition (the same text `/metrics` serves) to a file
-//! * `PDAC_SERVE_TRACE_OUT` (or `--trace-out <path>`) — write a
-//!   Chrome-trace JSON (load in `chrome://tracing` or Perfetto) and
-//!   validate it through the in-tree parser before exiting
-//! * `PDAC_TRACE_CAPACITY` — span events the trace ring holds (a count;
-//!   default 262144 when writing a trace file, 4096 otherwise); older
-//!   events are dropped once it wraps
-//! * `PDAC_SERVE_HTTP` (or `--http <addr>`, `http` feature only) —
-//!   serve `/metrics` + `/trace` + `/health` on the given address while
-//!   running
-//! * `PDAC_SENTINEL_RATE` (`sentinel` feature) — sampling probability of
-//!   the online drift sentinel (default 0.02; `0` disables it). Sampled
-//!   analog GEMMs are replayed through the exact reference off the hot
-//!   path and scored against the paper budgets; threshold crossings
-//!   raise `health.alert.*` records
-//! * `PDAC_SENTINEL_FAULT` (`sentinel` feature) — inject a deterministic
-//!   device fault into the P-DAC backend:
-//!   `tia|dark|droop|stuck|flipped[:magnitude]` (requires
-//!   `PDAC_SERVE_BACKEND=pdac`); the sentinel must then trip the
-//!   matching alert
-//! * `PDAC_SENTINEL_FAILOVER` — switch (`0` | `1`, default `0`): `1`
-//!   reroutes decode steps to the exact backend once a critical drift
-//!   alert latches (`serve.sentinel_failover`, through
-//!   [`TokenServer::with_failover`])
-//! * `--health` (or the switch `PDAC_SERVE_HEALTH=1`) — print the final
-//!   health verdict and alert table; exit nonzero when a critical alert
-//!   latched during the run
+//! * `--metrics-out <path>` — write the Prometheus exposition (the same
+//!   text `/metrics` serves) to a file
+//! * `--trace-out <path>` — write a Chrome-trace JSON (load in
+//!   `chrome://tracing` or Perfetto), validated through the in-tree
+//!   parser before exiting; the span-event ring then holds
+//!   [`TRACE_CAPACITY`] events
+//! * `--http <addr>` (`http` feature) — serve `/metrics` + `/trace` +
+//!   `/health` on the given address while running
 //!
-//! After the run it prints a p50/p95/p99 latency table for the SLO
-//! histograms (queue-wait, TTFT, ITL, e2e) and — when a meter is
-//! installed — a per-class energy table with joules/token and
-//! tokens/joule, then replays every request alone through
-//! `decode_step` ([`pdac_serve::solo_reference`]). Exits nonzero if any
-//! request fails to retire, a completion differs from its solo replay
-//! by one bit, the trace file fails validation, or the meter ran but
-//! the `power.*` gauges are missing from telemetry (the CI smoke
-//! gates). The replay is skipped, with a note, when sentinel failover
-//! rerouted steps to the exact backend: those bits cannot match a
-//! replay on the configured backend.
+//! An unknown scenario or argument, a flag without a value, or a row or
+//! flag needing a feature this build lacks exits 2 with a message naming
+//! it.
+//!
+//! Every row serves on the 8-bit P-DAC backend, prices the run with the
+//! P-DAC [`pdac_power::meter`] under a [`POWER_BUDGET_W`] budget, and
+//! uses one model (hidden 32, 2 layers, 4 heads, ff ×4, seed 42) that
+//! generates [`MAX_NEW`] tokens per request. After the run the bin
+//! prints a p50/p95/p99 latency table for the SLO histograms
+//! (queue-wait, TTFT, ITL, e2e), a per-class energy table, the drift
+//! sentinel's counts (`sentinel` feature) and the health verdict with
+//! its alert table, and replays every request alone through
+//! `decode_step` ([`pdac_serve::solo_reference`]). It exits 1 unless
+//! every request retires bit-identical to its solo replay, a row with a
+//! shared prompt prefix shares KV pages, the trace file (if any)
+//! validates, the exposition carries every series the row names, and a
+//! critical drift alert latched exactly when the row injects a fault.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use pdac_telemetry::HistogramSummary;
 
-use pdac_core::edac::ElectricalDac;
 use pdac_core::pdac::PDac;
-use pdac_nn::{
-    AnalogGemm, AsymmetricGemm, ExactGemm, GemmBackend, PagedConfig, TransformerConfig,
-    TransformerModel,
-};
+use pdac_nn::{AnalogGemm, GemmBackend, PagedConfig, TransformerConfig, TransformerModel};
 use pdac_power::meter::EnergyMeter;
 use pdac_power::model::{DriverKind, PowerModel};
 use pdac_power::{ArchConfig, EnergyModel, OpClass, TechParams};
 use pdac_serve::{solo_reference, Request, TokenServer};
 
-/// Prints why a knob was rejected and exits 2.
-fn bad_knob(msg: &str) -> ! {
-    eprintln!("serve: {msg}");
-    std::process::exit(2);
+/// Span events the trace ring holds when `--trace-out` is given, so a
+/// scenario's whole run fits without wrapping.
+const TRACE_CAPACITY: usize = 262_144;
+
+/// Tokens every request generates.
+const MAX_NEW: usize = 4;
+
+/// Modeled power budget of the energy meter, in watts. The served
+/// model draws milliwatts, so the budget never sheds; it arms the
+/// `power.budget.*` series.
+const POWER_BUDGET_W: f64 = 1000.0;
+
+/// One fixed serving configuration and what its run must show.
+#[derive(Debug)]
+struct Scenario {
+    name: &'static str,
+    requests: usize,
+    /// Prompt tokens per request; the first `shared_prompt` of them are
+    /// the same in every request, and the run must then share KV pages.
+    prompt: usize,
+    shared_prompt: usize,
+    /// Batch capacity of the token server.
+    batch: usize,
+    kv: PagedConfig,
+    /// Sampling rate of the drift sentinel (`sentinel` feature; a build
+    /// without it runs no sentinel).
+    #[cfg_attr(not(feature = "sentinel"), allow(dead_code))]
+    sentinel_rate: f64,
+    /// TIA gain drift injected into the P-DAC, as a fraction. The run
+    /// must latch a critical drift alert exactly when the row has one.
+    tia_fault: Option<f64>,
+    /// Series the run's Prometheus exposition must carry.
+    must_export: &'static [&'static str],
 }
 
-/// A count knob's rule on its raw value (`None` = unset): unset takes
-/// `default`; a set value must be a non-negative integer.
-fn parse_count(name: &str, raw: Option<&str>, default: usize) -> Result<usize, String> {
-    raw.map_or(Ok(default), |raw| {
-        raw.parse()
-            .map_err(|_| format!("{name}={raw:?} is not a non-negative integer"))
+impl Scenario {
+    /// Whether the row's fault or expectations rest on the drift
+    /// sentinel, which only the `sentinel` feature builds.
+    fn needs_sentinel(&self) -> bool {
+        self.tia_fault.is_some()
+            || self
+                .must_export
+                .iter()
+                .any(|s| s.starts_with("pdac_health_"))
+    }
+
+    fn model_config(&self) -> TransformerConfig {
+        TransformerConfig {
+            name: "serve-sim".to_string(),
+            layers: 2,
+            hidden: 32,
+            heads: 4,
+            ff_mult: 4,
+            seq_len: self.prompt + MAX_NEW,
+        }
+    }
+}
+
+const SMOKE: Scenario = Scenario {
+    name: "smoke",
+    requests: 6,
+    prompt: 3,
+    shared_prompt: 0,
+    batch: 4,
+    kv: PagedConfig {
+        block_tokens: 16,
+        budget_bytes: None,
+    },
+    sentinel_rate: 0.02,
+    tia_fault: None,
+    must_export: &[
+        "pdac_serve_kv_pages",
+        "pdac_power_energy_attention_j",
+        "pdac_power_energy_total_j",
+        "pdac_power_compute_w",
+        "pdac_power_budget_headroom_w",
+        "pdac_serve_energy_per_token_j",
+    ],
+};
+
+/// Every configuration the bin runs. Rows differ from `smoke` only where
+/// they say so.
+static SCENARIOS: [Scenario; 4] = [
+    SMOKE,
+    Scenario {
+        name: "kv",
+        prompt: 5,
+        shared_prompt: 4,
+        batch: 3,
+        kv: PagedConfig {
+            block_tokens: 2,
+            budget_bytes: Some(16_384),
+        },
+        must_export: &[
+            "pdac_serve_kv_pages",
+            "pdac_serve_kv_bytes",
+            "pdac_serve_kv_shared",
+            "pdac_power_energy_total_j",
+            "pdac_power_compute_w",
+        ],
+        ..SMOKE
+    },
+    Scenario {
+        name: "sentinel",
+        sentinel_rate: 1.0,
+        must_export: &[
+            "pdac_serve_kv_pages",
+            "pdac_power_energy_total_j",
+            "pdac_power_compute_w",
+            "pdac_health_drift_pdac_ewma",
+            "pdac_health_drift_pdac_budget_frac",
+            "pdac_health_drift_pdac_bucket",
+        ],
+        ..SMOKE
+    },
+    Scenario {
+        name: "fault",
+        requests: 4,
+        sentinel_rate: 1.0,
+        tia_fault: Some(0.5),
+        ..SMOKE
+    },
+];
+
+/// What the command line selects.
+#[derive(Debug)]
+struct Args {
+    scenario: &'static Scenario,
+    metrics_out: Option<String>,
+    trace_out: Option<String>,
+    #[cfg_attr(not(feature = "http"), allow(dead_code))]
+    http: Option<String>,
+}
+
+/// The row named `name`, if this build can run it.
+fn scenario(name: &str) -> Result<&'static Scenario, String> {
+    let row = SCENARIOS.iter().find(|s| s.name == name).ok_or_else(|| {
+        let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+        format!("unknown scenario {name:?} (use {})", names.join("|"))
+    })?;
+    if row.needs_sentinel() && !cfg!(feature = "sentinel") {
+        return Err(format!(
+            "scenario {name} needs the `sentinel` feature, which this build lacks"
+        ));
+    }
+    Ok(row)
+}
+
+/// Parses the arguments after the program name. Every flag takes one
+/// value; a missing value (including one that is itself a flag), a
+/// repeated flag or any other argument is an error naming it.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let (mut name, mut metrics_out, mut trace_out, mut http) = (None, None, None, None);
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let slot = match flag.as_str() {
+            "--scenario" => &mut name,
+            "--metrics-out" => &mut metrics_out,
+            "--trace-out" => &mut trace_out,
+            "--http" if !cfg!(feature = "http") => {
+                return Err("--http needs the `http` feature, which this build lacks".into())
+            }
+            "--http" => &mut http,
+            _ => {
+                return Err(format!(
+                    "unknown argument {flag:?} (use --scenario <name>, --metrics-out <path>, \
+                     --trace-out <path>, --http <addr>)"
+                ))
+            }
+        };
+        let value = args
+            .next()
+            .filter(|v| !v.starts_with("--"))
+            .ok_or_else(|| format!("{flag} needs a value"))?;
+        if slot.replace(value).is_some() {
+            return Err(format!("{flag} given twice"));
+        }
+    }
+    Ok(Args {
+        scenario: scenario(name.as_deref().unwrap_or("smoke"))?,
+        metrics_out,
+        trace_out,
+        http,
     })
 }
 
-/// The serving-shape rule: a batch holds at least one sequence, and the
-/// model shape must pass [`TransformerConfig::validate`]. The error names
-/// the knobs behind the shape and their values.
-fn check_shape(batch: usize, config: &TransformerConfig) -> Result<(), String> {
-    if batch == 0 {
-        return Err("PDAC_SERVE_BATCH=0: a batch holds at least one sequence".into());
+/// The requests of `row`'s trace, each with its own seeded prompt tail.
+fn requests(row: &Scenario, hidden: usize) -> Vec<Request> {
+    // Shared prefix drawn once so every request opens with the same
+    // tokens (system-prompt shape); tails stay per-request.
+    let mut shared_rng = pdac_math::rng::SplitMix64::seed_from_u64(999);
+    let shared_tokens: Vec<Vec<f64>> = (0..row.shared_prompt)
+        .map(|_| {
+            (0..hidden)
+                .map(|_| shared_rng.gen_range_f64(-1.0, 1.0))
+                .collect()
+        })
+        .collect();
+    (0..row.requests)
+        .map(|id| {
+            let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(1000 + id as u64);
+            let prompt = (0..row.prompt)
+                .map(|t| {
+                    if t < row.shared_prompt {
+                        shared_tokens[t].clone()
+                    } else {
+                        (0..hidden).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect()
+                    }
+                })
+                .collect();
+            Request {
+                id: id as u64,
+                prompt,
+                max_new_tokens: MAX_NEW,
+            }
+        })
+        .collect()
+}
+
+/// The 8-bit P-DAC backend, with `row`'s fault injected when it has one.
+fn backend(row: &Scenario) -> Box<dyn GemmBackend> {
+    let pdac = PDac::with_optimal_approx(8).expect("8-bit pdac");
+    #[cfg(feature = "sentinel")]
+    if let Some(drift) = row.tia_fault {
+        println!("serve: sentinel fault injected: tia");
+        let spec = pdac_verify::FaultSpec::none().with_tia_gain_drift(drift);
+        return Box::new(AnalogGemm::new(
+            pdac_verify::FaultyPDac::new(pdac, spec),
+            "pdac-8b-faulty",
+        ));
     }
-    config.validate().map_err(|e| {
-        format!(
-            "PDAC_SERVE_HIDDEN={} PDAC_SERVE_LAYERS={} PDAC_SERVE_HEADS={} is not a model shape: {e}",
-            config.hidden, config.layers, config.heads,
-        )
-    })
-}
-
-/// A switch knob's rule on its raw value (`None` = unset): unset and
-/// `0` are off, `1` is on; anything else is an error, so `yes` or
-/// `true` cannot silently leave the switch off.
-fn parse_switch(name: &str, raw: Option<&str>) -> Result<bool, String> {
-    match raw {
-        None | Some("0") => Ok(false),
-        Some("1") => Ok(true),
-        Some(raw) => Err(format!("{name}={raw:?} is not a switch (use 0 or 1)")),
-    }
-}
-
-fn env_raw(name: &str) -> Option<String> {
-    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    parse_count(name, env_raw(name).as_deref(), default).unwrap_or_else(|e| bad_knob(&e))
-}
-
-fn env_switch(name: &str) -> bool {
-    parse_switch(name, env_raw(name).as_deref()).unwrap_or_else(|e| bad_knob(&e))
-}
-
-/// `--flag value` from argv, falling back to the environment variable.
-fn arg_or_env(flag: &str, env: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| std::env::var(env).ok())
+    assert!(
+        row.tia_fault.is_none(),
+        "a fault row needs the `sentinel` feature"
+    );
+    Box::new(AnalogGemm::new(pdac, "pdac-8b"))
 }
 
 /// Structural sanity checks on an emitted Chrome-trace document: the
-/// round-trip gate the CI obs smoke relies on. `strict_parents` is off
+/// round-trip gate of every `--trace-out` run. `strict_parents` is off
 /// when the ring dropped events (a parent may then be truncated away).
 fn validate_trace(text: &str, strict_parents: bool) -> Result<usize, String> {
     let doc = pdac_telemetry::json::parse(text).map_err(|e| format!("parse error: {e:?}"))?;
@@ -161,7 +296,7 @@ fn validate_trace(text: &str, strict_parents: bool) -> Result<usize, String> {
         .get("traceEvents")
         .and_then(pdac_telemetry::Json::as_arr)
         .ok_or("missing traceEvents array")?;
-    let mut seen_ids = std::collections::HashSet::new();
+    let mut seen_ids = HashSet::new();
     for (i, e) in events.iter().enumerate() {
         let id = e
             .get("args")
@@ -192,6 +327,27 @@ fn validate_trace(text: &str, strict_parents: bool) -> Result<usize, String> {
     Ok(events.len())
 }
 
+/// The names in `required` that no series of the Prometheus exposition
+/// `text` carries.
+fn missing_series<'a>(text: &str, required: &[&'a str]) -> Vec<&'a str> {
+    let exported: HashSet<&str> = text
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.split(['{', ' ']).next())
+        .collect();
+    required
+        .iter()
+        .copied()
+        .filter(|name| !exported.contains(name))
+        .collect()
+}
+
+/// Prints `msg` and exits 1: the run did not show what its row requires.
+fn fail(msg: &str) -> ! {
+    eprintln!("serve: FAIL — {msg}");
+    std::process::exit(1);
+}
+
 fn print_slo_table(histograms: &[HistogramSummary]) {
     println!(
         "serve: SLO {:<18} {:>7} {:>12} {:>12} {:>12}",
@@ -218,12 +374,9 @@ fn print_energy_table(
     generated: u64,
 ) {
     println!(
-        "serve: energy driver={} bits={} budget_w={}",
+        "serve: energy driver={} bits={} budget_w={POWER_BUDGET_W}",
         meter.model().power_model().driver(),
         meter.bits(),
-        meter
-            .budget_w()
-            .map_or("none".to_string(), |w| format!("{w}")),
     );
     println!(
         "serve: energy {:<10} {:>12} {:>12} {:>14} {:>12}",
@@ -260,168 +413,49 @@ fn print_energy_table(
 }
 
 fn main() {
-    let requests = env_usize("PDAC_SERVE_REQUESTS", 8);
-    let prompt_len = env_usize("PDAC_SERVE_PROMPT", 4);
-    let max_new = env_usize("PDAC_SERVE_MAX_NEW", 8);
-    let batch = env_usize("PDAC_SERVE_BATCH", 4);
-    let hidden = env_usize("PDAC_SERVE_HIDDEN", 64);
-    let layers = env_usize("PDAC_SERVE_LAYERS", 2);
-    let heads = env_usize("PDAC_SERVE_HEADS", 4);
-    let backend_name = std::env::var("PDAC_SERVE_BACKEND").unwrap_or_else(|_| "pdac".to_string());
-    let kv_config = PagedConfig::from_env().unwrap_or_else(|e| bad_knob(&e));
-    let shared_prompt = env_usize("PDAC_SERVE_SHARED_PROMPT", 0).min(prompt_len);
-    let failover = env_switch("PDAC_SENTINEL_FAILOVER");
-    // Parsed even with `--health` given: a malformed switch exits 2.
-    let health = env_switch("PDAC_SERVE_HEALTH") | std::env::args().any(|a| a == "--health");
-
-    let config = TransformerConfig {
-        name: "serve-sim".to_string(),
-        layers,
-        hidden,
-        heads,
-        ff_mult: 4,
-        seq_len: (prompt_len + max_new).max(1),
-    };
-    check_shape(batch, &config).unwrap_or_else(|e| bad_knob(&e));
-    let model = TransformerModel::random(config, 4, 42);
-
-    let backend: Box<dyn GemmBackend> = match backend_name.as_str() {
-        "exact" => Box::new(ExactGemm),
-        "edac" => Box::new(AnalogGemm::new(
-            ElectricalDac::new(8).expect("8-bit edac"),
-            "edac-8b",
-        )),
-        "pdac" => Box::new(AnalogGemm::new(
-            PDac::with_optimal_approx(8).expect("8-bit pdac"),
-            "pdac-8b",
-        )),
-        "hybrid" => Box::new(AsymmetricGemm::new(
-            PDac::with_optimal_approx(8).expect("8-bit pdac"),
-            ElectricalDac::new(8).expect("8-bit edac"),
-            "hybrid-8b",
-        )),
-        other => bad_knob(&format!(
-            "unknown PDAC_SERVE_BACKEND {other:?} (use exact|pdac|edac|hybrid)"
-        )),
-    };
-
-    // Deterministic fault injection for the sentinel smoke: wrap the
-    // P-DAC in a FaultyPDac so the drift sentinel has something real to
-    // catch. A parse error exits nonzero — a typo must not silently run
-    // the clean backend and report green.
-    #[cfg(feature = "sentinel")]
-    let backend: Box<dyn GemmBackend> = match std::env::var("PDAC_SENTINEL_FAULT") {
-        Err(_) => backend,
-        Ok(raw) => match pdac_serve::sentinel::fault_spec(&raw) {
-            Err(msg) => bad_knob(&msg),
-            Ok(None) => backend,
-            Ok(Some(spec)) => {
-                if backend_name != "pdac" {
-                    bad_knob("PDAC_SENTINEL_FAULT requires PDAC_SERVE_BACKEND=pdac");
-                }
-                println!("serve: sentinel fault injected: {raw}");
-                Box::new(AnalogGemm::new(
-                    pdac_serve::sentinel::FaultyPDac::new(
-                        PDac::with_optimal_approx(8).expect("8-bit pdac"),
-                        spec,
-                    ),
-                    "pdac-8b-faulty",
-                ))
-            }
-        },
-    };
-
-    // The live energy ledger: price executed activity under the driver
-    // matching the serving backend (overridable to compare drive paths
-    // on identical activity).
-    let meter_name = std::env::var("PDAC_SERVE_METER").unwrap_or_else(|_| "auto".to_string());
-    let meter_driver = match meter_name.as_str() {
-        "off" => None,
-        "pdac" => Some(DriverKind::PhotonicDac),
-        "edac" => Some(DriverKind::ElectricalDac),
-        "hybrid" => Some(DriverKind::Hybrid),
-        "auto" => Some(match backend_name.as_str() {
-            "edac" => DriverKind::ElectricalDac,
-            "hybrid" => DriverKind::Hybrid,
-            // `pdac`, and `exact` standing in for the modeled target.
-            _ => DriverKind::PhotonicDac,
-        }),
-        other => bad_knob(&format!(
-            "unknown PDAC_SERVE_METER {other:?} (use auto|pdac|edac|hybrid|off)"
-        )),
-    };
-    let meter = meter_driver.map(|driver| {
-        let pm = PowerModel::new(ArchConfig::lt_b(), TechParams::calibrated(), driver);
-        let meter = EnergyMeter::new(EnergyModel::new(pm), 8)
-            .with_budget_env()
-            .unwrap_or_else(|e| bad_knob(&e));
-        pdac_power::meter::install(meter)
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("serve: {e}");
+        std::process::exit(2);
     });
+    let row = args.scenario;
+    let model = TransformerModel::random(row.model_config(), 4, 42);
+    let backend = backend(row);
 
-    let trace_out = arg_or_env("--trace-out", "PDAC_SERVE_TRACE_OUT");
-    // Size the span-event ring before the global collector's first use;
-    // a run writing a trace file gets room for the whole run, so smoke
-    // traces don't wrap.
-    let default_capacity = if trace_out.is_some() {
-        262_144
-    } else {
-        pdac_telemetry::registry::DEFAULT_EVENT_CAPACITY
-    };
-    let trace_capacity = env_usize("PDAC_TRACE_CAPACITY", default_capacity);
-    assert!(
-        pdac_telemetry::init_trace_capacity(trace_capacity),
-        "the trace ring is sized before the collector's first use"
+    // The live energy ledger, priced under the P-DAC drive path.
+    let pm = PowerModel::new(
+        ArchConfig::lt_b(),
+        TechParams::calibrated(),
+        DriverKind::PhotonicDac,
     );
+    let meter = pdac_power::meter::install(
+        EnergyMeter::new(EnergyModel::new(pm), 8).with_budget_w(Some(POWER_BUDGET_W)),
+    );
+
+    // Size the span-event ring before the global collector's first use.
+    if args.trace_out.is_some() {
+        assert!(
+            pdac_telemetry::init_trace_capacity(TRACE_CAPACITY),
+            "the trace ring is sized before the collector's first use"
+        );
+    }
     pdac_telemetry::enable();
 
-    // Arm the drift sentinel (default rate 0.02; PDAC_SENTINEL_RATE=0
-    // disables). It shadows the whole run and is drained before the
-    // telemetry snapshot below, so its gauges and alerts land in every
-    // exporter.
+    // Arm the drift sentinel. It shadows the whole run and is drained
+    // before the telemetry snapshot below, so its gauges and alerts land
+    // in every exporter.
     #[cfg(feature = "sentinel")]
-    let sentinel = pdac_serve::sentinel::install_from_env().unwrap_or_else(|e| bad_knob(&e));
+    let sentinel = pdac_verify::sentinel::Sentinel::install(row.sentinel_rate);
 
     #[cfg(feature = "http")]
-    let _http = arg_or_env("--http", "PDAC_SERVE_HTTP").map(|addr| {
-        let server = pdac_telemetry::http::serve_metrics(pdac_telemetry::global(), &addr)
+    let _http = args.http.as_deref().map(|addr| {
+        let server = pdac_telemetry::http::serve_metrics(pdac_telemetry::global(), addr)
             .expect("bind metrics endpoint");
         println!("serve: metrics http on {}", server.addr());
         server
     });
 
-    let mut server =
-        TokenServer::new_paged(&model, batch, kv_config.clone()).with_failover(failover);
-    // Shared prefix drawn once so every request opens with the same
-    // tokens (system-prompt shape); tails stay per-request.
-    let mut shared_rng = pdac_math::rng::SplitMix64::seed_from_u64(999);
-    let shared_tokens: Vec<Vec<f64>> = (0..shared_prompt)
-        .map(|_| {
-            (0..model.config().hidden)
-                .map(|_| shared_rng.gen_range_f64(-1.0, 1.0))
-                .collect()
-        })
-        .collect();
-    let trace: Vec<Request> = (0..requests)
-        .map(|id| {
-            let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(1000 + id as u64);
-            let prompt = (0..prompt_len)
-                .map(|t| {
-                    if t < shared_prompt {
-                        shared_tokens[t].clone()
-                    } else {
-                        (0..model.config().hidden)
-                            .map(|_| rng.gen_range_f64(-1.0, 1.0))
-                            .collect()
-                    }
-                })
-                .collect();
-            Request {
-                id: id as u64,
-                prompt,
-                max_new_tokens: max_new,
-            }
-        })
-        .collect();
+    let mut server = TokenServer::new_paged(&model, row.batch, row.kv.clone());
+    let trace = requests(row, model.config().hidden);
     for req in &trace {
         server.admit(req.clone());
     }
@@ -435,9 +469,12 @@ fn main() {
     let fed = server.fed_tokens();
     let tok_per_s = generated as f64 / elapsed.max(1e-12);
     println!(
-        "serve: backend={} requests={requests} prompt={prompt_len} max_new={max_new} \
-         batch_capacity={batch}",
-        backend.name()
+        "serve: backend={} requests={} prompt={} max_new={} batch_capacity={}",
+        backend.name(),
+        row.requests,
+        row.prompt,
+        MAX_NEW,
+        row.batch,
     );
     println!(
         "serve: steps={steps} fed_tokens={fed} generated_tokens={generated} \
@@ -449,11 +486,11 @@ fn main() {
     // replayed, scored and (if warranted) alerted by the time the
     // drift gauges are exported.
     #[cfg(feature = "sentinel")]
-    let sentinel_stats = sentinel.map(pdac_serve::sentinel::SentinelHandle::finish);
+    let sentinel_stats = sentinel.finish();
 
     // Final flush so the `power.*` gauges reflect the whole run before
     // the snapshot is taken (and exported below).
-    let energy = meter.as_ref().map(|m| m.flush());
+    let energy = meter.flush();
 
     let snap = pdac_telemetry::snapshot();
     let counter = |name: &str| {
@@ -473,8 +510,8 @@ fn main() {
     println!(
         "serve: kv paged block={} budget={} pages={} bytes={} shared_tokens={} shared_hits={} \
          evicted={} over_budget={} deferred={}",
-        kv_config.block_tokens,
-        kv_config
+        row.kv.block_tokens,
+        row.kv
             .budget_bytes
             .map_or("none".to_string(), |b| b.to_string()),
         stats.live_pages,
@@ -485,215 +522,212 @@ fn main() {
         stats.over_budget_pages,
         server.kv_deferred(),
     );
-    // The paging smoke: the run must leave the kv gauges in telemetry,
-    // and a shared-prompt trace must actually share.
-    if !snap.gauges.iter().any(|(n, _)| n == "serve.kv.pages") {
-        eprintln!("serve: FAIL — gauge serve.kv.pages missing");
-        std::process::exit(1);
-    }
-    if shared_prompt > 0 && requests > 1 && counter("serve.kv.shared") == 0 {
-        eprintln!("serve: FAIL — shared prompts but serve.kv.shared stayed 0");
-        std::process::exit(1);
-    }
     print_slo_table(&snap.histograms);
-
-    if let (Some(meter), Some(esnap)) = (&meter, &energy) {
-        print_energy_table(meter, esnap, &server, generated);
-        // The observability smoke: a run with the meter on must leave
-        // the energy gauges in telemetry (and thus in every exporter).
-        for gauge in ["power.energy.total_j", "power.compute_w"] {
-            if !snap.gauges.iter().any(|(n, _)| n == gauge) {
-                eprintln!("serve: FAIL — meter active but gauge {gauge} missing");
-                std::process::exit(1);
-            }
-        }
-    }
+    print_energy_table(&meter, &energy, &server, generated);
 
     #[cfg(feature = "sentinel")]
-    if let Some(stats) = &sentinel_stats {
-        println!(
-            "serve: sentinel sampled={} scored={} dropped={} alerts={} worst_frac={:.3} \
-             failover_steps={}",
-            stats.sampled,
-            stats.scored,
-            stats.dropped,
-            stats.alerts,
-            stats.worst_frac,
-            server.failover_steps(),
-        );
-        // The sentinel smoke: a run that scored samples must leave the
-        // drift gauges in telemetry (mirrors the power gauge gate).
-        if stats.scored > 0
-            && !snap
-                .gauges
-                .iter()
-                .any(|(n, _)| n.starts_with("health.drift."))
-        {
-            eprintln!("serve: FAIL — sentinel scored samples but health.drift.* gauges missing");
-            std::process::exit(1);
-        }
-    }
+    println!(
+        "serve: sentinel sampled={} scored={} dropped={} alerts={} worst_frac={:.3}",
+        sentinel_stats.sampled,
+        sentinel_stats.scored,
+        sentinel_stats.dropped,
+        sentinel_stats.alerts,
+        sentinel_stats.worst_frac,
+    );
 
-    if let Some(path) = arg_or_env("--metrics-out", "PDAC_SERVE_METRICS_OUT") {
-        let text = pdac_telemetry::export::prometheus_text(&snap);
-        std::fs::write(&path, &text).expect("write metrics file");
+    let exposition = pdac_telemetry::export::prometheus_text(&snap);
+    if let Some(path) = &args.metrics_out {
+        std::fs::write(path, &exposition).expect("write metrics file");
         println!("serve: metrics written to {path}");
     }
 
-    if let Some(path) = trace_out {
+    if let Some(path) = &args.trace_out {
         let events = pdac_telemetry::global().events();
         let dropped = pdac_telemetry::global().trace_buffer().dropped();
         if dropped > 0 {
             eprintln!("serve: WARNING trace truncated, {dropped} events dropped by the ring");
         }
         let text = pdac_telemetry::export::chrome_trace_string(&events);
-        std::fs::write(&path, &text).expect("write trace file");
+        std::fs::write(path, &text).expect("write trace file");
         match validate_trace(&text, dropped == 0) {
             Ok(n) => println!("serve: trace OK — {n} events written to {path}"),
-            Err(e) => {
-                eprintln!("serve: FAIL — invalid trace: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(&format!("invalid trace: {e}")),
         }
     }
 
-    if completions.len() != requests || counter("serve.retired") != requests as u64 {
-        eprintln!(
-            "serve: FAIL — {} of {requests} requests retired",
-            completions.len()
-        );
-        std::process::exit(1);
+    if completions.len() != row.requests || counter("serve.retired") != row.requests as u64 {
+        fail(&format!(
+            "{} of {} requests retired",
+            completions.len(),
+            row.requests
+        ));
     }
     assert!(
-        completions.iter().all(|c| c.hidden.len() == max_new),
+        completions.iter().all(|c| c.hidden.len() == MAX_NEW),
         "every completion carries max_new hidden states"
     );
 
     // Batching, scheduling and prefix sharing must never change results:
     // replay every request alone through `decode_step` and demand
     // bit-identical completions.
-    if server.failover_steps() > 0 {
+    let bits =
+        |rows: &[Vec<f64>]| -> Vec<u64> { rows.iter().flatten().map(|v| v.to_bits()).collect() };
+    let diverged: Vec<u64> = completions
+        .iter()
+        .filter(|c| {
+            bits(&c.hidden) != bits(&solo_reference(&model, &*backend, &trace[c.id as usize]))
+        })
+        .map(|c| c.id)
+        .collect();
+    if !diverged.is_empty() {
+        fail(&format!(
+            "requests {diverged:?} diverged from their solo replay"
+        ));
+    }
+    println!(
+        "serve: all {} completions bit-identical to solo decode_step",
+        completions.len()
+    );
+
+    let ledger = pdac_telemetry::health::ledger();
+    println!(
+        "serve: health status={} alerts_raised={} warn={} critical={} dropped={}",
+        ledger.status().label(),
+        ledger.raised(),
+        ledger.warn_count(),
+        ledger.critical_count(),
+        ledger.dropped(),
+    );
+    for a in ledger.alerts() {
         println!(
-            "serve: note — solo replay skipped: {} steps failed over to the exact backend",
-            server.failover_steps()
-        );
-    } else {
-        let bits = |rows: &[Vec<f64>]| -> Vec<u64> {
-            rows.iter().flatten().map(|v| v.to_bits()).collect()
-        };
-        let diverged: Vec<u64> = completions
-            .iter()
-            .filter(|c| {
-                bits(&c.hidden) != bits(&solo_reference(&model, &*backend, &trace[c.id as usize]))
-            })
-            .map(|c| c.id)
-            .collect();
-        if !diverged.is_empty() {
-            eprintln!("serve: FAIL — requests {diverged:?} diverged from their solo replay");
-            std::process::exit(1);
-        }
-        println!(
-            "serve: all {} completions bit-identical to solo decode_step",
-            completions.len()
+            "serve: health alert severity={} backend={} op={} measured={:.4} budget={:.4}",
+            a.severity.label(),
+            a.backend,
+            a.op,
+            a.measured,
+            a.budget,
         );
     }
 
-    // The health verdict gate: mirror the ledger to stdout and exit
-    // nonzero when critical drift latched (the CI sentinel smoke runs
-    // this twice: clean must pass, fault-injected must fail here).
-    if health {
-        let ledger = pdac_telemetry::health::ledger();
-        println!(
-            "serve: health status={} alerts_raised={} warn={} critical={} dropped={}",
-            ledger.status().label(),
-            ledger.raised(),
-            ledger.warn_count(),
-            ledger.critical_count(),
-            ledger.dropped(),
-        );
-        for a in ledger.alerts() {
-            println!(
-                "serve: health alert severity={} backend={} op={} measured={:.4} budget={:.4}",
-                a.severity.label(),
-                a.backend,
-                a.op,
-                a.measured,
-                a.budget,
-            );
-        }
-        if ledger.critical_latched() {
-            eprintln!("serve: FAIL — critical drift alert latched");
-            std::process::exit(1);
-        }
+    if row.shared_prompt > 0 && counter("serve.kv.shared") == 0 {
+        fail("shared prompts but serve.kv.shared stayed 0");
     }
-    println!("serve: OK — all {requests} requests retired");
+    let missing = missing_series(&exposition, row.must_export);
+    if !missing.is_empty() {
+        fail(&format!(
+            "scenario {} requires series {missing:?}, missing from the exposition",
+            row.name
+        ));
+    }
+    match (row.tia_fault.is_some(), ledger.critical_latched()) {
+        (true, false) => fail(&format!(
+            "scenario {} must latch a critical drift alert, and none latched",
+            row.name
+        )),
+        (false, true) => fail("critical drift alert latched"),
+        _ => {}
+    }
+    println!("serve: OK — all {} requests retired", row.requests);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{check_shape, parse_count, parse_switch};
-    use pdac_nn::TransformerConfig;
+    use super::{missing_series, parse_args, SCENARIOS};
+    use std::collections::HashSet;
+
+    fn parse(args: &[&str]) -> Result<super::Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
 
     #[test]
-    fn count_parse_accepts_unset_and_non_negative_integers() {
-        assert_eq!(parse_count("PDAC_SERVE_BATCH", None, 4), Ok(4));
-        for (raw, n) in [("0", 0), ("8", 8), ("65536", 65536)] {
-            assert_eq!(
-                parse_count("PDAC_SERVE_BATCH", Some(raw), 4),
-                Ok(n),
-                "{raw}"
-            );
+    fn every_row_is_well_formed() {
+        let names: HashSet<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+        assert_eq!(names.len(), SCENARIOS.len(), "scenario names repeat");
+        for row in &SCENARIOS {
+            assert_eq!(row.model_config().validate(), Ok(()), "{}", row.name);
+            assert!(row.batch >= 1, "{}: empty batch", row.name);
+            assert!(row.shared_prompt <= row.prompt, "{}", row.name);
+            assert!(!row.must_export.is_empty(), "{}", row.name);
+            assert!(row.sentinel_rate > 0.0, "{}: sentinel unarmed", row.name);
+            // A row resting on the sentinel runs only where the feature
+            // is built; elsewhere selecting it names the feature.
+            match parse(&["--scenario", row.name]) {
+                Ok(args) => {
+                    assert_eq!(args.scenario.name, row.name);
+                    assert!(cfg!(feature = "sentinel") || !row.needs_sentinel());
+                }
+                Err(e) => {
+                    assert!(row.needs_sentinel() && !cfg!(feature = "sentinel"), "{e}");
+                    assert!(e.contains("`sentinel` feature"), "{e}");
+                }
+            }
+        }
+        assert!(SCENARIOS.iter().any(|s| s.tia_fault.is_some()));
+    }
+
+    #[test]
+    fn no_arguments_select_smoke_and_flags_take_their_values() {
+        let args = parse(&[]).unwrap();
+        assert_eq!(args.scenario.name, "smoke");
+        assert_eq!((args.metrics_out, args.trace_out), (None, None));
+        let args = parse(&[
+            "--trace-out",
+            "t.json",
+            "--scenario",
+            "kv",
+            "--metrics-out",
+            "m.txt",
+        ])
+        .unwrap();
+        assert_eq!(args.scenario.name, "kv");
+        assert_eq!(args.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(args.metrics_out.as_deref(), Some("m.txt"));
+    }
+
+    #[test]
+    fn an_unknown_scenario_is_named() {
+        let err = parse(&["--scenario", "smok"]).unwrap_err();
+        assert!(err.contains("unknown scenario \"smok\""), "{err}");
+        assert!(err.contains("smoke|kv|sentinel|fault"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_flag_or_stray_argument_is_named() {
+        for arg in ["--helth", "--health", "smoke", "--trace-out=t.json"] {
+            let err = parse(&[arg]).unwrap_err();
+            assert!(err.contains(&format!("unknown argument {arg:?}")), "{err}");
         }
     }
 
     #[test]
-    fn count_parse_names_the_variable_and_the_bad_value() {
-        for raw in ["", "-1", "4.0", "8 ", "eight", "1e3"] {
-            let err = parse_count("PDAC_SERVE_BATCH", Some(raw), 4).expect_err(raw);
-            assert!(
-                err.contains("PDAC_SERVE_BATCH") && err.contains(&format!("{raw:?}")),
-                "{err}"
-            );
-        }
-    }
-
-    #[test]
-    fn switch_parse_accepts_unset_zero_and_one_only() {
-        let name = "PDAC_SENTINEL_FAILOVER";
-        assert_eq!(parse_switch(name, None), Ok(false));
-        assert_eq!(parse_switch(name, Some("0")), Ok(false));
-        assert_eq!(parse_switch(name, Some("1")), Ok(true));
-        for raw in ["", "yes", "true", "on", "2", " 1"] {
-            let err = parse_switch(name, Some(raw)).expect_err(raw);
-            assert!(
-                err.contains(name) && err.contains(&format!("{raw:?}")),
-                "{err}"
-            );
-        }
-    }
-
-    #[test]
-    fn shape_check_rejects_a_zero_batch_and_bad_models_by_name() {
-        let shape = |hidden, layers, heads| TransformerConfig {
-            name: "serve-sim".into(),
-            layers,
-            hidden,
-            heads,
-            ff_mult: 4,
-            seq_len: 12,
-        };
-        assert_eq!(check_shape(4, &shape(64, 2, 4)), Ok(()));
-        assert_eq!(check_shape(1, &shape(32, 1, 1)), Ok(()));
-        let err = check_shape(0, &shape(64, 2, 4)).unwrap_err();
-        assert!(err.contains("PDAC_SERVE_BATCH=0"), "{err}");
-        for (hidden, layers, heads, knob) in [
-            (64, 2, 3, "PDAC_SERVE_HEADS=3"),
-            (64, 0, 4, "PDAC_SERVE_LAYERS=0"),
-            (0, 2, 4, "PDAC_SERVE_HIDDEN=0"),
-            (64, 2, 0, "PDAC_SERVE_HEADS=0"),
+    fn a_flag_without_a_value_is_named() {
+        for (args, flag) in [
+            (&["--trace-out"][..], "--trace-out"),
+            (&["--trace-out", "--health"], "--trace-out"),
+            (&["--metrics-out", "m.txt", "--scenario"], "--scenario"),
         ] {
-            let err = check_shape(4, &shape(hidden, layers, heads)).unwrap_err();
-            assert!(err.contains(knob), "{err}");
+            assert_eq!(parse(args).unwrap_err(), format!("{flag} needs a value"));
         }
+        let err = parse(&["--scenario", "kv", "--scenario", "smoke"]).unwrap_err();
+        assert_eq!(err, "--scenario given twice");
+    }
+
+    #[test]
+    fn http_needs_its_feature() {
+        let parsed = parse(&["--http", "127.0.0.1:0"]);
+        if cfg!(feature = "http") {
+            assert_eq!(parsed.unwrap().http.as_deref(), Some("127.0.0.1:0"));
+        } else {
+            assert!(parsed.unwrap_err().contains("`http` feature"));
+        }
+    }
+
+    #[test]
+    fn missing_series_reads_exposition_names_exactly() {
+        let text = "# TYPE pdac_a gauge\npdac_a 1\npdac_b_bucket{le=\"1\"} 2\npdac_c_total 3\n";
+        assert_eq!(
+            missing_series(text, &["pdac_a", "pdac_b_bucket", "pdac_b", "pdac_c"]),
+            ["pdac_b", "pdac_c"]
+        );
     }
 }

@@ -55,8 +55,8 @@
 //!
 //! # Drift sentinel
 //!
-//! With the `sentinel` feature the [`sentinel`] module re-exports
-//! `pdac-verify`'s online drift monitor: live analog GEMMs are
+//! With the `sentinel` feature the `serve` bin arms `pdac-verify`'s
+//! online drift monitor (`pdac_verify::sentinel`): live analog GEMMs are
 //! shadow-sampled off the hot path, replayed through the exact
 //! reference and scored against the paper's error budgets, raising
 //! `health.alert.*` records into the global health ledger (surfaced by
@@ -65,9 +65,9 @@
 //! the health ledger latches critical, subsequent decode steps reroute
 //! to [`ExactGemm`] (counter `serve.sentinel_failover`,
 //! [`TokenServer::failover_steps`]) so served results stay trustworthy
-//! while the analog path is quarantined. The library reads no
-//! environment variable for it; the `serve` bin maps
-//! `PDAC_SENTINEL_FAILOVER` onto the builder. See DESIGN.md §17.
+//! while the analog path is quarantined. The `serve` bin never arms it;
+//! the `failover_reroutes_steps_once_critical_latches` test covers it.
+//! See DESIGN.md §17.
 //!
 //! # KV paging
 //!
@@ -117,9 +117,6 @@
 //! ```
 
 use std::collections::VecDeque;
-
-#[cfg(feature = "sentinel")]
-pub mod sentinel;
 
 use pdac_math::Mat;
 use pdac_nn::{

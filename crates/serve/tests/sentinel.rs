@@ -10,12 +10,12 @@
 #![cfg(feature = "sentinel")]
 
 use pdac_nn::{AnalogGemm, ExactGemm, PagedConfig, TransformerConfig, TransformerModel};
-use pdac_serve::sentinel::{
-    FaultSpec, FaultyPDac, Sentinel, SentinelStats, Severity, SlotFault, CRITICAL_FRAC, WARN_FRAC,
-};
 use pdac_serve::{Request, TokenServer};
 use pdac_telemetry::health;
-use pdac_verify::sentinel::test_guard;
+use pdac_verify::sentinel::{
+    test_guard, Sentinel, SentinelStats, Severity, CRITICAL_FRAC, WARN_FRAC,
+};
+use pdac_verify::{FaultSpec, FaultyPDac, SlotFault};
 
 fn model() -> TransformerModel {
     TransformerModel::random(TransformerConfig::tiny(), 4, 7)

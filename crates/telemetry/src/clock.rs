@@ -56,11 +56,6 @@ impl ManualClock {
         Self::default()
     }
 
-    /// Jump to an absolute time.
-    pub fn set_ns(&self, ns: u64) {
-        self.now.store(ns, Ordering::SeqCst);
-    }
-
     /// Move time forward by `ns` nanoseconds.
     pub fn advance_ns(&self, ns: u64) {
         self.now.fetch_add(ns, Ordering::SeqCst);

@@ -46,35 +46,35 @@ pub const PER_ELEMENT_BUDGET: f64 = 0.087;
 /// the exact backend, offline here and online in the drift sentinel.
 pub const GEMM_BUDGET: f64 = 0.15;
 
-/// Configuration of one conformance run.
+/// Converter bit widths the LUT, per-element budget and fault-layer
+/// checks cross-check.
+const BITS: [u8; 2] = [4, 8];
+/// Decode steps of the cached-weights workload.
+const DECODE_STEPS: usize = 6;
+/// Decode steps of each batched-decode equivalence workload.
+const BATCHED_DECODE_STEPS: usize = 4;
+/// TIA gain-drift magnitudes for the fault sweep (ascending).
+const GAIN_DRIFTS: [f64; 5] = [0.0, 0.02, 0.05, 0.1, 0.2];
+/// Dark-current ratios for the fault sweep (ascending).
+const DARK_RATIOS: [f64; 5] = [0.0, 0.02, 0.05, 0.1, 0.2];
+/// Laser droop fractions for the fault sweep (ascending).
+const LASER_DROOPS: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.4];
+
+/// Configuration of one conformance run: what callers vary. Everything
+/// else the run covers is a constant of this module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConformanceConfig {
     /// Seed for every randomized operand (the run is fully deterministic).
     pub seed: u64,
-    /// Converter bit widths to cross-check.
-    pub bits: Vec<u8>,
     /// GEMM shapes `(m, k, n)` used by the kernel and backend checks.
     pub gemm_shapes: Vec<(usize, usize, usize)>,
-    /// Decode steps for the cached-weights workload.
-    pub decode_steps: usize,
-    /// TIA gain-drift magnitudes for the fault sweep (ascending).
-    pub gain_drifts: Vec<f64>,
-    /// Dark-current ratios for the fault sweep (ascending).
-    pub dark_ratios: Vec<f64>,
-    /// Laser droop fractions for the fault sweep (ascending).
-    pub laser_droops: Vec<f64>,
 }
 
 impl Default for ConformanceConfig {
     fn default() -> Self {
         Self {
             seed: 0x9D_AC,
-            bits: vec![4, 8],
             gemm_shapes: vec![(17, 29, 13), (32, 64, 24), (1, 128, 64), (5, 5, 5)],
-            decode_steps: 6,
-            gain_drifts: vec![0.0, 0.02, 0.05, 0.1, 0.2],
-            dark_ratios: vec![0.0, 0.02, 0.05, 0.1, 0.2],
-            laser_droops: vec![0.0, 0.05, 0.1, 0.2, 0.4],
         }
     }
 }
@@ -275,7 +275,7 @@ fn paged_rows_vs_decode_step(
     let hidden = model.config().hidden;
     let s = warm.len();
     let slots: Vec<usize> = (0..s).collect();
-    let steps = cfg.decode_steps.clamp(2, 4);
+    let steps = BATCHED_DECODE_STEPS;
     let mut checks = Vec::new();
     for (label, backend) in decode_backends() {
         let backend = backend.as_ref();
@@ -360,7 +360,7 @@ fn decode_row_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
     let hidden = model.config().hidden;
-    let steps = cfg.decode_steps.clamp(2, 4);
+    let steps = BATCHED_DECODE_STEPS;
     let block = 2usize;
 
     // Shared prefix vs unshared: slot 0 decodes a block-aligned prompt
@@ -447,7 +447,7 @@ fn tracing_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
     let hidden = model.config().hidden;
     let s = 3usize;
-    let steps = cfg.decode_steps.clamp(2, 4);
+    let steps = BATCHED_DECODE_STEPS;
     let backend = AnalogGemm::new(PDac::with_optimal_approx(8).expect("valid bits"), "pdac8");
 
     let run = |tracing_on: bool| -> Vec<Mat> {
@@ -505,7 +505,7 @@ fn sentinel_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
     let hidden = model.config().hidden;
     let s = 3usize;
-    let steps = cfg.decode_steps.clamp(2, 4);
+    let steps = BATCHED_DECODE_STEPS;
     let backend = AnalogGemm::new(PDac::with_optimal_approx(8).expect("valid bits"), "pdac8");
 
     let run = || -> Vec<Mat> {
@@ -531,15 +531,16 @@ fn sentinel_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         .zip(&without)
         .map(|(a, b)| differing_bits(a, b))
         .sum();
-    // A sentinel that sampled nothing would make the identity vacuous.
+    // A sentinel that scored nothing would make the identity vacuous.
+    // How many samples the worker scores rather than drops depends on
+    // scheduling, so the detail reports only the sampled count.
     let vacuous = usize::from(stats.scored == 0);
     vec![bit_identity_check(
         "decode.sentinel.on_off_bit_identity",
         diffs + vacuous,
         format!(
-            "{steps} steps x batch {s}: full-rate sentinel vs no tap \
-({} sampled, {} scored, {} dropped, worst frac {:.3})",
-            stats.sampled, stats.scored, stats.dropped, stats.worst_frac
+            "{steps} steps x batch {s}: full-rate sentinel vs no tap ({} sampled)",
+            stats.sampled
         ),
     )]
 }
@@ -560,7 +561,7 @@ fn energy_meter_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
     let hidden = model.config().hidden;
     let s = 3usize;
-    let steps = cfg.decode_steps.clamp(2, 4);
+    let steps = BATCHED_DECODE_STEPS;
     let backend = AnalogGemm::new(PDac::with_optimal_approx(8).expect("valid bits"), "pdac8");
 
     let run = || -> Vec<Mat> {
@@ -687,9 +688,9 @@ fn serving_energy_checks() -> Vec<CheckResult> {
 
 /// [`ConverterLut`] vs the scalar drive path for both converters at every
 /// representable (and saturating out-of-range) code — bit identity.
-fn lut_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
+fn lut_checks() -> Vec<CheckResult> {
     let mut checks = Vec::new();
-    for &bits in &cfg.bits {
+    for bits in BITS {
         let drivers: Vec<(&str, Box<dyn MzmDriver>)> = vec![
             (
                 "pdac",
@@ -727,9 +728,9 @@ fn lut_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 /// paper's ≈8.5% (Eq. 18) — while the electrical baseline's error is
 /// *absolute* (half an LSB of its `[0, π]` voltage grid, through a
 /// cosine of slope ≤ 1), which at small codes dwarfs the ideal value.
-fn per_element_budget_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
+fn per_element_budget_checks() -> Vec<CheckResult> {
     let mut checks = Vec::new();
-    for &bits in &cfg.bits {
+    for bits in BITS {
         let pdac = PDac::with_optimal_approx(bits).expect("valid bits");
         let m = pdac.max_code();
         let worst_rel = (1..=m)
@@ -764,9 +765,9 @@ fn per_element_budget_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 /// The fault layer's clean spec against the production P-DAC: drive
 /// voltages bit-identical to the synthesized plan, amplitudes within
 /// rounding of the physical pipeline.
-fn fault_layer_conformance(cfg: &ConformanceConfig) -> Vec<CheckResult> {
+fn fault_layer_conformance() -> Vec<CheckResult> {
     let mut checks = Vec::new();
-    for &bits in &cfg.bits {
+    for bits in BITS {
         let pdac = PDac::with_optimal_approx(bits).expect("valid bits");
         let clean = FaultyPDac::new(pdac.clone(), FaultSpec::none());
         let m = pdac.max_code();
@@ -1011,7 +1012,7 @@ fn decode_workload_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let pdac = PDac::with_optimal_approx(8).unwrap();
     let backend = AnalogGemm::new(pdac.clone(), "pdac8");
     let mut diffs = 0usize;
-    for _ in 0..cfg.decode_steps {
+    for _ in 0..DECODE_STEPS {
         let x = random_mat(1, d, &mut rng);
         let golden = convert(&x, 1, &pdac).matmul_reference(&convert(&w, d, &pdac));
         diffs += differing_bits(&backend.matmul(&x, &w), &golden.expect("shapes chain"));
@@ -1020,16 +1021,15 @@ fn decode_workload_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         bit_identity_check(
             "decode.cached_vs_uncached",
             diffs,
-            format!("{} decode steps, weights {d}x{out_dim}", cfg.decode_steps),
+            format!("{DECODE_STEPS} decode steps, weights {d}x{out_dim}"),
         ),
         invariant_check(
             "decode.weights_converted_once",
-            backend.cache().misses() == 1 && backend.cache().hits() == cfg.decode_steps as u64 - 1,
+            backend.cache().misses() == 1 && backend.cache().hits() == DECODE_STEPS as u64 - 1,
             format!(
-                "cache hits={} misses={} over {} steps",
+                "cache hits={} misses={} over {DECODE_STEPS} steps",
                 backend.cache().hits(),
                 backend.cache().misses(),
-                cfg.decode_steps
             ),
         ),
     ]
@@ -1125,8 +1125,7 @@ fn fault_gemm_check(cfg: &ConformanceConfig) -> CheckResult {
     let a = random_mat(m, k, &mut rng);
     let b = random_mat(k, n, &mut rng);
     let exact = a.matmul_reference(&b).unwrap();
-    let errors: Vec<f64> = cfg
-        .gain_drifts
+    let errors: Vec<f64> = GAIN_DRIFTS
         .iter()
         .map(|&drift| {
             let driver = FaultyPDac::new(
@@ -1144,7 +1143,7 @@ fn fault_gemm_check(cfg: &ConformanceConfig) -> CheckResult {
         "fault.gemm.drift_monotone",
         &errors,
         slack,
-        format!("drifts={:?} rel-errors={errors:?}", cfg.gain_drifts),
+        format!("drifts={GAIN_DRIFTS:?} rel-errors={errors:?}"),
     )
 }
 
@@ -1154,9 +1153,9 @@ pub fn run_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
     let mut report = ConformanceReport::default();
     report.extend(kernel_checks(cfg));
     report.extend(pool_kernel_checks(cfg));
-    report.extend(lut_checks(cfg));
-    report.extend(per_element_budget_checks(cfg));
-    report.extend(fault_layer_conformance(cfg));
+    report.extend(lut_checks());
+    report.extend(per_element_budget_checks());
+    report.extend(fault_layer_conformance());
     report.extend(cached_gemm_checks(cfg));
     report.extend(forward_cache_checks());
     report.extend(end_to_end_budget_checks(cfg));
@@ -1174,13 +1173,13 @@ pub fn run_conformance(cfg: &ConformanceConfig) -> ConformanceReport {
 pub fn run_fault_sweeps(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let _span = pdac_telemetry::span("verify.fault_sweeps");
     let mut checks = vec![
-        sweep_axis("fault.sweep.tia_gain_drift", &cfg.gain_drifts, |m| {
+        sweep_axis("fault.sweep.tia_gain_drift", &GAIN_DRIFTS, |m| {
             FaultSpec::none().with_tia_gain_drift(m)
         }),
-        sweep_axis("fault.sweep.dark_current", &cfg.dark_ratios, |m| {
+        sweep_axis("fault.sweep.dark_current", &DARK_RATIOS, |m| {
             FaultSpec::none().with_dark_current_ratio(m)
         }),
-        sweep_axis("fault.sweep.laser_droop", &cfg.laser_droops, |m| {
+        sweep_axis("fault.sweep.laser_droop", &LASER_DROOPS, |m| {
             FaultSpec::none().with_laser_droop(m)
         }),
     ];

@@ -5,7 +5,7 @@
 //! backends honest at build time; this module keeps watching them in
 //! production. A [`Sentinel`] installs itself as the process-wide
 //! [`pdac_nn::tap::GemmTap`], probabilistically samples live analog
-//! operations (seeded, rate-configurable via `PDAC_SENTINEL_RATE`),
+//! operations (seeded, at the rate given to [`Sentinel::install`]),
 //! and hands each sampled operand pair to a dedicated low-priority
 //! worker thread over a bounded channel — the decode hot path never
 //! blocks and never recomputes anything; under pressure samples are
@@ -40,9 +40,8 @@
 //! [`Severity::Warn`] alert into the global
 //! [`pdac_telemetry::health`] ledger; crossing [`CRITICAL_FRAC`] latches
 //! the ledger critical — which flips `/health` to 503 and, on a token
-//! server built with `with_failover(true)` (the serve bin's
-//! `PDAC_SENTINEL_FAILOVER=1`), reroutes subsequent steps to the exact
-//! backend.
+//! server built with `with_failover(true)`, reroutes subsequent steps
+//! to the exact backend.
 //!
 //! Installing a sentinel can never change a decoded bit: the tap
 //! observes completed results only (pinned by the
@@ -96,28 +95,6 @@ const GROUPED_BUDGET_MULT: f64 = 2.0;
 const PER_ELEMENT_SLACK: f64 = 8.0;
 /// EWMA smoothing factor for the per-class drift tracker.
 const EWMA_ALPHA: f64 = 0.2;
-
-/// The sampling rate from `PDAC_SENTINEL_RATE`. Unset keeps
-/// [`DEFAULT_RATE`]; a set rate must be a finite number ≥ 0 (`0`
-/// disables sampling), and anything else is an error naming the
-/// variable and the value, never a silent default.
-pub fn rate_from_env() -> Result<f64, String> {
-    let raw = std::env::var_os("PDAC_SENTINEL_RATE").map(|v| v.to_string_lossy().into_owned());
-    parse_rate(raw.as_deref())
-}
-
-/// [`rate_from_env`] on the raw value (`None` = unset), so the rule is
-/// testable without touching the process environment.
-fn parse_rate(raw: Option<&str>) -> Result<f64, String> {
-    let Some(raw) = raw else {
-        return Ok(DEFAULT_RATE);
-    };
-    raw.trim()
-        .parse::<f64>()
-        .ok()
-        .filter(|r| r.is_finite() && *r >= 0.0)
-        .ok_or_else(|| format!("PDAC_SENTINEL_RATE={raw:?} is not a finite sampling rate ≥ 0"))
-}
 
 /// The `(per_element, frobenius)` budgets a sample of op class `op` is
 /// held to: `grouped` samples get both scaled by [`GROUPED_BUDGET_MULT`].
@@ -520,25 +497,6 @@ mod tests {
             let a = random_mat(8, 48, &mut rng);
             let b = random_mat(48, 12, &mut rng);
             backend.matmul_into(&a, &b, &mut out);
-        }
-    }
-
-    #[test]
-    fn rate_parse_accepts_unset_and_finite_nonnegative_rates() {
-        assert_eq!(parse_rate(None), Ok(DEFAULT_RATE));
-        for (raw, rate) in [("0", 0.0), ("0.5", 0.5), ("1.0", 1.0), (" 0.25 ", 0.25)] {
-            assert_eq!(parse_rate(Some(raw)), Ok(rate), "{raw}");
-        }
-    }
-
-    #[test]
-    fn rate_parse_names_the_variable_and_the_bad_value() {
-        for raw in ["off", "", "2%", "-0.1", "inf", "NaN"] {
-            let err = parse_rate(Some(raw)).expect_err(raw);
-            assert!(
-                err.contains("PDAC_SENTINEL_RATE") && err.contains(&format!("{raw:?}")),
-                "{err}"
-            );
         }
     }
 

@@ -44,16 +44,14 @@ echo "==> verify microbench smoke"
 PDAC_BENCH_OUT="$(pwd)/target/BENCH_verify.smoke.json" \
     cargo bench --features microbench -p pdac-bench --bench verify
 
-echo "==> serve smoke (continuous-batching token server retires every request)"
-PDAC_SERVE_REQUESTS=6 PDAC_SERVE_PROMPT=3 PDAC_SERVE_MAX_NEW=4 PDAC_SERVE_BATCH=4 \
-    PDAC_SERVE_HIDDEN=32 PDAC_SERVE_LAYERS=2 PDAC_SERVE_HEADS=4 \
-    cargo run --release -q -p pdac-serve --bin serve
-
-echo "==> observability smoke (serve with tracing; bin validates the trace itself)"
-PDAC_SERVE_REQUESTS=6 PDAC_SERVE_PROMPT=3 PDAC_SERVE_MAX_NEW=4 PDAC_SERVE_BATCH=4 \
-    PDAC_SERVE_HIDDEN=32 PDAC_SERVE_LAYERS=2 PDAC_SERVE_HEADS=4 \
-    PDAC_SERVE_TRACE_OUT="$(pwd)/target/trace.smoke.json" \
-    cargo run --release -q -p pdac-serve --bin serve
+echo "==> serve scenarios (each row of the bin's table exits 0 exactly when its expectations hold)"
+for scenario in smoke kv sentinel fault; do
+    args=(--scenario "$scenario")
+    if [ "$scenario" = smoke ]; then
+        args+=(--trace-out "$(pwd)/target/trace.smoke.json")
+    fi
+    cargo run --release -q -p pdac-serve --bin serve -- "${args[@]}"
+done
 if command -v python3 >/dev/null 2>&1; then
     python3 -c "
 import json
@@ -62,86 +60,17 @@ assert doc['traceEvents'], 'empty trace'
 "
 fi
 
-echo "==> energy observability smoke (metered serve leaves power.* in /metrics)"
-PDAC_SERVE_REQUESTS=6 PDAC_SERVE_PROMPT=3 PDAC_SERVE_MAX_NEW=4 PDAC_SERVE_BATCH=4 \
-    PDAC_SERVE_HIDDEN=32 PDAC_SERVE_LAYERS=2 PDAC_SERVE_HEADS=4 \
-    PDAC_POWER_BUDGET_W=1000 \
-    PDAC_SERVE_METRICS_OUT="$(pwd)/target/metrics.smoke.txt" \
-    cargo run --release -q -p pdac-serve --bin serve
-for series in pdac_power_energy_attention_j pdac_power_energy_total_j \
-    pdac_power_compute_w pdac_power_budget_headroom_w pdac_serve_energy_per_token_j; do
-    grep -q "^${series}" target/metrics.smoke.txt \
-        || { echo "FAIL: ${series} missing from /metrics exposition"; exit 1; }
-done
-
-echo "==> paged KV serve smoke (prefix sharing under a byte budget, bit-identical to solo decode_step)"
-PDAC_SERVE_REQUESTS=6 PDAC_SERVE_PROMPT=5 PDAC_SERVE_MAX_NEW=4 PDAC_SERVE_BATCH=3 \
-    PDAC_SERVE_HIDDEN=32 PDAC_SERVE_LAYERS=2 PDAC_SERVE_HEADS=4 \
-    PDAC_SERVE_SHARED_PROMPT=4 \
-    PDAC_KV_BLOCK_TOKENS=2 PDAC_KV_BUDGET_BYTES=16384 \
-    PDAC_SERVE_METRICS_OUT="$(pwd)/target/metrics.kv.txt" \
-    cargo run --release -q -p pdac-serve --bin serve
-for series in pdac_serve_kv_pages pdac_serve_kv_bytes pdac_serve_kv_shared; do
-    grep -q "^${series}" target/metrics.kv.txt \
-        || { echo "FAIL: ${series} missing from /metrics exposition"; exit 1; }
-done
-
-echo "==> serve rejects a malformed KV budget (exit 2, not an unbounded cache)"
-status=0
-PDAC_KV_BUDGET_BYTES=1MiB cargo run --release -q -p pdac-serve --bin serve \
-    > target/serve.bad_kv.log 2>&1 || status=$?
-if [ "$status" -ne 2 ]; then
-    echo "FAIL: PDAC_KV_BUDGET_BYTES=1MiB made serve exit $status, expected 2"
-    cat target/serve.bad_kv.log
-    exit 1
-fi
-
-echo "==> serve rejects a zero batch, a bad model shape, a malformed trace capacity and a non-0/1 switch (exit 2 naming the knob, not a panic)"
-for knob in PDAC_SERVE_BATCH=0 PDAC_SERVE_HEADS=3 PDAC_TRACE_CAPACITY=4k \
-    PDAC_SENTINEL_FAILOVER=yes PDAC_SERVE_HEALTH=true; do
+echo "==> serve rejects an unknown scenario and a flag without a value (exit 2 naming the argument)"
+for bad in "--scenario nope" "--trace-out"; do
     status=0
-    env "$knob" cargo run --release -q -p pdac-serve --bin serve \
-        > target/serve.bad_shape.log 2>&1 || status=$?
-    if [ "$status" -ne 2 ] || ! grep -q "${knob%%=*}" target/serve.bad_shape.log; then
-        echo "FAIL: $knob made serve exit $status, expected 2 naming ${knob%%=*}"
-        cat target/serve.bad_shape.log
+    cargo run --release -q -p pdac-serve --bin serve -- $bad \
+        > target/serve.reject.log 2>&1 || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q -- "${bad##* }" target/serve.reject.log; then
+        echo "FAIL: serve $bad exited $status, expected 2 naming ${bad##* }"
+        cat target/serve.reject.log
         exit 1
     fi
 done
-
-echo "==> serve rejects a malformed power budget (exit 2, not silently unbudgeted)"
-status=0
-PDAC_POWER_BUDGET_W=1kW cargo run --release -q -p pdac-serve --bin serve \
-    > target/serve.bad_budget.log 2>&1 || status=$?
-if [ "$status" -ne 2 ]; then
-    echo "FAIL: PDAC_POWER_BUDGET_W=1kW made serve exit $status, expected 2"
-    cat target/serve.bad_budget.log
-    exit 1
-fi
-
-echo "==> drift sentinel smoke (clean serve green; injected fault latches critical)"
-PDAC_SERVE_REQUESTS=6 PDAC_SERVE_PROMPT=3 PDAC_SERVE_MAX_NEW=4 PDAC_SERVE_BATCH=4 \
-    PDAC_SERVE_HIDDEN=32 PDAC_SERVE_LAYERS=2 PDAC_SERVE_HEADS=4 \
-    PDAC_SENTINEL_RATE=1.0 \
-    PDAC_SERVE_METRICS_OUT="$(pwd)/target/metrics.sentinel.txt" \
-    cargo run --release -q -p pdac-serve --bin serve -- --health
-for series in pdac_health_drift_pdac_ewma pdac_health_drift_pdac_budget_frac \
-    pdac_health_drift_pdac_bucket; do
-    grep -q "^${series}" target/metrics.sentinel.txt \
-        || { echo "FAIL: ${series} missing from /metrics exposition"; exit 1; }
-done
-if PDAC_SERVE_REQUESTS=4 PDAC_SERVE_PROMPT=3 PDAC_SERVE_MAX_NEW=4 PDAC_SERVE_BATCH=4 \
-    PDAC_SERVE_HIDDEN=32 PDAC_SERVE_LAYERS=2 PDAC_SERVE_HEADS=4 \
-    PDAC_SENTINEL_RATE=1.0 PDAC_SENTINEL_FAULT=tia \
-    cargo run --release -q -p pdac-serve --bin serve -- --health \
-    > target/sentinel.fault.log 2>&1; then
-    echo "FAIL: fault-injected serve reported healthy"
-    cat target/sentinel.fault.log
-    exit 1
-fi
-grep -q "health status=critical" target/sentinel.fault.log \
-    || { echo "FAIL: fault run exited nonzero without a critical verdict"; \
-         cat target/sentinel.fault.log; exit 1; }
 
 echo "==> serve http feature check (/metrics + /trace endpoint compiles and tests)"
 cargo test -q -p pdac-telemetry --features serve-http --lib
