@@ -16,12 +16,12 @@
 //!   `chrome://tracing` or Perfetto), validated through the in-tree
 //!   parser before exiting; the span-event ring then holds
 //!   [`TRACE_CAPACITY`] events
-//! * `--http <addr>` (`http` feature) — serve `/metrics` + `/trace` +
-//!   `/health` on the given address while running
+//! * `--http <addr>` — serve `/metrics` + `/trace` + `/health` on the
+//!   given address while running
 //!
-//! An unknown scenario or argument, a flag without a value, or a row or
-//! flag needing a feature this build lacks exits 2 with a message naming
-//! it.
+//! An unknown scenario or argument, a flag without a value, or a row
+//! needing the `sentinel` feature in a build without it exits 2 with a
+//! message naming it.
 //!
 //! Every row serves on the 8-bit P-DAC backend, prices the run with the
 //! P-DAC [`pdac_power::meter`] under a [`POWER_BUDGET_W`] budget, and
@@ -179,7 +179,6 @@ struct Args {
     scenario: &'static Scenario,
     metrics_out: Option<String>,
     trace_out: Option<String>,
-    #[cfg_attr(not(feature = "http"), allow(dead_code))]
     http: Option<String>,
 }
 
@@ -208,9 +207,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--scenario" => &mut name,
             "--metrics-out" => &mut metrics_out,
             "--trace-out" => &mut trace_out,
-            "--http" if !cfg!(feature = "http") => {
-                return Err("--http needs the `http` feature, which this build lacks".into())
-            }
             "--http" => &mut http,
             _ => {
                 return Err(format!(
@@ -440,13 +436,11 @@ fn main() {
     }
     pdac_telemetry::enable();
 
-    // Arm the drift sentinel. It shadows the whole run and is drained
-    // before the telemetry snapshot below, so its gauges and alerts land
-    // in every exporter.
+    // Arm the drift sentinel. It scores its samples inside the GEMM
+    // calls of the run, so its gauges and alerts land in every exporter.
     #[cfg(feature = "sentinel")]
     let sentinel = pdac_verify::sentinel::Sentinel::install(row.sentinel_rate);
 
-    #[cfg(feature = "http")]
     let _http = args.http.as_deref().map(|addr| {
         let server = pdac_telemetry::http::serve_metrics(pdac_telemetry::global(), addr)
             .expect("bind metrics endpoint");
@@ -482,9 +476,6 @@ fn main() {
         server.mean_occupancy()
     );
 
-    // Drain the sentinel before snapshotting: every sampled GEMM is
-    // replayed, scored and (if warranted) alerted by the time the
-    // drift gauges are exported.
     #[cfg(feature = "sentinel")]
     let sentinel_stats = sentinel.finish();
 
@@ -527,10 +518,9 @@ fn main() {
 
     #[cfg(feature = "sentinel")]
     println!(
-        "serve: sentinel sampled={} scored={} dropped={} alerts={} worst_frac={:.3}",
+        "serve: sentinel sampled={} scored={} alerts={} worst_frac={:.3}",
         sentinel_stats.sampled,
         sentinel_stats.scored,
-        sentinel_stats.dropped,
         sentinel_stats.alerts,
         sentinel_stats.worst_frac,
     );
@@ -713,13 +703,9 @@ mod tests {
     }
 
     #[test]
-    fn http_needs_its_feature() {
-        let parsed = parse(&["--http", "127.0.0.1:0"]);
-        if cfg!(feature = "http") {
-            assert_eq!(parsed.unwrap().http.as_deref(), Some("127.0.0.1:0"));
-        } else {
-            assert!(parsed.unwrap_err().contains("`http` feature"));
-        }
+    fn http_takes_an_address() {
+        let args = parse(&["--http", "127.0.0.1:0"]).unwrap();
+        assert_eq!(args.http.as_deref(), Some("127.0.0.1:0"));
     }
 
     #[test]

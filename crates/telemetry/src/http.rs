@@ -1,4 +1,4 @@
-//! Optional std-only HTTP exposition endpoint (`serve-http` feature).
+//! Std-only HTTP exposition endpoint.
 //!
 //! One background thread, one `TcpListener`, blocking request-at-a-time
 //! handling — deliberately minimal (no keep-alive, no chunking, HTTP/1.0

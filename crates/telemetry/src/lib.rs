@@ -32,7 +32,6 @@
 pub mod clock;
 pub mod export;
 pub mod health;
-#[cfg(feature = "serve-http")]
 pub mod http;
 pub mod json;
 pub mod metrics;

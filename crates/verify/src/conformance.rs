@@ -440,37 +440,44 @@ fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     vec![shared_check, isolation_check]
 }
 
+/// Sequences in the on/off rows' decode workload.
+const ON_OFF_BATCH: usize = 3;
+
+/// The decode workload each on/off row runs twice, once with its
+/// feature on and once off: the tiny model decoding
+/// [`BATCHED_DECODE_STEPS`] steps of [`ON_OFF_BATCH`] sequences on the
+/// 8-bit P-DAC backend, tokens drawn from `cfg.seed ^ salt`. Returns
+/// every step's hidden rows.
+fn on_off_decode(cfg: &ConformanceConfig, salt: u64) -> Vec<Mat> {
+    let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
+    let backend = AnalogGemm::new(PDac::with_optimal_approx(8).expect("valid bits"), "pdac8");
+    let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ salt);
+    let mut batch = PagedKvCache::new(&model, ON_OFF_BATCH, PagedConfig::default());
+    (0..BATCHED_DECODE_STEPS)
+        .map(|_| {
+            let tokens = random_mat(ON_OFF_BATCH, model.config().hidden, &mut rng);
+            model.decode_batch(&tokens, &mut batch, &backend)
+        })
+        .collect()
+}
+
+/// Elements whose bits differ between the on and off runs of
+/// [`on_off_decode`].
+fn on_off_diffs(on: &[Mat], off: &[Mat]) -> usize {
+    on.iter().zip(off).map(|(a, b)| differing_bits(a, b)).sum()
+}
+
 /// Observability must never touch results: the same batched-decode
 /// workload run with global telemetry fully enabled (spans + events)
 /// and fully disabled must produce bit-identical hidden states.
 fn tracing_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
-    let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
-    let hidden = model.config().hidden;
-    let s = 3usize;
-    let steps = BATCHED_DECODE_STEPS;
-    let backend = AnalogGemm::new(PDac::with_optimal_approx(8).expect("valid bits"), "pdac8");
-
-    let run = |tracing_on: bool| -> Vec<Mat> {
-        if tracing_on {
-            pdac_telemetry::enable();
-            pdac_telemetry::set_tracing(true);
-        } else {
-            pdac_telemetry::disable();
-        }
-        let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x7AACE);
-        let mut batch = PagedKvCache::new(&model, s, PagedConfig::default());
-        (0..steps)
-            .map(|_| {
-                let tokens = random_mat(s, hidden, &mut rng);
-                model.decode_batch(&tokens, &mut batch, &backend)
-            })
-            .collect()
-    };
-
     let was_enabled = pdac_telemetry::is_enabled();
     let was_tracing = pdac_telemetry::is_tracing();
-    let with_tracing = run(true);
-    let without = run(false);
+    pdac_telemetry::enable();
+    pdac_telemetry::set_tracing(true);
+    let with_tracing = on_off_decode(cfg, 0x7AACE);
+    pdac_telemetry::disable();
+    let without = on_off_decode(cfg, 0x7AACE);
     // Restore whatever observability level the harness was running at.
     if was_enabled {
         pdac_telemetry::enable();
@@ -479,15 +486,13 @@ fn tracing_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     }
     pdac_telemetry::set_tracing(was_tracing);
 
-    let diffs: usize = with_tracing
-        .iter()
-        .zip(&without)
-        .map(|(a, b)| differing_bits(a, b))
-        .sum();
     vec![bit_identity_check(
         "decode.tracing.on_off_bit_identity",
-        diffs,
-        format!("{steps} steps x batch {s}: full tracing vs telemetry disabled"),
+        on_off_diffs(&with_tracing, &without),
+        format!(
+            "{BATCHED_DECODE_STEPS} steps x batch {ON_OFF_BATCH}: full tracing vs telemetry \
+             disabled"
+        ),
     )]
 }
 
@@ -495,52 +500,28 @@ fn tracing_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 /// observe completed results only: the same batched-decode workload run
 /// with a full-rate [`crate::sentinel::Sentinel`] installed and with no
 /// tap must produce bit-identical hidden states — and the sentinel must
-/// actually have scored samples (or the identity proved nothing).
+/// have scored every sample it took (or the identity proved nothing).
 fn sentinel_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     use crate::sentinel::Sentinel;
 
     // The tap and the health ledger are process-global; serialize with
     // every other sentinel user in this test process.
     let _guard = crate::sentinel::test_guard();
-    let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
-    let hidden = model.config().hidden;
-    let s = 3usize;
-    let steps = BATCHED_DECODE_STEPS;
-    let backend = AnalogGemm::new(PDac::with_optimal_approx(8).expect("valid bits"), "pdac8");
-
-    let run = || -> Vec<Mat> {
-        let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x5E47);
-        let mut batch = PagedKvCache::new(&model, s, PagedConfig::default());
-        (0..steps)
-            .map(|_| {
-                let tokens = random_mat(s, hidden, &mut rng);
-                model.decode_batch(&tokens, &mut batch, &backend)
-            })
-            .collect()
-    };
-
     let handle = Sentinel::install(1.0);
-    let with_sentinel = run();
+    let with_sentinel = on_off_decode(cfg, 0x5E47);
     let stats = handle.finish();
-    let without = run();
+    let without = on_off_decode(cfg, 0x5E47);
     // A clean decode must not leave alerts behind for later checks.
     pdac_telemetry::health::reset();
 
-    let diffs: usize = with_sentinel
-        .iter()
-        .zip(&without)
-        .map(|(a, b)| differing_bits(a, b))
-        .sum();
-    // A sentinel that scored nothing would make the identity vacuous.
-    // How many samples the worker scores rather than drops depends on
-    // scheduling, so the detail reports only the sampled count.
-    let vacuous = usize::from(stats.scored == 0);
+    let vacuous = usize::from(stats.sampled == 0 || stats.scored != stats.sampled);
     vec![bit_identity_check(
         "decode.sentinel.on_off_bit_identity",
-        diffs + vacuous,
+        on_off_diffs(&with_sentinel, &without) + vacuous,
         format!(
-            "{steps} steps x batch {s}: full-rate sentinel vs no tap ({} sampled)",
-            stats.sampled
+            "{BATCHED_DECODE_STEPS} steps x batch {ON_OFF_BATCH}: full-rate sentinel vs no tap \
+             ({} sampled, {} scored)",
+            stats.sampled, stats.scored
         ),
     )]
 }
@@ -558,23 +539,6 @@ fn energy_meter_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     // The meter is process-global: two conformance runs in one process
     // would otherwise swap meters mid-run and count nothing.
     let _guard = crate::sentinel::test_guard();
-    let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
-    let hidden = model.config().hidden;
-    let s = 3usize;
-    let steps = BATCHED_DECODE_STEPS;
-    let backend = AnalogGemm::new(PDac::with_optimal_approx(8).expect("valid bits"), "pdac8");
-
-    let run = || -> Vec<Mat> {
-        let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0xE4E26);
-        let mut batch = PagedKvCache::new(&model, s, PagedConfig::default());
-        (0..steps)
-            .map(|_| {
-                let tokens = random_mat(s, hidden, &mut rng);
-                model.decode_batch(&tokens, &mut batch, &backend)
-            })
-            .collect()
-    };
-
     // Preserve and restore whatever meter the harness had installed.
     let prior = pdac_power::meter::installed();
     let pm = PowerModel::new(
@@ -583,27 +547,22 @@ fn energy_meter_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         DriverKind::PhotonicDac,
     );
     let handle = pdac_power::meter::install(EnergyMeter::new(EnergyModel::new(pm), 8));
-    let metered = run();
+    let metered = on_off_decode(cfg, 0xE4E26);
     let counted = handle.snapshot();
     pdac_power::meter::uninstall();
-    let without = run();
+    let without = on_off_decode(cfg, 0xE4E26);
     if let Some(prev) = prior {
         let _ = pdac_power::meter::install_shared(prev);
     }
 
-    let diffs: usize = metered
-        .iter()
-        .zip(&without)
-        .map(|(a, b)| differing_bits(a, b))
-        .sum();
     // A meter that recorded nothing would make the identity vacuous.
     let vacuous = usize::from(counted.trace.total_macs() == 0 || counted.total_j() <= 0.0);
     vec![bit_identity_check(
         "decode.energy_meter.on_off_bit_identity",
-        diffs + vacuous,
+        on_off_diffs(&metered, &without) + vacuous,
         format!(
-            "{steps} steps x batch {s}: P-DAC energy meter installed vs none \
-             ({} MACs metered)",
+            "{BATCHED_DECODE_STEPS} steps x batch {ON_OFF_BATCH}: P-DAC energy meter installed \
+             vs none ({} MACs metered)",
             counted.trace.total_macs()
         ),
     )]

@@ -20,9 +20,9 @@
 //! table and as a JSONL conformance report ([`report`]).
 //!
 //! The same budgets also run *online*: the [`sentinel`] module
-//! shadow-samples live analog GEMMs off the hot path, replays them
-//! through the golden reference, and raises drift alerts into the
-//! global `pdac-telemetry` health ledger.
+//! shadow-samples live analog GEMMs, scores each sample inside the call
+//! that produced it against an exact replay, and raises drift alerts
+//! into the global `pdac-telemetry` health ledger.
 //!
 //! Run the whole matrix with `cargo run --release -p pdac-verify`, or
 //! programmatically:

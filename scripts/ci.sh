@@ -72,10 +72,6 @@ for bad in "--scenario nope" "--trace-out"; do
     fi
 done
 
-echo "==> serve http feature check (/metrics + /trace endpoint compiles and tests)"
-cargo test -q -p pdac-telemetry --features serve-http --lib
-cargo check --release -q -p pdac-serve --features http
-
 echo "==> bench regression gate (fresh runs vs checked-in baselines; decode and kv assert their floors)"
 PDAC_BENCH_OUT="$(pwd)/target/BENCH_decode.fresh.json" \
     cargo bench --features microbench -p pdac-bench --bench decode_engine
