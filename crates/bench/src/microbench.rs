@@ -3,8 +3,8 @@
 //! The workspace builds offline, so Criterion is out; this is the small
 //! fraction of it we actually use: warm up, run for a fixed wall-clock
 //! window, report mean/min per-iteration time. Bench binaries stay
-//! `harness = false` and are gated behind the off-by-default `microbench`
-//! feature so `cargo test -q` never pays for them.
+//! `harness = false`; `cargo test` never builds a bench target, so no
+//! feature gates them.
 
 pub use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -55,20 +55,21 @@
 //!
 //! # Drift sentinel
 //!
-//! With the `sentinel` feature the `serve` bin arms `pdac-verify`'s
-//! online drift monitor (`pdac_verify::sentinel`): live analog GEMMs are
-//! shadow-sampled and scored inside the sampled call, on the decode
-//! thread, against an exact replay and the paper's error budgets,
-//! raising `health.alert.*` records into the global health ledger
-//! (surfaced by the `/health` endpoint) before the call returns.
-//! Independently of that feature, a server built with
-//! [`TokenServer::with_failover`]`(true)` fails over: once the health
-//! ledger latches critical, subsequent decode steps reroute to
-//! [`ExactGemm`] (counter `serve.sentinel_failover`,
-//! [`TokenServer::failover_steps`]) so served results stay trustworthy
-//! while the analog path is quarantined. The `serve` bin never arms it;
-//! the `failover_reroutes_steps_once_critical_latches` test covers it.
-//! See DESIGN.md §17.
+//! The drift monitor lives in `pdac-verify`, which depends on this
+//! crate, not the other way round. Its `serve` bin drives a
+//! [`TokenServer`] with the monitor (`pdac_verify::sentinel`) armed:
+//! live analog GEMMs are shadow-sampled and scored inside the sampled
+//! call, on the decode thread, against an exact replay and the paper's
+//! error budgets, raising `health.alert.*` records into the global
+//! health ledger (surfaced by the `/health` endpoint) before the call
+//! returns. A server built with [`TokenServer::with_failover`]`(true)`
+//! fails over: once the health ledger latches critical, subsequent
+//! decode steps reroute to [`ExactGemm`] (counter
+//! `serve.sentinel_failover`, [`TokenServer::failover_steps`]) so served
+//! results stay trustworthy while the analog path is quarantined. The
+//! `serve` bin never arms it; `pdac-verify`'s
+//! `failover_reroutes_steps_once_critical_latches` test covers it. See
+//! DESIGN.md §17.
 //!
 //! # KV paging
 //!

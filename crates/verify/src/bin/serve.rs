@@ -1,9 +1,11 @@
 //! Continuous-batching serving simulation: drives a multi-request trace
 //! through the [`pdac_serve::TokenServer`], reports throughput, and checks
-//! what the run must show.
+//! what the run must show. It lives in `pdac-verify` because every run
+//! arms this crate's drift sentinel and the `fault` row injects through
+//! its [`pdac_verify::FaultyPDac`]; `pdac-serve` stays a library.
 //!
 //! ```text
-//! cargo run --release -p pdac-serve --bin serve -- [--scenario <name>]
+//! cargo run --release -p pdac-verify --bin serve -- [--scenario <name>]
 //! ```
 //!
 //! Each configuration is one row of [`SCENARIOS`] (`smoke` when no row
@@ -14,14 +16,13 @@
 //!   text `/metrics` serves) to a file
 //! * `--trace-out <path>` — write a Chrome-trace JSON (load in
 //!   `chrome://tracing` or Perfetto), validated through the in-tree
-//!   parser before exiting; the span-event ring then holds
-//!   [`TRACE_CAPACITY`] events
+//!   parser before exiting (a trace with no events fails); the
+//!   span-event ring then holds [`TRACE_CAPACITY`] events
 //! * `--http <addr>` — serve `/metrics` + `/trace` + `/health` on the
 //!   given address while running
 //!
-//! An unknown scenario or argument, a flag without a value, or a row
-//! needing the `sentinel` feature in a build without it exits 2 with a
-//! message naming it.
+//! An unknown scenario or argument, or a flag without a value, exits 2
+//! with a message naming it.
 //!
 //! Every row serves on the 8-bit P-DAC backend, prices the run with the
 //! P-DAC [`pdac_power::meter`] under a [`POWER_BUDGET_W`] budget, and
@@ -29,8 +30,8 @@
 //! generates [`MAX_NEW`] tokens per request. After the run the bin
 //! prints a p50/p95/p99 latency table for the SLO histograms
 //! (queue-wait, TTFT, ITL, e2e), a per-class energy table, the drift
-//! sentinel's counts (`sentinel` feature) and the health verdict with
-//! its alert table, and replays every request alone through
+//! sentinel's counts ([`pdac_verify::sentinel`]) and the health verdict
+//! with its alert table, and replays every request alone through
 //! `decode_step` ([`pdac_serve::solo_reference`]). It exits 1 unless
 //! every request retires bit-identical to its solo replay, a row with a
 //! shared prompt prefix shares KV pages, the trace file (if any)
@@ -73,9 +74,7 @@ struct Scenario {
     /// Batch capacity of the token server.
     batch: usize,
     kv: PagedConfig,
-    /// Sampling rate of the drift sentinel (`sentinel` feature; a build
-    /// without it runs no sentinel).
-    #[cfg_attr(not(feature = "sentinel"), allow(dead_code))]
+    /// Sampling rate of the drift sentinel.
     sentinel_rate: f64,
     /// TIA gain drift injected into the P-DAC, as a fraction. The run
     /// must latch a critical drift alert exactly when the row has one.
@@ -85,16 +84,6 @@ struct Scenario {
 }
 
 impl Scenario {
-    /// Whether the row's fault or expectations rest on the drift
-    /// sentinel, which only the `sentinel` feature builds.
-    fn needs_sentinel(&self) -> bool {
-        self.tia_fault.is_some()
-            || self
-                .must_export
-                .iter()
-                .any(|s| s.starts_with("pdac_health_"))
-    }
-
     fn model_config(&self) -> TransformerConfig {
         TransformerConfig {
             name: "serve-sim".to_string(),
@@ -182,18 +171,12 @@ struct Args {
     http: Option<String>,
 }
 
-/// The row named `name`, if this build can run it.
+/// The row named `name`.
 fn scenario(name: &str) -> Result<&'static Scenario, String> {
-    let row = SCENARIOS.iter().find(|s| s.name == name).ok_or_else(|| {
+    SCENARIOS.iter().find(|s| s.name == name).ok_or_else(|| {
         let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
         format!("unknown scenario {name:?} (use {})", names.join("|"))
-    })?;
-    if row.needs_sentinel() && !cfg!(feature = "sentinel") {
-        return Err(format!(
-            "scenario {name} needs the `sentinel` feature, which this build lacks"
-        ));
-    }
-    Ok(row)
+    })
 }
 
 /// Parses the arguments after the program name. Every flag takes one
@@ -267,7 +250,6 @@ fn requests(row: &Scenario, hidden: usize) -> Vec<Request> {
 /// The 8-bit P-DAC backend, with `row`'s fault injected when it has one.
 fn backend(row: &Scenario) -> Box<dyn GemmBackend> {
     let pdac = PDac::with_optimal_approx(8).expect("8-bit pdac");
-    #[cfg(feature = "sentinel")]
     if let Some(drift) = row.tia_fault {
         println!("serve: sentinel fault injected: tia");
         let spec = pdac_verify::FaultSpec::none().with_tia_gain_drift(drift);
@@ -276,15 +258,12 @@ fn backend(row: &Scenario) -> Box<dyn GemmBackend> {
             "pdac-8b-faulty",
         ));
     }
-    assert!(
-        row.tia_fault.is_none(),
-        "a fault row needs the `sentinel` feature"
-    );
     Box::new(AnalogGemm::new(pdac, "pdac-8b"))
 }
 
 /// Structural sanity checks on an emitted Chrome-trace document: the
-/// round-trip gate of every `--trace-out` run. `strict_parents` is off
+/// round-trip gate of every `--trace-out` run. A traced run records
+/// spans, so a document with no events fails. `strict_parents` is off
 /// when the ring dropped events (a parent may then be truncated away).
 fn validate_trace(text: &str, strict_parents: bool) -> Result<usize, String> {
     let doc = pdac_telemetry::json::parse(text).map_err(|e| format!("parse error: {e:?}"))?;
@@ -292,6 +271,9 @@ fn validate_trace(text: &str, strict_parents: bool) -> Result<usize, String> {
         .get("traceEvents")
         .and_then(pdac_telemetry::Json::as_arr)
         .ok_or("missing traceEvents array")?;
+    if events.is_empty() {
+        return Err("no trace events".to_string());
+    }
     let mut seen_ids = HashSet::new();
     for (i, e) in events.iter().enumerate() {
         let id = e
@@ -438,7 +420,6 @@ fn main() {
 
     // Arm the drift sentinel. It scores its samples inside the GEMM
     // calls of the run, so its gauges and alerts land in every exporter.
-    #[cfg(feature = "sentinel")]
     let sentinel = pdac_verify::sentinel::Sentinel::install(row.sentinel_rate);
 
     let _http = args.http.as_deref().map(|addr| {
@@ -476,7 +457,6 @@ fn main() {
         server.mean_occupancy()
     );
 
-    #[cfg(feature = "sentinel")]
     let sentinel_stats = sentinel.finish();
 
     // Final flush so the `power.*` gauges reflect the whole run before
@@ -516,7 +496,6 @@ fn main() {
     print_slo_table(&snap.histograms);
     print_energy_table(&meter, &energy, &server, generated);
 
-    #[cfg(feature = "sentinel")]
     println!(
         "serve: sentinel sampled={} scored={} alerts={} worst_frac={:.3}",
         sentinel_stats.sampled,
@@ -622,7 +601,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{missing_series, parse_args, SCENARIOS};
+    use super::{missing_series, parse_args, validate_trace, SCENARIOS};
     use std::collections::HashSet;
 
     fn parse(args: &[&str]) -> Result<super::Args, String> {
@@ -639,18 +618,8 @@ mod tests {
             assert!(row.shared_prompt <= row.prompt, "{}", row.name);
             assert!(!row.must_export.is_empty(), "{}", row.name);
             assert!(row.sentinel_rate > 0.0, "{}: sentinel unarmed", row.name);
-            // A row resting on the sentinel runs only where the feature
-            // is built; elsewhere selecting it names the feature.
-            match parse(&["--scenario", row.name]) {
-                Ok(args) => {
-                    assert_eq!(args.scenario.name, row.name);
-                    assert!(cfg!(feature = "sentinel") || !row.needs_sentinel());
-                }
-                Err(e) => {
-                    assert!(row.needs_sentinel() && !cfg!(feature = "sentinel"), "{e}");
-                    assert!(e.contains("`sentinel` feature"), "{e}");
-                }
-            }
+            let args = parse(&["--scenario", row.name]).unwrap();
+            assert_eq!(args.scenario.name, row.name);
         }
         assert!(SCENARIOS.iter().any(|s| s.tia_fault.is_some()));
     }
@@ -715,5 +684,13 @@ mod tests {
             missing_series(text, &["pdac_a", "pdac_b_bucket", "pdac_b", "pdac_c"]),
             ["pdac_b", "pdac_c"]
         );
+    }
+
+    #[test]
+    fn a_trace_with_no_events_fails() {
+        let one = r#"{"traceEvents":[{"ts":0,"dur":1,"args":{"id":1,"parent":0}}]}"#;
+        assert_eq!(validate_trace(one, true), Ok(1));
+        let err = validate_trace(r#"{"traceEvents":[]}"#, true).unwrap_err();
+        assert_eq!(err, "no trace events");
     }
 }

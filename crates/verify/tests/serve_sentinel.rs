@@ -1,13 +1,11 @@
-//! End-to-end drift-sentinel proof over a live token server.
+//! End-to-end drift-sentinel proof over a live `pdac-serve` token server.
 //!
-//! Each fault class from the verify crate's fault injector is driven
-//! through a real serve run with the sentinel armed at full rate; the
-//! matching `health.alert.*` counter and ledger record must appear at
-//! critical severity, while the identical clean run stays green. Lives
-//! in its own integration-test process because the tap and the health
-//! ledger are process-global ambients.
-
-#![cfg(feature = "sentinel")]
+//! Each fault class from this crate's fault injector is driven through
+//! a real serve run with the sentinel armed at full rate; the matching
+//! `health.alert.*` counter and ledger record must appear at critical
+//! severity, while the identical clean run stays green. Lives in its
+//! own integration-test process because the tap and the health ledger
+//! are process-global ambients.
 
 use pdac_nn::{AnalogGemm, ExactGemm, PagedConfig, TransformerConfig, TransformerModel};
 use pdac_serve::{Request, TokenServer};
